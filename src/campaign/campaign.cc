@@ -81,15 +81,13 @@ CampaignReport RunCampaign(const CampaignOptions& options) {
   auto run_batch = [&options](const std::vector<ScenarioSpec>& batch) {
     std::vector<ScenarioResult> results(batch.size());
     std::atomic<size_t> next_slot{0};
-    RunOptions run;
-    run.sim_threads = options.sim_threads;
-    auto worker = [&batch, &results, &next_slot, run] {
+    auto worker = [&batch, &results, &next_slot] {
       for (;;) {
         const size_t slot = next_slot.fetch_add(1, std::memory_order_relaxed);
         if (slot >= batch.size()) {
           return;
         }
-        results[slot] = RunScenario(batch[slot], run);
+        results[slot] = RunScenario(batch[slot]);
       }
     };
     const int workers = std::min<int>(std::max(1, options.workers),

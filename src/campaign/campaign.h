@@ -31,10 +31,6 @@ struct CampaignOptions {
   uint64_t master_seed = 1;
   uint64_t num_scenarios = 200;
   int workers = 4;
-  // Worker threads of the in-scenario parallel simulation core (RunOptions);
-  // outcome-neutral by construction. Composes with `workers`: total
-  // concurrency is workers * sim_threads.
-  int sim_threads = 1;
   // Generate wild-write fixture scenarios (firewall checking disabled):
   // every scenario is expected to violate; used to prove the oracles fire.
   bool wild_write_fixture = false;

@@ -6,20 +6,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/campaign/coverage.h"
+
 namespace campaign {
 namespace {
 
 constexpr char kHeader[] = "hive-corpus-v1";
-
-// FNV-1a over the serialized text, for content-addressed file names.
-uint64_t HashText(const std::string& text) {
-  uint64_t hash = 0xCBF29CE484222325ull;
-  for (char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
 
 bool ParseU64(std::string_view text, uint64_t* out) {
   if (text.empty()) {
@@ -224,9 +216,11 @@ bool ParseCorpusEntry(std::string_view text, CorpusEntry* out) {
 }
 
 std::string CorpusEntryFileName(const CorpusEntry& entry) {
+  // Content-addressed: FNV-1a over the serialized text.
+  const uint64_t hash = FnvMixString(kFnvOffsetBasis, SerializeCorpusEntry(entry));
   char name[40];
   std::snprintf(name, sizeof(name), "entry-%016llx.corpus",
-                static_cast<unsigned long long>(HashText(SerializeCorpusEntry(entry))));
+                static_cast<unsigned long long>(hash));
   return name;
 }
 

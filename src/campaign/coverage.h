@@ -29,10 +29,10 @@ class HiveSystem;
 
 namespace campaign {
 
-// FNV-1a mixing, shared by the coverage map digest, trace signatures and the
-// campaign's merged-fingerprint accumulator. (The per-scenario fingerprint in
-// runner.cc keeps its own private copy: its byte order is pinned by golden
-// tests and must not drift with this header.)
+// FNV-1a mixing, the one copy in the tree: coverage map digests, trace
+// signatures, scenario and soak fingerprints, the campaign's merged
+// fingerprint and corpus file names all use it. Golden tests pin its byte
+// order (FnvMix folds `value` little-endian, one byte at a time).
 inline constexpr uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ull;
 
 uint64_t FnvMix(uint64_t hash, uint64_t value);

@@ -602,41 +602,25 @@ void InjectFalseAccusation(InjectionState& state, size_t fault_index) {
   sys.HandleAlert(ctx, fault.victim, fault.target, hive::HintReason::kRpcTimeout);
 }
 
-uint64_t Fnv1a(uint64_t hash, uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (byte * 8)) & 0xFF;
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
-uint64_t Fnv1a(uint64_t hash, const std::string& text) {
-  for (char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
 uint64_t ComputeFingerprint(const ScenarioResult& result, HiveSystem& sys) {
-  uint64_t hash = 0xCBF29CE484222325ull;
-  hash = Fnv1a(hash, result.spec.seed);
-  hash = Fnv1a(hash, static_cast<uint64_t>(result.end_time));
+  uint64_t hash = kFnvOffsetBasis;
+  hash = FnvMix(hash, result.spec.seed);
+  hash = FnvMix(hash, static_cast<uint64_t>(result.end_time));
   for (CellId c = 0; c < sys.num_cells(); ++c) {
     Cell& cell = sys.cell(c);
     uint64_t state = cell.alive() ? 1u : 0u;
     state |= cell.in_recovery() ? 2u : 0u;
     state |= sys.CellConfirmedFailed(c) ? 4u : 0u;
-    hash = Fnv1a(hash, state);
-    hash = Fnv1a(hash, cell.panic_reason());
+    hash = FnvMix(hash, state);
+    hash = FnvMixString(hash, cell.panic_reason());
   }
   for (bool landed : result.injected) {
-    hash = Fnv1a(hash, landed ? 1u : 0u);
+    hash = FnvMix(hash, landed ? 1u : 0u);
   }
-  hash = Fnv1a(hash, static_cast<uint64_t>(sys.recovery().recoveries_run()));
-  hash = Fnv1a(hash, static_cast<uint64_t>(result.corrupt_outputs + 1));
+  hash = FnvMix(hash, static_cast<uint64_t>(sys.recovery().recoveries_run()));
+  hash = FnvMix(hash, static_cast<uint64_t>(result.corrupt_outputs + 1));
   for (const OracleViolation& violation : result.violations) {
-    hash = Fnv1a(hash, violation.ToString());
+    hash = FnvMixString(hash, violation.ToString());
   }
   return hash;
 }
@@ -662,18 +646,15 @@ std::string ScenarioResult::ViolationReport() const {
   return out.str();
 }
 
-ScenarioResult RunScenario(const ScenarioSpec& spec, const RunOptions& run) {
+ScenarioResult RunScenario(const ScenarioSpec& spec) {
   ScenarioResult result;
   result.spec = spec;
 
   flash::Machine machine(CampaignConfig(spec.num_cells), spec.seed);
-  // Parallel simulation core: slice dispatch snaps to a grid of one tenth of
-  // the 10 ms clock tick -- the "minor tick" real kernels dispatch on -- so
-  // different cells' compute slices line up into common safe windows. The
-  // grid is applied for every thread count (including 1): scenario outcomes
-  // are a function of the spec alone, never of --sim-threads, which is the
-  // equivalence oracle sim_parallel_equivalence_test pins.
-  machine.EnableParallelSim(run.sim_threads, hive::KernelCosts{}.clock_tick_period_ns / 10);
+  // Slice dispatch snaps to a 1 ms grid, one tenth of the 10 ms clock tick
+  // (the "minor tick" real kernels dispatch on), and lone compute-bound
+  // processes run pinned slices. Every golden is captured with both on.
+  machine.EnableParallelSim(1, hive::KernelCosts{}.clock_tick_period_ns / 10);
   HiveOptions options;
   options.num_cells = spec.num_cells;
   options.agreement_mode = spec.agreement_mode;

@@ -45,15 +45,8 @@ struct ScenarioResult {
   std::string ViolationReport() const;
 };
 
-// Runtime knobs that must NOT affect the scenario's outcome. `sim_threads`
-// selects the worker count of the parallel simulation core; fingerprints and
-// repro lines are byte-identical for every value (CI pins 1 vs 4).
-struct RunOptions {
-  int sim_threads = 1;
-};
-
 // Runs the scenario to completion and judges it with the oracle library.
-ScenarioResult RunScenario(const ScenarioSpec& spec, const RunOptions& run = {});
+ScenarioResult RunScenario(const ScenarioSpec& spec);
 
 }  // namespace campaign
 

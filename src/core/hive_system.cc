@@ -1,7 +1,6 @@
 #include "src/core/hive_system.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/base/log.h"
 #include "src/base/sim_profile.h"
@@ -272,10 +271,6 @@ void HiveSystem::NoteCellReintegrated(CellId cell_id) {
 
 void HiveSystem::HandleAlert(Ctx& ctx, CellId accuser, CellId suspect, HintReason reason) {
   base::SimProfileScope profile_scope(base::SimSubsystem::kRecovery);
-  // Alerts mutate global state (agreement, recovery, every cell's RPC
-  // layer); a safe-tagged event must never reach this path (lint R10,
-  // parallel form).
-  CHECK(!flash::EventQueue::OnWorkerThread()) << "alert from a safe parallel event";
   if (smp_mode() || alert_in_progress_) {
     return;
   }
@@ -341,22 +336,11 @@ bool HiveSystem::RunUntilDone(const std::vector<ProcId>& pids, Time deadline) {
     }
     return true;
   };
-  flash::ParallelExecutor* exec = machine_->parallel_exec();
-  // With the parallel core the predicate is polled at block granularity (one
-  // unsafe event or one whole window) instead of per event; the blocks' upper
-  // bound is unbounded, mirroring the serial loop, which steps past the
-  // deadline and only then notices.
-  const Time no_limit = std::numeric_limits<Time>::max() - 1;
   while (machine_->Now() < deadline) {
     if (all_done()) {
       return true;
     }
-    if (exec != nullptr) {
-      size_t ran = 0;
-      if (!exec->RunBlock(no_limit, &ran)) {
-        return all_done();
-      }
-    } else if (!machine_->events().Step()) {
+    if (!machine_->events().Step()) {
       return all_done();
     }
   }

@@ -40,11 +40,10 @@ class Behavior {
 
   // True when the NEXT Step is cell-local pure compute: it only charges time
   // and touches this cell's scheduler state -- no page faults, file system,
-  // RPC, SIPS, barriers, forks or process completion. The parallel simulation
-  // core runs slices of such steps as `safe` events concurrently across
-  // cells; misdeclaring a step local trips the executor's CHECK guards
-  // (loudly) rather than corrupting determinism (silently). Conservative
-  // default: nothing is local.
+  // RPC, SIPS, barriers, forks or process completion. With the dispatch grid
+  // on, the scheduler runs such steps as pinned slices that keep the CPU
+  // between quanta; a misdeclared step trips RunPinnedSlice's CHECK.
+  // Conservative default: nothing is local.
   virtual bool NextStepLocal() const { return false; }
 
   // Human-readable tag for logs and stats.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/base/log.h"
 #include "src/base/sim_profile.h"
 #include "src/core/cell.h"
 #include "src/core/hive_system.h"
@@ -257,9 +256,6 @@ void RpcLayer::QuarantinePeer(Ctx& ctx, CellId peer) {
 base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs& args,
                             RpcReply* reply, const CallOptions& options) {
   base::SimProfileScope profile_scope(base::SimSubsystem::kCarefulRpc);
-  // Intercell RPC is a cross-cell effect; safe-tagged events must not call
-  // it (lint R10, parallel form).
-  CHECK(!flash::EventQueue::OnWorkerThread()) << "RPC from a safe parallel event";
   ++stats_.calls;
   const flash::LatencyParams& lat = cell_->machine().config().latency;
   const Time sips_hop = lat.ipi_ns + lat.sips_payload_ns;

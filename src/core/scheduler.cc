@@ -60,10 +60,8 @@ Time Scheduler::AlignDispatch(Time when) const {
   if (grid == 0) {
     return when;
   }
-  // Strictly-next grid point, even when `when` is already aligned: dispatch
-  // events are unsafe (they may touch the ready queue fed by remote wakeups),
-  // so a safe event at an aligned time must push them past its own execution
-  // window, never into it.
+  // Strictly-next grid point, even when `when` is already aligned; every
+  // golden fingerprint is captured with this rounding.
   return (when / grid + 1) * grid;
 }
 
@@ -76,14 +74,11 @@ void Scheduler::KickCpu(int cpu_index) {
   if (machine.cpu(cpu_id).halted) {
     return;
   }
-  // A full dispatch may run any process step, so it is an unsafe event; the
-  // grid keeps it on a window boundary (and satisfies the safe-event
-  // scheduling contract when the kick comes from inside a window).
   const Time when = AlignDispatch(std::max({machine.Now(), machine.cpu(cpu_id).free_at,
                                             cell_->user_suspended_until()}));
   cpu_has_event_[static_cast<size_t>(cpu_index)] = true;
-  cpu_event_id_[static_cast<size_t>(cpu_index)] = machine.events().ScheduleAtTagged(
-      when, cell_->id(), /*safe=*/false, [this, cpu_index] { RunSlice(cpu_index); });
+  cpu_event_id_[static_cast<size_t>(cpu_index)] =
+      machine.events().ScheduleAt(when, [this, cpu_index] { RunSlice(cpu_index); });
 }
 
 void Scheduler::RunSlice(int cpu_index) {
@@ -180,17 +175,13 @@ void Scheduler::RunSlice(int cpu_index) {
 
 void Scheduler::ScheduleResume(int cpu_index, Process* proc, Time resume) {
   flash::Machine& machine = cell_->machine();
-  const bool grid_on = machine.slice_grid_ns() > 0;
-  if (grid_on && ready_.empty() && proc->state() == ProcState::kRunning &&
-      proc->behavior()->NextStepLocal()) {
+  if (machine.slice_grid_ns() > 0 && ready_.empty() &&
+      proc->state() == ProcState::kRunning && proc->behavior()->NextStepLocal()) {
     // Sole runnable process with pure-compute steps ahead: keep it pinned to
-    // this CPU as a safe event. No ready-queue round trip, and -- because the
-    // event is safe and unaligned -- consecutive compute quanta of different
-    // cells run concurrently inside parallel windows.
+    // this CPU at `resume`, off the grid, with no ready-queue round trip.
     cpu_has_event_[static_cast<size_t>(cpu_index)] = true;
-    cpu_event_id_[static_cast<size_t>(cpu_index)] = machine.events().ScheduleAtTagged(
-        resume, cell_->id(), /*safe=*/true,
-        [this, cpu_index, proc] { RunPinnedSlice(cpu_index, proc); });
+    cpu_event_id_[static_cast<size_t>(cpu_index)] = machine.events().ScheduleAt(
+        resume, [this, cpu_index, proc] { RunPinnedSlice(cpu_index, proc); });
     return;
   }
   // Captures (cell, pid), not (this, proc): a reboot-storm kill/rejoin cycle
@@ -199,7 +190,7 @@ void Scheduler::ScheduleResume(int cpu_index, Process* proc, Time resume) {
   // through the current scheduler either finds the same process or nothing.
   Cell* cell = cell_;
   const ProcId pid = proc->pid();
-  auto wake = [cell, pid] {
+  machine.events().ScheduleAt(resume, [cell, pid] {
     if (!cell->alive()) {
       return;
     }
@@ -209,15 +200,7 @@ void Scheduler::ScheduleResume(int cpu_index, Process* proc, Time resume) {
         woken->state() == ProcState::kRunning) {
       sched.MakeRunnable(woken);
     }
-  };
-  if (grid_on) {
-    // The wake only mutates this cell's ready queue and re-kicks its CPUs
-    // (grid-aligned), so it is safe even though the full dispatch is not.
-    machine.events().ScheduleAtTagged(resume, cell_->id(), /*safe=*/true,
-                                      std::move(wake));
-  } else {
-    machine.events().ScheduleAt(resume, std::move(wake));
-  }
+  });
 }
 
 void Scheduler::RunPinnedSlice(int cpu_index, Process* proc) {
@@ -255,9 +238,9 @@ void Scheduler::RunPinnedSlice(int cpu_index, Process* proc) {
   while (ctx.elapsed < kQuantum && proc->behavior()->NextStepLocal()) {
     const Time before = ctx.elapsed;
     outcome = proc->behavior()->Step(ctx, *proc);
-    // The locality declaration is load-bearing for the parallel core: a
-    // "local" step that blocks, exits, fails, or kills the cell would have
-    // had cross-cell effects inside a parallel window. Fail loudly.
+    // This loop has no block, exit or panic path (RunSlice does): a "local"
+    // step that blocks, exits, fails, or kills the cell broke the
+    // NextStepLocal contract. Fail loudly.
     CHECK(outcome == StepOutcome::kContinue && !proc->finished() && cell_->alive())
         << "step declared cell-local by " << proc->behavior()->name()
         << " had non-local effects";

@@ -55,16 +55,15 @@ class Scheduler {
 
  private:
   void RunSlice(int cpu);
-  // Safe continuation slice (parallel core): re-runs `proc` on the same CPU
+  // Pinned continuation slice (grid on): re-runs `proc` on the same CPU
   // while its next steps are declared cell-local, bypassing the ready queue.
   void RunPinnedSlice(int cpu, Process* proc);
   // Schedules proc's next dispatch after a slice left it runnable at
-  // `resume`: a pinned safe slice when it is the sole runnable process with
-  // local steps ahead, else the ready-queue wake event.
+  // `resume`: a pinned slice when it is the sole runnable process with local
+  // steps ahead, else the ready-queue wake event.
   void ScheduleResume(int cpu, Process* proc, Time resume);
-  // Snaps a dispatch time up to the slice grid (identity when the parallel
-  // core is off). Real kernels dispatch on timer ticks; the grid is what
-  // lines different cells' compute slices up into common parallel windows.
+  // Snaps a dispatch time up to the slice grid (identity when the grid is
+  // off). Real kernels dispatch on timer ticks.
   Time AlignDispatch(Time when) const;
 
   Cell* cell_;

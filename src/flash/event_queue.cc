@@ -4,7 +4,6 @@
 
 namespace flash {
 
-
 uint32_t EventQueue::AcquireSlot() {
   if (free_head_ != kNoFree) {
     const uint32_t slot = free_head_;
@@ -30,59 +29,18 @@ void EventQueue::ReleaseSlot(uint32_t index) {
   free_head_ = index;
 }
 
-EventId EventQueue::ScheduleAtTagged(Time when, int cell, bool safe, EventFn fn) {
-  if (WorkerSlot() != nullptr) {
-    return WorkerSchedule(when, cell, safe, std::move(fn));
-  }
+EventId EventQueue::ScheduleAt(Time when, EventFn fn) {
   CHECK_GE(when, now_) << "cannot schedule an event in the past";
   const uint32_t index = AcquireSlot();
   Slot& slot = SlotAt(index);
   slot.fn = std::move(fn);
-  slot.cell = cell;
-  slot.safe = safe;
   heap_.push(HeapEntry{when, next_seq_, index, slot.generation});
   ++next_seq_;
   ++live_count_;
   return MakeId(index, slot.generation);
 }
 
-EventId EventQueue::WorkerSchedule(Time when, int cell, bool safe, EventFn fn) {
-  WorkerContext& ctx = *WorkerSlot();
-  CHECK_GE(when, ctx.local_now) << "cannot schedule an event in the past";
-  // A safe event may create work below the window horizon only for its own
-  // cell; everything else must land at or beyond the horizon, or the merged
-  // order would diverge from a single-threaded run (lint R10, parallel form).
-  const bool local = safe && cell == ctx.cell && when < ctx.horizon;
-  if (!local) {
-    CHECK_GE(when, ctx.horizon)
-        << "safe event scheduled unsafe/cross-cell work inside the window";
-  }
-  uint32_t index;
-  uint32_t generation;
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    index = AcquireSlot();
-    Slot& slot = SlotAt(index);
-    slot.fn = std::move(fn);
-    slot.cell = cell;
-    slot.safe = safe;
-    generation = slot.generation;
-  }
-  ExecRecord& record = ctx.records[ctx.current_record];
-  record.schedules.push_back(DeferredSchedule{when, index, generation});
-  if (local) {
-    record.schedules.back().ran_locally = true;  // Committed to run below.
-    ctx.pending_local.push(WorkerContext::PendingLocal{
-        when, ctx.next_local_order++, ctx.current_record,
-        static_cast<uint32_t>(record.schedules.size() - 1)});
-  }
-  return MakeId(index, generation);
-}
-
 bool EventQueue::Cancel(EventId id) {
-  if (WorkerSlot() != nullptr) {
-    return WorkerCancel(id);
-  }
   if (id == kInvalidEventId) {
     return false;
   }
@@ -96,40 +54,6 @@ bool EventQueue::Cancel(EventId id) {
   ReleaseSlot(index);
   --live_count_;
   return true;
-}
-
-bool EventQueue::WorkerCancel(EventId id) {
-  WorkerContext& ctx = *WorkerSlot();
-  if (id == kInvalidEventId) {
-    return false;
-  }
-  const uint32_t index = static_cast<uint32_t>(id >> 32) - 1;
-  const uint32_t generation = static_cast<uint32_t>(id);
-  // Only events this worker created inside the current window can be
-  // cancelled from a safe context: cancelling a pre-window event would race
-  // the other workers and diverge from the serial order.
-  for (ExecRecord& record : ctx.records) {
-    for (DeferredSchedule& sched : record.schedules) {
-      if (sched.slot == index && sched.generation == generation &&
-          !sched.cancelled) {
-        if (sched.done) {
-          return false;  // Serial parity: it already ran.
-        }
-        sched.cancelled = true;
-        sched.ran_locally = false;
-        std::lock_guard<std::mutex> lock(pool_mutex_);
-        if (SlotAt(index).generation == generation) {
-          ReleaseSlot(index);
-        }
-        return true;
-      }
-    }
-  }
-  const bool stale =
-      index >= slot_count_ || SlotAt(index).generation != generation;
-  CHECK(stale) << "safe event cancelled a pre-window event inside a parallel "
-                  "window; tag the canceller unsafe";
-  return false;
 }
 
 void EventQueue::DropTombstones() {

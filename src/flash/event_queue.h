@@ -22,14 +22,9 @@
 // increasing sequence number breaks ties), exactly as the original
 // priority_queue implementation did. Campaign fingerprints depend on this.
 //
-// Parallel windows (ParallelExecutor, parallel_exec.h): events may carry a
-// (cell, safe) tag. A safe event promises to touch only its own cell's state
-// and to schedule only (a) safe same-cell events at any t >= now, or
-// (b) events at or beyond the executor's window horizon. The executor runs
-// consecutive safe events of different cells concurrently and then replays
-// their ScheduleAt calls in serial order, so sequence numbers -- and thus
-// every downstream tie-break and campaign fingerprint -- are byte-identical
-// to a single-threaded run. Untagged events are unsafe and always serial.
+// One queue is one serial loop on one thread. Campaigns scale by running
+// independent scenarios on separate workers (CampaignOptions::workers), each
+// with its own Machine and queue.
 
 #ifndef HIVE_SRC_FLASH_EVENT_QUEUE_H_
 #define HIVE_SRC_FLASH_EVENT_QUEUE_H_
@@ -38,7 +33,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <queue>
 #include <type_traits>
@@ -145,38 +139,15 @@ class EventFn {
 
 class EventQueue {
  public:
-  // Cell tag for events that are not attributable to one cell (fault
-  // injection, interconnect, campaign drivers). Untagged events are unsafe.
-  static constexpr int kUntaggedCell = -1;
-
   EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Inside a parallel window a worker sees its own event's timestamp, not the
-  // global clock (which is only advanced at window barriers).
-  Time Now() const {
-    const WorkerContext* ctx = WorkerSlot();
-    return ctx != nullptr ? ctx->local_now : now_;
-  }
+  Time Now() const { return now_; }
 
-  // True on a thread currently executing a safe event inside a parallel
-  // window. Cross-cell subsystems (SIPS send, alert handling, RPC dispatch)
-  // CHECK this is false: a safe-tagged event reaching them is a tagging bug
-  // that must fail loudly, not corrupt the deterministic merge.
-  static bool OnWorkerThread() { return WorkerSlot() != nullptr; }
-
-  // Schedules fn at absolute time `when` (>= Now()). Untagged: the event is
-  // unsafe (always executed serially by the parallel executor).
-  EventId ScheduleAt(Time when, EventFn fn) {
-    return ScheduleAtTagged(when, kUntaggedCell, /*safe=*/false, std::move(fn));
-  }
-
-  // Schedules a tagged event. `safe` asserts the cell-locality contract in
-  // the header comment; violations are CHECK failures inside parallel
-  // windows, not silent divergence.
-  EventId ScheduleAtTagged(Time when, int cell, bool safe, EventFn fn);
+  // Schedules fn at absolute time `when` (>= Now()).
+  EventId ScheduleAt(Time when, EventFn fn);
 
   // Schedules fn at Now() + delay.
   EventId ScheduleAfter(Time delay, EventFn fn) {
@@ -209,8 +180,6 @@ class EventQueue {
   size_t pool_slots() const { return slot_count_; }
 
  private:
-  friend class ParallelExecutor;
-
   // A pooled event slot. `generation` is bumped every time the slot is
   // released (fire or cancel); a heap entry or EventId whose generation no
   // longer matches is stale.
@@ -218,77 +187,7 @@ class EventQueue {
     EventFn fn;
     uint32_t generation = 1;
     uint32_t next_free = kNoFree;
-    int32_t cell = kUntaggedCell;
-    bool safe = false;
   };
-
-  // --- Parallel-window support (driven by ParallelExecutor). ---
-
-  // One ScheduleAt issued from inside a parallel window. The sequence number
-  // is NOT assigned here: the executor replays these records in serial
-  // execution order at the window barrier and assigns sequence numbers then,
-  // reproducing exactly the numbering a single-threaded run would produce.
-  struct DeferredSchedule {
-    Time when = 0;
-    uint32_t slot = 0;
-    uint32_t generation = 0;
-    // Executed inside this window by the scheduling worker (safe, same cell,
-    // when < horizon); its record index links the replay to its own children.
-    bool ran_locally = false;
-    bool done = false;            // ran_locally creation that already ran.
-    bool cancelled = false;       // Cancelled before it could run.
-    uint32_t child_record = 0;    // Valid when ran_locally.
-  };
-
-  // Everything one executed event did that the barrier must replay.
-  struct ExecRecord {
-    Time when = 0;
-    uint64_t seq = 0;        // Real seq for pre-window events; assigned at
-                             // replay for events created inside the window.
-    bool from_heap = false;  // Popped from the global heap (has a real seq).
-    std::vector<DeferredSchedule> schedules;
-  };
-
-  // Per-worker execution context, installed thread-local while a worker runs
-  // its cell's bundle of window events.
-  struct WorkerContext {
-    int cell = kUntaggedCell;
-    Time local_now = 0;
-    Time horizon = 0;           // Events at >= horizon are deferred.
-    EventQueue* queue = nullptr;
-    std::vector<ExecRecord> records;
-    uint32_t current_record = 0;
-    uint64_t executed = 0;
-    // In-window creations pending local execution: (when, creation order,
-    // record index of creator, schedule index within it).
-    struct PendingLocal {
-      Time when;
-      uint64_t order;
-      uint32_t record;
-      uint32_t schedule;
-      bool operator>(const PendingLocal& other) const {
-        if (when != other.when) {
-          return when > other.when;
-        }
-        return order > other.order;
-      }
-    };
-    std::priority_queue<PendingLocal, std::vector<PendingLocal>, std::greater<>>
-        pending_local;
-    uint64_t next_local_order = 0;
-  };
-
-  // Per-thread worker context, null outside parallel windows. A function-local
-  // thread_local (rather than an extern TLS member) so every TU reaches it
-  // through the same guaranteed-initialized inline accessor.
-  static WorkerContext*& WorkerSlot() {
-    static thread_local WorkerContext* slot = nullptr;
-    return slot;
-  }
-
-  // Worker-side halves of ScheduleAtTagged / Cancel (event_queue.cc).
-  EventId WorkerSchedule(Time when, int cell, bool safe, EventFn fn);
-  bool WorkerCancel(EventId id);
 
   // What the priority queue orders: a POD reference into the slot pool.
   struct HeapEntry {
@@ -341,9 +240,6 @@ class EventQueue {
   uint32_t slot_count_ = 0;  // Slots carved out of the chunks so far.
   uint32_t free_head_ = kNoFree;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
-  // Guards the slot pool (chunks vector, free list) during parallel windows;
-  // uncontended no-op cost on the serial path.
-  std::mutex pool_mutex_;
 };
 
 }  // namespace flash

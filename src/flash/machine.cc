@@ -23,19 +23,11 @@ Machine::Machine(const MachineConfig& config, uint64_t seed)
   }
 }
 
-void Machine::EnableParallelSim(int threads, Time grid_ns) {
+void Machine::EnableParallelSim(int /*threads*/, Time grid_ns) {
   CHECK_EQ(events_.total_run(), 0u)
       << "EnableParallelSim must run before the first event";
   CHECK_GT(grid_ns, 0);
   slice_grid_ns_ = grid_ns;
-  parallel_exec_ = std::make_unique<ParallelExecutor>(&events_, threads, grid_ns);
-}
-
-size_t Machine::RunUntil(Time deadline) {
-  if (parallel_exec_ != nullptr) {
-    return parallel_exec_->RunUntil(deadline);
-  }
-  return events_.RunUntil(deadline);
 }
 
 void Machine::FailNode(int node) {

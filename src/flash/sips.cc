@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/base/log.h"
 #include "src/base/sim_profile.h"
 #include "src/flash/fault_injector.h"
 
@@ -74,10 +73,6 @@ void Sips::ScheduleDelivery(SipsMessage msg, Time delay, bool release_credit) {
 base::Status Sips::Send(int src_cpu, int dst_node,
                         bool is_reply,
                         const std::array<uint8_t, kSipsPayloadBytes>& payload) {
-  // A SIPS send is a cross-cell effect by definition: reaching here from a
-  // safe-tagged event inside a parallel window is a tagging bug that would
-  // silently break the deterministic merge (lint R10, parallel form).
-  CHECK(!EventQueue::OnWorkerThread()) << "SIPS send from a safe parallel event";
   if (node_dead_[static_cast<size_t>(NodeOfCpu(src_cpu))]) {
     // A dead node sends nothing; callers on dead nodes should be halted
     // already, this is a backstop.

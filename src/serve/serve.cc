@@ -8,6 +8,7 @@
 #include "src/base/log.h"
 #include "src/base/rng.h"
 #include "src/base/table.h"
+#include "src/campaign/coverage.h"
 #include "src/core/address_space.h"
 #include "src/core/careful_ref.h"
 #include "src/core/cell.h"
@@ -30,6 +31,8 @@ namespace serve {
 namespace {
 
 using campaign::FaultKind;
+using campaign::FnvMix;
+using campaign::FnvMixString;
 using hive::Cell;
 using hive::CellId;
 using hive::Ctx;
@@ -88,9 +91,8 @@ struct RequestRecord {
   bool completed = false;
 };
 
-// Shared between the pump, the fault driver and completion ops. All mutation
-// happens on the main simulation thread: pump/driver events are untagged
-// (unsafe, serial) and a ScriptedBehavior's final op never claims locality.
+// Shared between the pump, the fault driver and completion ops, all of which
+// run as events of the one serial simulation loop.
 struct SoakState {
   HiveSystem* sys = nullptr;
   const ServeOptions* opts = nullptr;
@@ -591,71 +593,55 @@ void InjectNextFault(const std::shared_ptr<SoakState>& state) {
 // Fingerprint + SLO verdict.
 // ---------------------------------------------------------------------------
 
-uint64_t Fnv1a(uint64_t hash, uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (byte * 8)) & 0xFF;
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
-uint64_t Fnv1a(uint64_t hash, const std::string& text) {
-  for (char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
 uint64_t ComputeFingerprint(const ServeResult& result, HiveSystem& sys) {
-  uint64_t hash = 0xCBF29CE484222325ull;
-  hash = Fnv1a(hash, result.options.seed);
-  hash = Fnv1a(hash, static_cast<uint64_t>(result.end_time));
-  hash = Fnv1a(hash, result.submitted);
-  hash = Fnv1a(hash, result.completed);
-  hash = Fnv1a(hash, result.shed);
-  hash = Fnv1a(hash, result.unroutable);
-  hash = Fnv1a(hash, result.lost);
-  hash = Fnv1a(hash, result.hung);
+  uint64_t hash = campaign::kFnvOffsetBasis;
+  hash = FnvMix(hash, result.options.seed);
+  hash = FnvMix(hash, static_cast<uint64_t>(result.end_time));
+  hash = FnvMix(hash, result.submitted);
+  hash = FnvMix(hash, result.completed);
+  hash = FnvMix(hash, result.shed);
+  hash = FnvMix(hash, result.unroutable);
+  hash = FnvMix(hash, result.lost);
+  hash = FnvMix(hash, result.hung);
   if (!result.latency.empty()) {
-    hash = Fnv1a(hash, result.latency.count());
-    hash = Fnv1a(hash, static_cast<uint64_t>(result.latency.sum()));
-    hash = Fnv1a(hash, static_cast<uint64_t>(result.latency.min()));
-    hash = Fnv1a(hash, static_cast<uint64_t>(result.latency.max()));
-    hash = Fnv1a(hash, static_cast<uint64_t>(result.latency.Percentile(50)));
-    hash = Fnv1a(hash, static_cast<uint64_t>(result.latency.Percentile(99)));
-    hash = Fnv1a(hash, static_cast<uint64_t>(result.latency.Percentile(99.9)));
+    hash = FnvMix(hash, result.latency.count());
+    hash = FnvMix(hash, static_cast<uint64_t>(result.latency.sum()));
+    hash = FnvMix(hash, static_cast<uint64_t>(result.latency.min()));
+    hash = FnvMix(hash, static_cast<uint64_t>(result.latency.max()));
+    hash = FnvMix(hash, static_cast<uint64_t>(result.latency.Percentile(50)));
+    hash = FnvMix(hash, static_cast<uint64_t>(result.latency.Percentile(99)));
+    hash = FnvMix(hash, static_cast<uint64_t>(result.latency.Percentile(99.9)));
   }
   for (const ServeCellSummary& cell : result.cells) {
-    hash = Fnv1a(hash, cell.submitted);
-    hash = Fnv1a(hash, cell.completed);
-    hash = Fnv1a(hash, cell.shed);
-    hash = Fnv1a(hash, static_cast<uint64_t>(cell.down_ns));
-    hash = Fnv1a(hash, static_cast<uint64_t>(cell.suspended_ns));
+    hash = FnvMix(hash, cell.submitted);
+    hash = FnvMix(hash, cell.completed);
+    hash = FnvMix(hash, cell.shed);
+    hash = FnvMix(hash, static_cast<uint64_t>(cell.down_ns));
+    hash = FnvMix(hash, static_cast<uint64_t>(cell.suspended_ns));
   }
   for (const FaultEpisode& episode : result.episodes) {
-    hash = Fnv1a(hash, static_cast<uint64_t>(FamilyIndex(episode.kind)));
-    hash = Fnv1a(hash, static_cast<uint64_t>(episode.victim));
-    hash = Fnv1a(hash, static_cast<uint64_t>(episode.injected_at));
-    hash = Fnv1a(hash, static_cast<uint64_t>(episode.resolved_at));
-    hash = Fnv1a(hash, episode.completed_during);
-    hash = Fnv1a(hash, episode.landed ? 1u : 0u);
+    hash = FnvMix(hash, static_cast<uint64_t>(FamilyIndex(episode.kind)));
+    hash = FnvMix(hash, static_cast<uint64_t>(episode.victim));
+    hash = FnvMix(hash, static_cast<uint64_t>(episode.injected_at));
+    hash = FnvMix(hash, static_cast<uint64_t>(episode.resolved_at));
+    hash = FnvMix(hash, episode.completed_during);
+    hash = FnvMix(hash, episode.landed ? 1u : 0u);
   }
   for (Time duration : result.recovery_durations) {
-    hash = Fnv1a(hash, static_cast<uint64_t>(duration));
+    hash = FnvMix(hash, static_cast<uint64_t>(duration));
   }
-  hash = Fnv1a(hash, static_cast<uint64_t>(result.recoveries_run));
-  hash = Fnv1a(hash, static_cast<uint64_t>(result.reintegrations));
+  hash = FnvMix(hash, static_cast<uint64_t>(result.recoveries_run));
+  hash = FnvMix(hash, static_cast<uint64_t>(result.reintegrations));
   for (CellId c = 0; c < sys.num_cells(); ++c) {
     Cell& cell = sys.cell(c);
     uint64_t cell_state = cell.alive() ? 1u : 0u;
     cell_state |= cell.in_recovery() ? 2u : 0u;
     cell_state |= sys.CellConfirmedFailed(c) ? 4u : 0u;
-    hash = Fnv1a(hash, cell_state);
-    hash = Fnv1a(hash, cell.panic_reason());
+    hash = FnvMix(hash, cell_state);
+    hash = FnvMixString(hash, cell.panic_reason());
   }
   for (const std::string& violation : result.violations) {
-    hash = Fnv1a(hash, violation);
+    hash = FnvMixString(hash, violation);
   }
   return hash;
 }
@@ -740,10 +726,8 @@ ServeResult RunSoak(const ServeOptions& options) {
   }
 
   flash::Machine machine(SoakConfig(opts.num_cells), opts.seed);
-  // Same parallel grid as the campaign: outcomes are a function of the seed
-  // alone, never of --sim-threads (the fingerprint-equality oracle pins it).
-  machine.EnableParallelSim(opts.sim_threads,
-                            hive::KernelCosts{}.clock_tick_period_ns / 10);
+  // Same 1 ms dispatch grid and pinned slices as the campaign (RunScenario).
+  machine.EnableParallelSim(1, hive::KernelCosts{}.clock_tick_period_ns / 10);
   HiveOptions hive_options;
   hive_options.num_cells = opts.num_cells;
   hive_options.auto_reintegrate = true;

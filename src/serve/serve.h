@@ -10,8 +10,8 @@
 // submit-to-completion latency histograms (p50/p99/p999), per-cell
 // availability windows (downtime + recovery barrier freezes), admission sheds
 // (graceful degradation under overload), and per-episode recovery durations.
-// The summary fingerprint is a function of the seed alone: byte-identical for
-// any --sim-threads count.
+// The run is one serial event loop, so the summary fingerprint is a function
+// of the options alone; serve_test pins the 20 s smoke soak's.
 
 #ifndef HIVE_SRC_SERVE_SERVE_H_
 #define HIVE_SRC_SERVE_SERVE_H_
@@ -33,7 +33,6 @@ struct ServeOptions {
   uint64_t seed = 1;
   int num_cells = 4;
   int tenants = 8;
-  int sim_threads = 1;
   hive::Time duration_ns = 60 * hive::kSecond;  // Submission window.
   hive::Time drain_ns = 5 * hive::kSecond;      // Post-window completion grace.
 
@@ -49,7 +48,7 @@ struct ServeOptions {
   // Seeded sensitivity bugs proving the oracles can trip:
   //   "no_shed"       -- admission control disabled; overload bursts pile up
   //                      on one cell and the p999 latency bound must trip.
-  //   "slow_recovery" -- recovery page scans 100x slower; the per-episode
+  //   "slow_recovery" -- recovery page scans 1000x slower; the per-episode
   //                      recovery-time bound must trip.
   std::string bug;
 
@@ -109,7 +108,7 @@ struct ServeResult {
   std::vector<std::string> violations;
   bool ok() const { return violations.empty(); }
 
-  // Deterministic digest of the summary (seed-dependent, thread-independent).
+  // Deterministic digest of the summary (a function of the options).
   uint64_t fingerprint = 0;
 
   // Human-readable tables (system state, recovery episodes, SLO summary).

@@ -52,16 +52,17 @@ class ScriptedBehavior : public hive::Behavior {
     local_.push_back(false);
   }
 
-  // Adds an op declared cell-local pure compute (see Behavior::NextStepLocal
-  // for the contract); currently only OpCompute qualifies.
+  // Adds an op declared cell-local pure compute, which the scheduler may run
+  // in a pinned slice (see Behavior::NextStepLocal for the contract);
+  // currently only OpCompute qualifies.
   void AddLocal(OpFn op) {
     ops_.push_back(std::move(op));
     local_.push_back(true);
   }
 
   StepOutcome Step(Ctx& ctx, Process& proc) override;
-  // The last op never claims locality: its completion ends the process,
-  // which is a cross-cell operation (exit notification, file close).
+  // The last op never claims locality: its completion ends the process
+  // (exit notification, file close), which a pinned slice cannot do.
   bool NextStepLocal() const override {
     return next_ + 1 < ops_.size() && local_[next_];
   }

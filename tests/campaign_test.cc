@@ -169,13 +169,16 @@ TEST(ScenarioGeneratorTest, NoDedupFixtureGeneratesDuplicationHeavyPlan) {
 
 // --- Run determinism. ---
 
-// Golden fingerprints for seed 1, scenarios 0-3, re-captured when the
-// dispatch grid of the parallel simulation core landed (dispatches now align
-// to the strictly-next 1ms slice point, shifting some end times by a tick).
-// These pin the simulator's observable behavior:
+// Golden fingerprints for seed 1, scenarios 0-3, captured with the 1 ms
+// dispatch grid on. These pin the simulator's observable behavior:
 // any change to event ordering (tie-breaking, cancellation) or recovery sweep
 // order that alters outcomes shows up as a fingerprint diff here. Note this
-// only holds for the default generator (HIVE_TEST_SEED does not apply).
+// only holds for the fixed seeds below (HIVE_TEST_SEED does not apply).
+//
+// Every generator mode is pinned too: one digest per mode folds the
+// fingerprint, end time, event count and trace signature of seeds 1-12
+// (seeds 1-3 for the 16-cell geometry), so an ordering change in any fault
+// family's path moves its mode's digest.
 TEST(ScenarioRunnerTest, GoldenFingerprintsAreStable) {
   constexpr uint64_t kGolden[] = {
       0x0cd10d52dbd1d3fdull,
@@ -191,6 +194,49 @@ TEST(ScenarioRunnerTest, GoldenFingerprintsAreStable) {
     EXPECT_EQ(result.fingerprint, kGolden[index]);
     EXPECT_EQ(result.end_time / hive::kMillisecond, kGoldenEndMs[index]);
   }
+
+  struct Mode {
+    const char* name;
+    uint64_t index;
+    bool GeneratorOptions::*flag;  // Null for the default generator.
+    int num_cells;                 // 0 keeps the generated geometry.
+    uint64_t last_seed;
+    uint64_t digest;
+  };
+  const Mode kModes[] = {
+      {"default/0", 0, nullptr, 0, 12, 0xd085fadeb257ebc7ull},
+      {"default/1", 1, nullptr, 0, 12, 0x00390acfa7cbb5dcull},
+      {"message", 0, &GeneratorOptions::message_faults_only, 0, 12, 0x8c179d0bd30dd7e1ull},
+      {"rogue", 0, &GeneratorOptions::rogue_only, 0, 12, 0xe83a3a9045df3d0cull},
+      {"reboot-storm", 0, &GeneratorOptions::reboot_storm_only, 0, 12, 0x292ecc8e22e3e0f6ull},
+      {"wild-write", 0, &GeneratorOptions::wild_write_fixture, 0, 12, 0x3073d08f87a3a988ull},
+      {"16-cell", 0, nullptr, 16, 3, 0x940ea7b2e0d11fa5ull},
+  };
+  std::set<FaultKind> seen;
+  for (const Mode& mode : kModes) {
+    SCOPED_TRACE(mode.name);
+    GeneratorOptions options;
+    if (mode.flag != nullptr) {
+      options.*mode.flag = true;
+    }
+    uint64_t digest = kFnvOffsetBasis;
+    for (uint64_t seed = 1; seed <= mode.last_seed; ++seed) {
+      ScenarioSpec spec = GenerateScenario(seed, mode.index, options);
+      if (mode.num_cells != 0) {
+        spec.num_cells = mode.num_cells;
+      }
+      for (const FaultSpec& fault : spec.faults) {
+        seen.insert(fault.kind);
+      }
+      const ScenarioResult result = RunScenario(spec);
+      digest = FnvMix(digest, result.fingerprint);
+      digest = FnvMix(digest, static_cast<uint64_t>(result.end_time));
+      digest = FnvMix(digest, result.events_run);
+      digest = FnvMix(digest, result.trace_signature);
+    }
+    EXPECT_EQ(digest, mode.digest) << "digest 0x" << std::hex << digest;
+  }
+  EXPECT_EQ(seen.size(), 7u);  // The modes reach all seven fault families.
 }
 
 TEST(ScenarioRunnerTest, SameSpecSameFingerprint) {

@@ -7,15 +7,14 @@
 //   1. event-queue microbenchmarks (schedule+run, schedule+cancel churn),
 //   2. single-scenario simulation with per-subsystem attribution (which
 //      kernel-model subsystem burns the host cycles per simulated event),
-//   3. the same scenarios under the parallel simulation core (--sim-threads),
-//   4. multi-worker campaign throughput (the nightly-sweep shape),
+//   3. multi-worker campaign throughput (the nightly-sweep shape),
 //
-// and emits machine-readable BENCH_sim.json (schema "hive-bench-v2") plus a
+// and emits machine-readable BENCH_sim.json (schema "hive-bench-v3") plus a
 // human-readable table. Per-subsystem `ops` counts are deterministic (a pure
 // function of the simulation); `ns` figures are host wall time and only
-// meaningful as ratios. CI validates the JSON shape (`--smoke`) and gates the
-// single-scenario ns/event against ci/bench_baseline.json; cross-PR
-// trajectories are judged by comparing committed BENCH_sim.json snapshots.
+// meaningful as ratios. CI validates the JSON shape (`--smoke`); performance
+// is gated by paired before/after runs of perfbench/, not by absolute
+// numbers from this tool.
 //
 // Exit codes: 0 = ok, 1 = I/O failure writing the JSON, 2 = usage error.
 
@@ -45,7 +44,6 @@ double SecondsSince(Clock::time_point start) {
 struct Args {
   uint64_t seed = 1;
   int workers = 4;
-  int sim_threads = 4;           // Parallel-sim stage thread count.
   uint64_t scenarios = 64;       // Campaign-stage scenario count.
   uint64_t serial_scenarios = 8; // Single-scenario stage count.
   double eq_seconds = 0.5;       // Wall-time budget per event-queue stage.
@@ -56,14 +54,11 @@ struct Args {
 void Usage() {
   std::fprintf(stderr,
                "usage: hive_bench [--seed=N] [--workers=N] [--scenarios=N]\n"
-               "                  [--sim-threads=N] [--out=PATH] [--smoke]\n"
+               "                  [--out=PATH] [--smoke]\n"
                "\n"
                "  --seed=N        campaign master seed for the scenario stages (default 1)\n"
                "  --workers=N     worker threads for the campaign stage (default 4)\n"
                "  --scenarios=N   scenarios in the campaign stage (default 64)\n"
-               "  --sim-threads=N threads for the parallel-sim stage (default 4);\n"
-               "                  outcomes are identical for every value, only the\n"
-               "                  wall clock moves\n"
                "  --out=PATH      where to write the JSON report (default BENCH_sim.json)\n"
                "  --smoke         tiny sizes for CI schema validation (seconds, not minutes)\n");
 }
@@ -87,9 +82,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (std::strncmp(arg, "--workers=", 10) == 0 && ParseU64(arg + 10, &value) &&
                value >= 1 && value <= 256) {
       args->workers = static_cast<int>(value);
-    } else if (std::strncmp(arg, "--sim-threads=", 14) == 0 &&
-               ParseU64(arg + 14, &value) && value >= 1 && value <= 64) {
-      args->sim_threads = static_cast<int>(value);
     } else if (std::strncmp(arg, "--scenarios=", 12) == 0 && ParseU64(arg + 12, &value) &&
                value >= 1) {
       args->scenarios = value;
@@ -196,7 +188,7 @@ StageResult BenchEventQueueCancelChurn(double budget_seconds) {
   return result;
 }
 
-// --- Stages 2+3: scenario simulation (with per-subsystem attribution). ---
+// --- Stage 2: scenario simulation (with per-subsystem attribution). ---
 struct ScenarioStage {
   StageResult scenarios;
   uint64_t sim_events = 0;
@@ -210,11 +202,8 @@ struct ScenarioStage {
   }
 };
 
-ScenarioStage BenchSerialScenarios(uint64_t seed, uint64_t count,
-                                   int sim_threads) {
+ScenarioStage BenchSerialScenarios(uint64_t seed, uint64_t count) {
   ScenarioStage stage;
-  campaign::RunOptions run;
-  run.sim_threads = sim_threads;
   const Clock::time_point start = Clock::now();
   for (uint64_t index = 0; index < count; ++index) {
     const campaign::ScenarioSpec spec = campaign::GenerateScenario(seed, index);
@@ -224,7 +213,7 @@ ScenarioStage BenchSerialScenarios(uint64_t seed, uint64_t count,
     base::SimProfile profile;
     base::SimProfile::SetActive(&profile);
     profile.Begin();
-    const campaign::ScenarioResult result = campaign::RunScenario(spec, run);
+    const campaign::ScenarioResult result = campaign::RunScenario(spec);
     profile.End();
     base::SimProfile::SetActive(nullptr);
     stage.profile.Merge(profile);
@@ -235,7 +224,7 @@ ScenarioStage BenchSerialScenarios(uint64_t seed, uint64_t count,
   return stage;
 }
 
-// --- Stage 4: multi-worker campaign throughput. ---
+// --- Stage 3: multi-worker campaign throughput. ---
 ScenarioStage BenchCampaign(uint64_t seed, uint64_t scenarios, int workers) {
   ScenarioStage stage;
   campaign::CampaignOptions options;
@@ -305,19 +294,18 @@ void WriteScenarioStage(std::FILE* out, const ScenarioStage& stage,
 }
 
 bool WriteJson(const Args& args, const StageResult& eq_run, const StageResult& eq_churn,
-               const ScenarioStage& serial, const ScenarioStage& parallel_sim,
-               const ScenarioStage& campaign_stage, uint64_t peak_rss) {
+               const ScenarioStage& serial, const ScenarioStage& campaign_stage,
+               uint64_t peak_rss) {
   std::FILE* out = std::fopen(args.out.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "hive_bench: cannot write %s\n", args.out.c_str());
     return false;
   }
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"hive-bench-v2\",\n");
+  std::fprintf(out, "  \"schema\": \"hive-bench-v3\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", args.smoke ? "smoke" : "full");
   std::fprintf(out, "  \"seed\": %" PRIu64 ",\n", args.seed);
   std::fprintf(out, "  \"workers\": %d,\n", args.workers);
-  std::fprintf(out, "  \"sim_threads\": %d,\n", args.sim_threads);
   std::fprintf(out, "  \"event_queue\": {\n");
   std::fprintf(out,
                "    \"schedule_run\": {\"events\": %" PRIu64
@@ -333,10 +321,6 @@ bool WriteJson(const Args& args, const StageResult& eq_run, const StageResult& e
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"single_scenario\": {\n");
   WriteScenarioStage(out, serial, /*with_subsystems=*/true);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"parallel_sim\": {\n");
-  std::fprintf(out, "    \"sim_threads\": %d,\n", args.sim_threads);
-  WriteScenarioStage(out, parallel_sim, /*with_subsystems=*/false);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"campaign\": {\n");
   WriteScenarioStage(out, campaign_stage, /*with_subsystems=*/false);
@@ -356,19 +340,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("hive_bench: seed=%" PRIu64 " workers=%d sim_threads=%d scenarios=%"
-              PRIu64 "%s\n",
-              args.seed, args.workers, args.sim_threads, args.scenarios,
+  std::printf("hive_bench: seed=%" PRIu64 " workers=%d scenarios=%" PRIu64 "%s\n",
+              args.seed, args.workers, args.scenarios,
               args.smoke ? " (smoke)" : "");
 
   const StageResult eq_run =
       BestOf(3, [&] { return BenchEventQueueScheduleRun(args.eq_seconds); });
   const StageResult eq_churn =
       BestOf(3, [&] { return BenchEventQueueCancelChurn(args.eq_seconds); });
-  const ScenarioStage serial =
-      BenchSerialScenarios(args.seed, args.serial_scenarios, /*sim_threads=*/1);
-  const ScenarioStage parallel_sim =
-      BenchSerialScenarios(args.seed, args.serial_scenarios, args.sim_threads);
+  const ScenarioStage serial = BenchSerialScenarios(args.seed, args.serial_scenarios);
   const ScenarioStage campaign_stage =
       BenchCampaign(args.seed, args.scenarios, args.workers);
   const uint64_t peak_rss = PeakRssBytes();
@@ -382,9 +362,6 @@ int main(int argc, char** argv) {
               serial.scenarios.items, serial.scenarios.PerSec(), "-");
   std::printf("%-24s %14" PRIu64 " %14.0f %12.2f\n", "scenario/serial-events",
               serial.sim_events, serial.EventsPerSec(), serial.NsPerEvent());
-  std::printf("%-24s %14" PRIu64 " %14.0f %12.2f\n", "scenario/parallel-sim",
-              parallel_sim.sim_events, parallel_sim.EventsPerSec(),
-              parallel_sim.NsPerEvent());
   std::printf("%-24s %14" PRIu64 " %14.3f %12s\n", "campaign/parallel",
               campaign_stage.scenarios.items, campaign_stage.scenarios.PerSec(), "-");
   std::printf("%-24s %14" PRIu64 " %14.0f %12.2f\n", "campaign/parallel-events",
@@ -407,8 +384,7 @@ int main(int argc, char** argv) {
                              : 0.0);
   }
 
-  if (!WriteJson(args, eq_run, eq_churn, serial, parallel_sim, campaign_stage,
-                 peak_rss)) {
+  if (!WriteJson(args, eq_run, eq_churn, serial, campaign_stage, peak_rss)) {
     return 1;
   }
   std::printf("\nwrote %s\n", args.out.c_str());

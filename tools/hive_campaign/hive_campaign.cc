@@ -29,7 +29,6 @@ struct Args {
   uint64_t seed = 1;
   uint64_t scenarios = 200;
   int workers = 4;
-  int sim_threads = 1;
   bool have_scenario = false;
   uint64_t scenario = 0;
   bool wild_write_fixture = false;
@@ -55,7 +54,6 @@ struct Args {
 void Usage() {
   std::fprintf(stderr,
                "usage: hive_campaign [--seed=N] [--scenarios=N] [--workers=N]\n"
-               "                     [--sim-threads=N]\n"
                "                     [--scenario=K] [--mutate=CHAIN]\n"
                "                     [--fixture=wild_write|no_dedup|no_hop_bound]\n"
                "                     [--faults=message|rogue|reboot-storm|none]\n"
@@ -67,10 +65,6 @@ void Usage() {
                "  --seed=N             campaign master seed (default: $HIVE_TEST_SEED or 1)\n"
                "  --scenarios=N        number of scenarios to sweep (default 200)\n"
                "  --workers=N          worker threads (default 4)\n"
-               "  --sim-threads=N      threads inside each scenario's simulation core\n"
-               "                       (default 1); never changes outcomes -- repro\n"
-               "                       lines and fingerprints are byte-identical for\n"
-               "                       every value\n"
                "  --scenario=K         run only scenario K and print its outcome\n"
                "  --fixture=wild_write generate landing wild writes (firewall checking\n"
                "                       off); every scenario is expected to violate\n"
@@ -149,9 +143,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (std::strncmp(arg, "--workers=", 10) == 0 && ParseU64(arg + 10, &value) &&
                value >= 1 && value <= 256) {
       args->workers = static_cast<int>(value);
-    } else if (std::strncmp(arg, "--sim-threads=", 14) == 0 &&
-               ParseU64(arg + 14, &value) && value >= 1 && value <= 64) {
-      args->sim_threads = static_cast<int>(value);
     } else if (std::strncmp(arg, "--scenario=", 11) == 0 && ParseU64(arg + 11, &value)) {
       args->have_scenario = true;
       args->scenario = value;
@@ -218,9 +209,7 @@ int RunSingle(const Args& args) {
   const campaign::ScenarioSpec spec =
       campaign::ApplyMutationChain(root, args.mutation_chain);
   std::printf("%s\n", spec.ToString().c_str());
-  campaign::RunOptions run;
-  run.sim_threads = args.sim_threads;
-  const campaign::ScenarioResult result = campaign::RunScenario(spec, run);
+  const campaign::ScenarioResult result = campaign::RunScenario(spec);
   std::printf("end_time=%" PRId64 "ms excisions=%d fingerprint=0x%016" PRIx64 "\n",
               result.end_time / hive::kMillisecond, result.excisions,
               result.fingerprint);
@@ -245,7 +234,6 @@ int RunSweep(const Args& args) {
   options.master_seed = args.seed;
   options.num_scenarios = args.scenarios;
   options.workers = args.workers;
-  options.sim_threads = args.sim_threads;
   options.wild_write_fixture = args.wild_write_fixture;
   options.no_dedup_fixture = args.no_dedup_fixture;
   options.no_hop_bound_fixture = args.no_hop_bound_fixture;

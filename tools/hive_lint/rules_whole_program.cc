@@ -280,11 +280,10 @@ void CheckR9Impl(const RuleContext& ctx) {
 // R10: determinism purity.
 //
 // The campaign layer fingerprints end-to-end runs (FNV-1a over final state)
-// and the golden-fingerprint tests -- plus the planned parallel simulation
-// core -- require every path reachable from the simulator/campaign entry
-// points to be bit-reproducible from the seed. Reachability is computed over
-// the pass-1 call graph from the roots below; inside reachable functions the
-// rule flags:
+// and the golden-fingerprint tests require every path reachable from the
+// simulator/campaign entry points to be bit-reproducible from the seed.
+// Reachability is computed over the pass-1 call graph from the roots below;
+// inside reachable functions the rule flags:
 //   - std::random_device (hardware entropy),
 //   - rand/srand/*rand48/random and wall-clock time() reads,
 //   - std::chrono {system,steady,high_resolution}_clock::now(),
@@ -295,18 +294,9 @@ void CheckR9Impl(const RuleContext& ctx) {
 //     varies run to run under ASLR and allocator nondeterminism).
 // ---------------------------------------------------------------------------
 
-// Roots: the serial scenario/campaign entry points plus the parallel
-// simulation core's worker path. WorkerMain is a std::thread entry reached
-// only through a member-function pointer, and ExecuteBundle/ReplayWindow
-// (the per-cell bundle body and the deterministic merge) can be reached
-// through that same pointer call -- all invisible to the pass-1 call graph,
-// so they are rooted explicitly. Nondeterminism on any of these paths would
-// break the N-thread == 1-thread fingerprint guarantee, not just the serial
-// golden oracle.
-// RunSoak is the serve harness entry point: its fingerprint must be a
-// function of --seed alone, so it is held to the same determinism bar.
-const char* const kR10Roots[] = {"RunScenario", "RunCampaign", "WorkerMain",
-                                 "ExecuteBundle", "ReplayWindow", "RunSoak"};
+// Roots: the scenario/campaign entry points, plus RunSoak, the serve
+// harness entry point, whose fingerprint must be a function of --seed alone.
+const char* const kR10Roots[] = {"RunScenario", "RunCampaign", "RunSoak"};
 
 void CheckR10Impl(const RuleContext& ctx) {
   const ProgramIndex& index = *ctx.index;
@@ -339,10 +329,9 @@ void CheckR10Impl(const RuleContext& ctx) {
     }
     const std::string where =
         " in " + fn->qualified + ", which is reachable from the scenario/campaign/"
-        "parallel-sim entry points (" + root_list +
+        "soak entry points (" + root_list +
         "); simulation outcomes must be a pure function of the seed "
-        "(golden-fingerprint oracle and the N-thread == 1-thread "
-        "equivalence oracle)";
+        "(golden-fingerprint oracle)";
     for (const CallSite& call : fn->calls) {
       if (kBannedCalls.count(call.callee) > 0) {
         emit(fn->file, call.line,

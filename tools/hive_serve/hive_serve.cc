@@ -8,8 +8,8 @@
 // one episode at a time. The run judges SLO oracles -- per-cell availability
 // floor, end-to-end latency p999 bound, per-episode recovery-time bound, and
 // no hung requests -- and emits machine-readable BENCH_serve.json (schema
-// "hive-serve-v1") plus human-readable tables. The summary fingerprint is a
-// function of --seed alone: byte-identical for every --sim-threads value.
+// "hive-serve-v1") plus human-readable tables. The run is one serial event
+// loop, so the summary fingerprint is a function of the flags alone.
 //
 // Exit codes: 0 = SLOs met, 1 = I/O failure writing the JSON, 2 = usage
 // error, 3 = SLO violations (the --bug= sensitivity modes must exit 3).
@@ -31,7 +31,6 @@ struct Args {
   uint64_t seed = 1;
   int cells = 4;
   int tenants = 8;
-  int sim_threads = 1;
   uint64_t duration_s = 60;
   std::string bug;
   bool smoke = false;
@@ -41,15 +40,13 @@ struct Args {
 void Usage() {
   std::fprintf(stderr,
                "usage: hive_serve [--seed=N] [--cells=N] [--tenants=N]\n"
-               "                  [--sim-threads=N] [--duration-s=N] [--bug=NAME]\n"
-               "                  [--out=PATH] [--smoke]\n"
+               "                  [--duration-s=N] [--bug=NAME] [--out=PATH]\n"
+               "                  [--smoke]\n"
                "\n"
                "  --seed=N        soak master seed (default 1); the summary\n"
                "                  fingerprint is a function of the seed alone\n"
                "  --cells=N       cells in the machine, 2..16 (default 4)\n"
                "  --tenants=N     tenant request streams (default 8)\n"
-               "  --sim-threads=N parallel-simulation threads (default 1);\n"
-               "                  the fingerprint is identical for every value\n"
                "  --duration-s=N  simulated submission window in seconds (default 60)\n"
                "  --bug=NAME      seeded sensitivity bug: no_shed | slow_recovery;\n"
                "                  each must trip an SLO oracle (exit 3)\n"
@@ -80,9 +77,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (std::strncmp(arg, "--tenants=", 10) == 0 && ParseU64(arg + 10, &value) &&
                value >= 1 && value <= 256) {
       args->tenants = static_cast<int>(value);
-    } else if (std::strncmp(arg, "--sim-threads=", 14) == 0 &&
-               ParseU64(arg + 14, &value) && value >= 1 && value <= 64) {
-      args->sim_threads = static_cast<int>(value);
     } else if (std::strncmp(arg, "--duration-s=", 13) == 0 &&
                ParseU64(arg + 13, &value) && value >= 5 && value <= 3600) {
       args->duration_s = value;
@@ -141,7 +135,6 @@ bool WriteJson(const Args& args, const serve::ServeResult& result, uint64_t peak
   std::fprintf(out, "  \"seed\": %" PRIu64 ",\n", args.seed);
   std::fprintf(out, "  \"cells\": %d,\n", args.cells);
   std::fprintf(out, "  \"tenants\": %d,\n", result.options.tenants);
-  std::fprintf(out, "  \"sim_threads\": %d,\n", args.sim_threads);
   std::fprintf(out, "  \"duration_s\": %" PRIu64 ",\n", args.duration_s);
   std::fprintf(out, "  \"bug\": \"%s\",\n", args.bug.c_str());
   std::fprintf(out, "  \"requests\": {\n");
@@ -226,9 +219,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("hive_serve: seed=%" PRIu64 " cells=%d tenants=%d sim_threads=%d "
+  std::printf("hive_serve: seed=%" PRIu64 " cells=%d tenants=%d "
               "duration=%" PRIu64 "s%s%s%s\n",
-              args.seed, args.cells, args.tenants, args.sim_threads, args.duration_s,
+              args.seed, args.cells, args.tenants, args.duration_s,
               args.smoke ? " (smoke)" : "", args.bug.empty() ? "" : " bug=",
               args.bug.c_str());
 
@@ -236,7 +229,6 @@ int main(int argc, char** argv) {
   options.seed = args.seed;
   options.num_cells = args.cells;
   options.tenants = args.tenants;
-  options.sim_threads = args.sim_threads;
   options.duration_ns = static_cast<hive::Time>(args.duration_s) * hive::kSecond;
   options.bug = args.bug;
   options.smoke = args.smoke;
