@@ -178,10 +178,7 @@ TestResult CorruptAddressMap(uint64_t seed, CellId victim) {
   std::function<void()>* retry = try_inject.get();
   *try_inject = [&system, victim, seed, inject_time, retry] {
     hive::Cell& cell = system.hive->cell(victim);
-    for (hive::Process* proc : cell.sched().AllProcesses()) {
-      if (proc->finished()) {
-        continue;
-      }
+    for (const auto& [pid, proc] : cell.sched().live_processes()) {
       hive::Ctx ctx = cell.MakeCtx();
       auto regions = proc->address_space().ListRegions(ctx);
       if (regions.size() < 2) {
@@ -227,11 +224,10 @@ TestResult CorruptCowTree(uint64_t seed) {
   std::function<void()>* retry = try_inject.get();
   *try_inject = [&system, seed, inject_time, retry] {
     hive::Cell& cell = system.hive->cell(victim);
-    for (hive::Process* proc : cell.sched().AllProcesses()) {
+    for (const auto& [pid, proc] : cell.sched().live_processes()) {
       // Target the local *worker* (it keeps walking the tree for later scene
       // slices); the parent sits in wait() and would never traverse again.
-      if (proc->finished() || proc->cow_leaf() == 0 ||
-          proc->parent == hive::kInvalidProc) {
+      if (proc->cow_leaf() == 0 || proc->parent == hive::kInvalidProc) {
         continue;
       }
       flash::FaultInjector injector(system.machine.get(), seed * 11 + 1);

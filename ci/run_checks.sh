@@ -26,7 +26,10 @@
 #       hive-bench-v3; the hive_serve soak smoke meets every SLO, its
 #       BENCH_serve.json validates against schema hive-serve-v1, and both
 #       seeded --bug modes demonstrably trip an SLO oracle (exit 3);
-#   5. the full test suite builds and passes under ASan+UBSan;
+#   5. the full test suite builds and passes under ASan+UBSan, and an
+#      ASan+UBSan hive_serve runs to a verdict (exit 0 or 3, never a signal
+#      or a sanitizer report) at every --cells {4,8,16} x --tenants
+#      {8,32,64} geometry;
 #   6. the campaign thread pool -- including the RPC retry/quarantine state
 #      it exercises -- builds and runs clean under TSan;
 #   7. optionally, a nightly-scale campaign sweep (HIVE_CAMPAIGN_SCENARIOS).
@@ -452,6 +455,26 @@ cmake -B "$ASAN_DIR" -S "$SOURCE_DIR" \
 cmake --build "$ASAN_DIR" --target hive_tests -j "$JOBS" >/dev/null
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
   -E '^(hive_lint_clean|hive_lint_fixture)' || fail "sanitizer test suite failed"
+
+echo "== sanitizer build: hive_serve geometry matrix =="
+# Wider soaks fork, kill and reboot far more processes than the smoke soak;
+# this is where freed exit waiters and dangling callbacks show up. Each run
+# must reach a verdict: 0 (SLOs met) or 3 (SLO violations).
+cmake --build "$ASAN_DIR" --target hive_serve -j "$JOBS" >/dev/null
+for cells in 4 8 16; do
+  for tenants in 8 32 64; do
+    echo "$cells $tenants"
+  done
+done | xargs -P "$JOBS" -L 1 bash -c '
+  run="$0/serve_matrix_${1}x${2}"
+  status=0
+  "$0/tools/hive_serve/hive_serve" --seed=1 --duration-s=20 --cells="$1" \
+    --tenants="$2" --out="$run.json" >"$run.log" 2>&1 || status=$?
+  echo "hive_serve --cells=$1 --tenants=$2: exit $status"
+  if [[ "$status" -ne 0 && "$status" -ne 3 ]]; then
+    tail -n 40 "$run.log"
+    exit 1
+  fi' "$ASAN_DIR" || fail "an ASan hive_serve soak ended without a verdict"
 
 echo "== sanitizer build: TSan campaign thread pool =="
 # The campaign driver's scenario worker pool is the only multithreaded

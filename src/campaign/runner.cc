@@ -158,10 +158,7 @@ void TryAddrMapCorruption(const std::shared_ptr<InjectionState>& state,
   if (!sys.CellReachable(fault.victim)) {
     return;  // Already dead (earlier fault); corrupting it adds nothing.
   }
-  for (hive::Process* proc : victim.sched().AllProcesses()) {
-    if (proc->finished()) {
-      continue;
-    }
+  for (const auto& [pid, proc] : victim.sched().live_processes()) {
     Ctx ctx = victim.MakeCtx();
     auto regions = proc->address_space().ListRegions(ctx);
     if (regions.size() < 2) {

@@ -127,7 +127,7 @@ void FileSystem::Close(Ctx& ctx, FileHandle& handle) {
   ctx.Charge(cell_->costs().close_ns);
   if (handle.data_home == cell_->id()) {
     // Local close triggers write-behind of dirty pages.
-    (void)Sync(ctx, handle.local_vnode);
+    (void)Sync(handle.local_vnode);
     if (Vnode* vnode = FindVnode(handle.local_vnode)) {
       vnode->open_count = std::max(0, vnode->open_count - 1);
     }
@@ -707,7 +707,7 @@ base::Status FileSystem::Write(Ctx& ctx, const FileHandle& handle, uint64_t offs
   return status;
 }
 
-base::Status FileSystem::Sync(Ctx& ctx, VnodeId local_vnode) {
+base::Status FileSystem::Sync(VnodeId local_vnode) {
   base::SimProfileScope profile_scope(base::SimSubsystem::kFilesystem);
   Vnode* vnode = FindVnode(local_vnode);
   if (vnode == nullptr || vnode->is_shadow) {
@@ -1034,9 +1034,8 @@ void FileSystem::RegisterHandlers() {
 
   rpc.RegisterQueued(
       MsgType::kSyncFile,
-      [this](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
-        (void)reply;
-        return Sync(sctx, static_cast<VnodeId>(args.w[0]));
+      [this](Ctx&, const RpcArgs& args, RpcReply*) -> base::Status {
+        return Sync(static_cast<VnodeId>(args.w[0]));
       });
 
   rpc.RegisterQueued(

@@ -59,8 +59,10 @@ class FileSystem {
   base::Status Write(Ctx& ctx, const FileHandle& handle, uint64_t offset,
                      std::span<const uint8_t> data);
 
-  // Writes all dirty locally-homed pages of the file back to disk.
-  base::Status Sync(Ctx& ctx, VnodeId local_vnode);
+  // Writes all dirty locally-homed pages of the file back to disk. The
+  // write-behind is asynchronous: it occupies the disk but charges the caller
+  // nothing, so it takes no context.
+  base::Status Sync(VnodeId local_vnode);
 
   // How a page lookup was reached; determines the cost accounting (a trap
   // through the fault path is dearer than a lookup from read()/write()).

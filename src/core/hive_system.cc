@@ -360,7 +360,7 @@ bool HiveSystem::ProcessFinished(ProcId pid) {
   return proc == nullptr || proc->finished();
 }
 
-bool HiveSystem::AddExitWaiter(ProcId child, Process* waiter) {
+bool HiveSystem::AddExitWaiter(ProcId child, ProcId waiter) {
   if (ProcessFinished(child)) {
     return false;
   }
@@ -373,11 +373,19 @@ void HiveSystem::NotifyExit(ProcId pid) {
   if (it == exit_waiters_.end()) {
     return;
   }
-  std::vector<Process*> waiters = std::move(it->second);
+  std::vector<ProcId> waiters = std::move(it->second);
   exit_waiters_.erase(it);
-  for (Process* waiter : waiters) {
-    if (!waiter->finished() && waiter->cell()->alive()) {
-      waiter->cell()->sched().MakeRunnable(waiter);
+  for (ProcId waiter_pid : waiters) {
+    // Pids are never reused, so a waiter that died with its cell's old
+    // incarnation resolves to nothing on the rebooted cell.
+    const CellId cell_id = FindProcessCell(waiter_pid);
+    if (cell_id == kInvalidCell || !cell(cell_id).alive()) {
+      continue;
+    }
+    Scheduler& sched = cell(cell_id).sched();
+    Process* waiter = sched.FindProcess(waiter_pid);
+    if (waiter != nullptr && !waiter->finished()) {
+      sched.MakeRunnable(waiter);
     }
   }
 }

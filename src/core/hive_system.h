@@ -149,9 +149,9 @@ class HiveSystem {
 
   // True if the process exited, was killed, or went down with its cell.
   bool ProcessFinished(ProcId pid);
-  // Parks `waiter` until `child` finishes. Returns false if the child is
-  // already finished (no parking needed).
-  bool AddExitWaiter(ProcId child, Process* waiter);
+  // Parks process `waiter` until `child` finishes. Returns false if the child
+  // is already finished (no parking needed).
+  bool AddExitWaiter(ProcId child, ProcId waiter);
   // Called by the scheduler on every process exit/kill.
   void NotifyExit(ProcId pid);
   // Recovery: waiters on processes that died with their cell are woken.
@@ -212,7 +212,10 @@ class HiveSystem {
   std::unordered_map<int64_t, uint64_t> group_cells_;
   std::unordered_map<int64_t, std::vector<ProcId>> group_members_;
   std::unordered_set<CellId> confirmed_failed_;
-  std::unordered_map<ProcId, std::vector<Process*>> exit_waiters_;
+  // Child pid -> waiter pids. Pids, not Process pointers: a reboot replaces
+  // the waiter's scheduler and frees the waiter while the child (on another
+  // cell) lives on, so waiters are resolved only when the child exits.
+  std::unordered_map<ProcId, std::vector<ProcId>> exit_waiters_;
   ProcId next_pid_ = 1;
   int64_t next_task_group_ = 1;
 

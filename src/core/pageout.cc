@@ -81,7 +81,7 @@ int PageoutDaemon::Scan(Ctx& ctx, int max_pages) {
     const VnodeId vnode_id = static_cast<VnodeId>(pfdat->lpid.object);
     if (pfdat->dirty) {
       // Flush just this page through the file system's sync path.
-      (void)cell_->fs().Sync(ctx, vnode_id);
+      (void)cell_->fs().Sync(vnode_id);
       ++dirty_writebacks_;
       if (pfdat->dirty) {
         continue;  // Still write-shared somewhere: not reclaimable.

@@ -26,10 +26,8 @@ Time RecoveryManager::PhaseFlushMappings(Ctx& ctx, CellId cell_id) {
   Ctx phase_ctx = cell.MakeCtx();
   phase_ctx.start = ctx.VirtualNow();
   phase_ctx.Charge(cell.costs().recovery_tlb_flush_ns);
-  for (Process* proc : cell.sched().AllProcesses()) {
-    if (!proc->finished()) {
-      proc->address_space().FlushMappings(phase_ctx, /*remote_only=*/false);
-    }
+  for (const auto& [pid, proc] : cell.sched().live_processes()) {
+    proc->address_space().FlushMappings(phase_ctx, /*remote_only=*/false);
   }
   return phase_ctx.elapsed;
 }
@@ -203,10 +201,11 @@ Time RecoveryManager::PhaseKillDependents(Ctx& ctx, CellId cell_id,
     failed_mask |= 1ull << f;
   }
 
-  for (Process* proc : cell.sched().AllProcesses()) {
-    if (proc->finished()) {
-      continue;
-    }
+  // KillProcess drops its victim, and only its victim, from the live index:
+  // step past an entry before acting on it.
+  const auto& live = cell.sched().live_processes();
+  for (auto it = live.begin(); it != live.end();) {
+    Process* proc = (it++)->second;
     const bool hard_dependency = (proc->dependency_mask() & failed_mask) != 0;
     const bool group_hit =
         proc->task_group() >= 0 &&

@@ -83,12 +83,8 @@ std::string RenderSystemReport(HiveSystem& system) {
       continue;
     }
     const SharingCounts counts = CountSharing(cell);
-    int live_procs = 0;
-    int total_procs = 0;
-    for (Process* proc : cell.sched().AllProcesses()) {
-      ++total_procs;
-      live_procs += proc->finished() ? 0 : 1;
-    }
+    const auto live_procs = static_cast<int64_t>(cell.sched().live_processes().size());
+    const auto total_procs = static_cast<int64_t>(cell.sched().process_count());
     table.AddRow(
         {"cell " + base::Table::I64(c), StateName(cell.state()),
          base::Table::I64(cell.first_node()) + "-" +

@@ -28,6 +28,7 @@ Scheduler::~Scheduler() {
 Process* Scheduler::AddProcess(std::unique_ptr<Process> proc) {
   Process* raw = proc.get();
   processes_[raw->pid()] = std::move(proc);
+  live_[raw->pid()] = raw;
   MakeRunnable(raw);
   return raw;
 }
@@ -265,6 +266,7 @@ void Scheduler::ExitProcess(Ctx& ctx, Process* proc, StepOutcome outcome) {
     proc->set_cow_leaf(0);
   }
   proc->set_state(outcome == StepOutcome::kDone ? ProcState::kExited : ProcState::kKilled);
+  live_.erase(proc->pid());
   if (outcome == StepOutcome::kFailed && proc->exit_reason.empty()) {
     proc->exit_reason = "behavior reported failure";
   }
@@ -298,24 +300,11 @@ void Scheduler::KillProcess(Ctx& ctx, Process* proc, const std::string& reason) 
     proc->set_cow_leaf(0);
   }
   proc->set_state(ProcState::kKilled);
+  live_.erase(proc->pid());
   proc->exit_reason = reason;
   proc->finished_at = ctx.VirtualNow();
   cell_->Trace(TraceEvent::kProcessKilled, static_cast<uint64_t>(proc->pid()));
   cell_->system()->NotifyExit(proc->pid());
-}
-
-std::vector<Process*> Scheduler::AllProcesses() {
-  std::vector<Process*> all;
-  all.reserve(processes_.size());
-  // hive-lint: allow(R10): collection loop only; the list is sorted by pid below.
-  for (auto& [pid, proc] : processes_) {
-    all.push_back(proc.get());
-  }
-  // Pid order, not hash order: callers iterate this list with side effects
-  // (recovery kill sweeps), so the order must be reproducible (lint R10).
-  std::sort(all.begin(), all.end(),
-            [](const Process* a, const Process* b) { return a->pid() < b->pid(); });
-  return all;
 }
 
 }  // namespace hive

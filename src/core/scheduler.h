@@ -9,6 +9,7 @@
 #define HIVE_SRC_CORE_SCHEDULER_H_
 
 #include <deque>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -44,8 +45,13 @@ class Scheduler {
   // Process exit path (normal completion).
   void ExitProcess(Ctx& ctx, Process* proc, StepOutcome outcome);
 
-  // All processes, including finished ones (kept for result inspection).
-  std::vector<Process*> AllProcesses();
+  // Unfinished processes in pid order. Recovery sweeps and fault injectors
+  // walk this index, so their cost follows the live population rather than
+  // every process ever forked on the cell. Processes leave it the moment
+  // ExitProcess or KillProcess marks them finished.
+  const std::map<ProcId, Process*>& live_processes() const { return live_; }
+  // Processes ever added, finished ones included (kept for inspection).
+  size_t process_count() const { return processes_.size(); }
   size_t runnable() const { return ready_.size(); }
   // High-water mark of the ready queue since boot; the overload signal
   // admission control (Cell::AdmitRequest) reports alongside its shed counts.
@@ -69,6 +75,7 @@ class Scheduler {
   Cell* cell_;
   std::deque<Process*> ready_;
   std::unordered_map<ProcId, std::unique_ptr<Process>> processes_;
+  std::map<ProcId, Process*> live_;
   std::vector<bool> cpu_has_event_;  // Guards against duplicate run events.
   std::vector<uint64_t> cpu_event_id_;  // For cancellation at teardown.
   int64_t context_switches_ = 0;

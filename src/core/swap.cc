@@ -12,7 +12,9 @@ base::Status SwapArea::SwapOut(Ctx& ctx, Pfdat* pfdat) {
   CHECK_EQ(pfdat->exported_to, 0u);
 
   const uint64_t page_size = cell_->machine().mem().page_size();
-  Slot& slot = slots_[pfdat->lpid];
+  auto [it, inserted] = slots_by_node_[pfdat->lpid.object].try_emplace(pfdat->lpid);
+  slots_in_use_ += inserted ? 1 : 0;
+  Slot& slot = it->second;
   slot.bytes.resize(page_size);
   slot.disk_offset = next_disk_offset_;
   next_disk_offset_ += page_size;
@@ -38,12 +40,17 @@ base::Status SwapArea::SwapOut(Ctx& ctx, Pfdat* pfdat) {
 }
 
 bool SwapArea::Contains(const LogicalPageId& lpid) const {
-  return slots_.count(lpid) > 0;
+  auto node = slots_by_node_.find(lpid.object);
+  return node != slots_by_node_.end() && node->second.count(lpid) > 0;
 }
 
 base::Result<Pfdat*> SwapArea::SwapIn(Ctx& ctx, const LogicalPageId& lpid) {
-  auto it = slots_.find(lpid);
-  if (it == slots_.end()) {
+  auto node = slots_by_node_.find(lpid.object);
+  if (node == slots_by_node_.end()) {
+    return base::NotFound();
+  }
+  auto it = node->second.find(lpid);
+  if (it == node->second.end()) {
     return base::NotFound();
   }
   AllocConstraints constraints;
@@ -59,19 +66,21 @@ base::Result<Pfdat*> SwapArea::SwapIn(Ctx& ctx, const LogicalPageId& lpid) {
   pfdat->lpid = lpid;
   pfdat->dirty = true;  // Anonymous pages are always dirty relative to swap.
   cell_->pfdats().InsertHash(pfdat);
-  slots_.erase(it);
+  node->second.erase(it);
+  if (node->second.empty()) {
+    slots_by_node_.erase(node);
+  }
+  --slots_in_use_;
   ++swap_ins_;
   cell_->Trace(TraceEvent::kSwapIn, pfdat->frame);
   return pfdat;
 }
 
 void SwapArea::DropNode(uint64_t node_id) {
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    if (it->first.object == node_id) {
-      it = slots_.erase(it);
-    } else {
-      ++it;
-    }
+  auto node = slots_by_node_.find(node_id);
+  if (node != slots_by_node_.end()) {
+    slots_in_use_ -= node->second.size();
+    slots_by_node_.erase(node);
   }
 }
 

@@ -42,16 +42,21 @@ class SwapArea {
 
   uint64_t swap_outs() const { return swap_outs_; }
   uint64_t swap_ins() const { return swap_ins_; }
-  size_t slots_in_use() const { return slots_.size(); }
+  size_t slots_in_use() const { return slots_in_use_; }
 
  private:
   struct Slot {
     uint64_t disk_offset = 0;
     std::vector<uint8_t> bytes;  // The "swap disk" contents for this slot.
   };
+  using NodeSlots = std::unordered_map<LogicalPageId, Slot, LogicalPageIdHash>;
 
   Cell* cell_;
-  std::unordered_map<LogicalPageId, Slot, LogicalPageIdHash> slots_;
+  // Slots bucketed by COW node (LogicalPageId::object): every process exit
+  // drops its nodes, and erasing one bucket keeps that O(node's slots)
+  // instead of O(all slots on the cell).
+  std::unordered_map<uint64_t, NodeSlots> slots_by_node_;
+  size_t slots_in_use_ = 0;
   uint64_t next_disk_offset_ = 0;
   uint64_t swap_outs_ = 0;
   uint64_t swap_ins_ = 0;

@@ -395,10 +395,7 @@ void TryAddrMapCorruption(const std::shared_ptr<SoakState>& state, CellId victim
     return;
   }
   Cell& cell = sys.cell(victim);
-  for (hive::Process* proc : cell.sched().AllProcesses()) {
-    if (proc->finished()) {
-      continue;
-    }
+  for (const auto& [pid, proc] : cell.sched().live_processes()) {
     Ctx ctx = cell.MakeCtx();
     auto regions = proc->address_space().ListRegions(ctx);
     if (regions.size() < 2) {

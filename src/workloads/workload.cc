@@ -1,5 +1,10 @@
 #include "src/workloads/workload.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
+
 #include "src/base/log.h"
 #include "src/core/filesystem.h"
 #include "src/flash/bus_error.h"
@@ -8,74 +13,97 @@ namespace workloads {
 
 namespace {
 
-// Appends bytes [data->size(), size) of stream `seed`. `*x` carries the
-// generator state for the next byte (advanced once per 8-byte block); pass
-// the freshly seeded state when data is empty.
-void ExtendPattern(uint64_t seed, size_t size, std::vector<uint8_t>* data, uint64_t* x) {
-  (void)seed;
-  size_t i = data->size();
-  data->reserve(size);
-  for (; i < size; ++i) {
-    if (i % 8 == 0) {
-      *x ^= *x << 13;
-      *x ^= *x >> 7;
-      *x ^= *x << 17;
-    }
-    data->push_back(static_cast<uint8_t>(*x >> ((i % 8) * 8)));
-  }
+uint64_t SeedState(uint64_t seed) { return seed * 0x9E3779B97F4A7C15ull + 1; }
+
+uint64_t XorShift(uint64_t x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  return x;
 }
 
-uint64_t SeedState(uint64_t seed) { return seed * 0x9E3779B97F4A7C15ull + 1; }
+// A 64x64 matrix over GF(2), stored by column: column j is the image of bit j.
+using BitMatrix = std::array<uint64_t, 64>;
+
+uint64_t Apply(const BitMatrix& m, uint64_t x) {
+  uint64_t y = 0;
+  for (; x != 0; x &= x - 1) {
+    y ^= m[static_cast<size_t>(std::countr_zero(x))];
+  }
+  return y;
+}
+
+// XorShift is linear over GF(2): XorShift(x) = M x. Entry k is M^(2^k).
+std::array<BitMatrix, 64> BuildJumpTable() {
+  std::array<BitMatrix, 64> pow{};
+  for (size_t j = 0; j < 64; ++j) {
+    pow[0][j] = XorShift(1ull << j);
+  }
+  for (size_t k = 1; k < 64; ++k) {
+    for (size_t j = 0; j < 64; ++j) {
+      pow[k][j] = Apply(pow[k - 1], pow[k - 1][j]);
+    }
+  }
+  return pow;
+}
+
+// Generator state for block `block` (bytes [8 * block, 8 * block + 8)):
+// M^(block + 1) applied to the seeded state.
+uint64_t BlockState(uint64_t seed, uint64_t block) {
+  static const std::array<BitMatrix, 64> kJump = BuildJumpTable();
+  uint64_t x = SeedState(seed);
+  uint64_t steps = block + 1;
+  for (size_t k = 0; steps != 0; ++k, steps >>= 1) {
+    if ((steps & 1) != 0) {
+      x = Apply(kJump[k], x);
+    }
+  }
+  return x;
+}
+
+// Byte k of a block is x >> 8k, i.e. the state's little-endian bytes: one
+// 8-byte store per state on little-endian hosts.
+void StoreWord(uint8_t* out, uint64_t x) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &x, sizeof(x));
+  } else {
+    for (int k = 0; k < 8; ++k) {
+      out[k] = static_cast<uint8_t>(x >> (8 * k));
+    }
+  }
+}
 
 }  // namespace
 
-std::vector<uint8_t> PatternData(uint64_t seed, size_t size) {
-  std::vector<uint8_t> data;
-  uint64_t x = SeedState(seed);
-  ExtendPattern(seed, size, &data, &x);
-  return data;
+std::vector<uint8_t> PatternAt(uint64_t seed, uint64_t offset, size_t size) {
+  std::vector<uint8_t> out(size);
+  if (size == 0) {
+    return out;
+  }
+  uint64_t x = BlockState(seed, offset / 8);
+  size_t done = 0;
+  const size_t head = static_cast<size_t>(offset % 8);
+  if (head != 0) {
+    uint8_t word[8];
+    StoreWord(word, x);
+    done = std::min(8 - head, size);
+    std::memcpy(out.data(), word + head, done);
+    x = XorShift(x);
+  }
+  for (; done + 8 <= size; done += 8) {
+    StoreWord(out.data() + done, x);
+    x = XorShift(x);
+  }
+  if (done < size) {
+    uint8_t word[8];
+    StoreWord(word, x);
+    std::memcpy(out.data() + done, word, size - done);
+  }
+  return out;
 }
 
-const std::vector<uint8_t>& PatternRef(uint64_t seed, size_t min_size) {
-  struct Entry {
-    uint64_t seed = 0;
-    uint64_t x = 0;  // Generator state for the byte after data.back().
-    uint64_t last_use = 0;
-    std::vector<uint8_t> data;
-  };
-  // Workloads interleave a handful of live streams per thread; a small LRU
-  // array covers them without unbounded growth across scenarios.
-  constexpr size_t kMaxStreams = 8;
-  thread_local std::vector<Entry> cache;
-  thread_local uint64_t tick = 0;
-  ++tick;
-  for (Entry& entry : cache) {
-    if (entry.seed == seed) {
-      if (entry.data.size() < min_size) {
-        // Streams are generated in whole 8-byte blocks so the saved state
-        // lines up with the next byte.
-        ExtendPattern(seed, (min_size + 7) / 8 * 8, &entry.data, &entry.x);
-      }
-      entry.last_use = tick;
-      return entry.data;
-    }
-  }
-  if (cache.size() >= kMaxStreams) {
-    size_t victim = 0;
-    for (size_t i = 1; i < cache.size(); ++i) {
-      if (cache[i].last_use < cache[victim].last_use) {
-        victim = i;
-      }
-    }
-    cache.erase(cache.begin() + static_cast<ptrdiff_t>(victim));
-  }
-  Entry entry;
-  entry.seed = seed;
-  entry.x = SeedState(seed);
-  entry.last_use = tick;
-  ExtendPattern(seed, (min_size + 7) / 8 * 8, &entry.data, &entry.x);
-  cache.push_back(std::move(entry));
-  return cache.back().data;
+std::vector<uint8_t> PatternData(uint64_t seed, size_t size) {
+  return PatternAt(seed, 0, size);
 }
 
 uint64_t Checksum(const std::vector<uint8_t>& data) {
@@ -88,13 +116,7 @@ uint64_t Checksum(const std::vector<uint8_t>& data) {
 }
 
 uint64_t PatternChecksum(uint64_t seed, size_t size) {
-  const std::vector<uint8_t>& data = PatternRef(seed, size);
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return Checksum(PatternData(seed, size));
 }
 
 StepOutcome ScriptedBehavior::Step(Ctx& ctx, Process& proc) {
@@ -182,14 +204,9 @@ OpFn OpRead(std::shared_ptr<int> fd, uint64_t offset, uint64_t len, uint64_t ver
       proc.exit_reason = "read failed: " + std::string(status.name());
       return StepOutcome::kFailed;
     }
-    if (verify_seed != 0) {
-      const std::vector<uint8_t>& expect = PatternRef(verify_seed, offset + len);
-      for (uint64_t i = 0; i < len; ++i) {
-        if (buf[i] != expect[offset + i]) {
-          proc.exit_reason = "read data corrupt";
-          return StepOutcome::kFailed;
-        }
-      }
+    if (verify_seed != 0 && buf != PatternAt(verify_seed, offset, len)) {
+      proc.exit_reason = "read data corrupt";
+      return StepOutcome::kFailed;
     }
     return kOpComplete;
   };
@@ -201,9 +218,9 @@ OpFn OpWrite(std::shared_ptr<int> fd, uint64_t offset, uint64_t len, uint64_t se
     if (handle == nullptr) {
       return StepOutcome::kFailed;
     }
-    const std::vector<uint8_t>& all = PatternRef(seed, offset + len);
-    base::Status status = ctx.cell->fs().Write(
-        ctx, *handle, offset, std::span<const uint8_t>(all.data() + offset, len));
+    const std::vector<uint8_t> chunk = PatternAt(seed, offset, len);
+    base::Status status =
+        ctx.cell->fs().Write(ctx, *handle, offset, std::span<const uint8_t>(chunk));
     if (!status.ok()) {
       proc.exit_reason = "write failed: " + std::string(status.name());
       return StepOutcome::kFailed;
@@ -382,7 +399,7 @@ OpFn OpWaitAll(std::shared_ptr<std::vector<hive::ProcId>> pids) {
         ++index->value;
         continue;
       }
-      if (ctx.cell->system()->AddExitWaiter(child, &proc)) {
+      if (ctx.cell->system()->AddExitWaiter(child, proc.pid())) {
         return StepOutcome::kBlocked;  // Re-checked (same op repeats) on wake.
       }
     }

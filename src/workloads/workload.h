@@ -26,17 +26,18 @@ using hive::Time;
 
 // Deterministic pattern data: byte i of stream `seed` is a fixed function of
 // (seed, i), so both producers and validators can generate it independently.
+// Stream bytes come in 8-byte blocks: block b is the xorshift64 state after
+// b + 1 steps from a seed-derived start, byte k of the block being x >> 8k.
+//
+// PatternAt returns bytes [offset, offset + size) without generating the
+// prefix: xorshift64 is linear over GF(2), so the state of any block is
+// reached in popcount(block + 1) bit-matrix products. An I/O chunk thus
+// costs its own length plus O(log offset), however many streams are live.
+std::vector<uint8_t> PatternAt(uint64_t seed, uint64_t offset, size_t size);
+// The stream's first `size` bytes: PatternAt(seed, 0, size).
 std::vector<uint8_t> PatternData(uint64_t seed, size_t size);
 uint64_t Checksum(const std::vector<uint8_t>& data);
 uint64_t PatternChecksum(uint64_t seed, size_t size);
-
-// Memoized pattern prefix: returns a per-thread cached buffer holding at
-// least `min_size` bytes of stream `seed`. Producers/validators call the
-// pattern generator once per I/O chunk with monotonically growing sizes, so
-// regenerating from scratch each time is quadratic in file size; the cache
-// extends the stream incrementally instead. The reference stays valid until
-// the next PatternRef call on the same thread.
-const std::vector<uint8_t>& PatternRef(uint64_t seed, size_t min_size);
 
 // One scripted operation. Returning kContinue advances to the next op;
 // kBlocked parks the process (resuming at the NEXT op when woken); kFailed

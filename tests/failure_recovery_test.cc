@@ -234,6 +234,39 @@ TEST_F(FailureRecoveryTest, ReintegrationRebootsFailedCell) {
   EXPECT_EQ(ts_.hive->recovery().recoveries_run(), 2);
 }
 
+TEST_F(FailureRecoveryTest, ExitWaiterDoesNotOutliveItsCellsReboot) {
+  // A waiter blocked in wait() on cell 2 for a child on cell 1. Cell 2 fails
+  // and reboots, which frees the waiter, before the child exits; the child's
+  // exit notification must then find no waiter rather than touch the freed
+  // one (an ASan build reports the stale access as heap-use-after-free).
+  ts_.hive->recovery().auto_reintegrate = true;
+  auto child = std::make_unique<workloads::ScriptedBehavior>("child");
+  child->Add(workloads::OpCompute(1 * kSecond));
+  Ctx cctx = ts_.cell(1).MakeCtx();
+  auto child_pid = ts_.hive->Fork(cctx, 1, std::move(child));
+  ASSERT_TRUE(child_pid.ok());
+  auto waiter = std::make_unique<workloads::ScriptedBehavior>("waiter");
+  waiter->Add(workloads::OpWaitAll(std::make_shared<std::vector<ProcId>>(1, *child_pid)));
+  Ctx wctx = ts_.cell(2).MakeCtx();
+  auto waiter_pid = ts_.hive->Fork(wctx, 2, std::move(waiter));
+  ASSERT_TRUE(waiter_pid.ok());
+  ts_.machine->events().RunUntil(20 * kMillisecond);
+  ASSERT_EQ(ts_.cell(2).sched().FindProcess(*waiter_pid)->state(), ProcState::kBlocked);
+
+  flash::FaultInjector injector(ts_.machine.get(), 1);
+  injector.ScheduleNodeFailure(2, 25 * kMillisecond);
+  ts_.machine->events().RunUntil(500 * kMillisecond);
+  ASSERT_EQ(ts_.hive->recovery().reintegration_log().size(), 1u);
+  ASSERT_TRUE(ts_.cell(2).alive());
+  ASSERT_FALSE(ts_.hive->ProcessFinished(*child_pid));
+
+  ASSERT_TRUE(ts_.hive->RunUntilDone({*child_pid}, 3 * kSecond));
+  ts_.machine->events().RunUntil(ts_.machine->Now() + 100 * kMillisecond);
+  EXPECT_EQ(ts_.cell(1).sched().FindProcess(*child_pid)->state(), ProcState::kExited);
+  EXPECT_EQ(ts_.cell(2).sched().FindProcess(*waiter_pid), nullptr);
+  EXPECT_TRUE(ts_.cell(2).alive());
+}
+
 TEST_F(FailureRecoveryTest, VotingAgreementConfirmsRealFailure) {
   ts_.hive->agreement().set_mode(AgreementMode::kVoting);
   flash::FaultInjector injector(ts_.machine.get(), 1);

@@ -164,7 +164,7 @@ TEST_F(FileSystemTest, SyncWritesDirtyPagesToDisk) {
   const std::vector<uint8_t> data = workloads::PatternData(11, 8192);
   ASSERT_TRUE(cell.fs().Write(ctx, *handle, 0, std::span<const uint8_t>(data)).ok());
   EXPECT_LT(cell.fs().FindVnode(id->vnode)->disk_image.size(), 8192u);
-  ASSERT_TRUE(cell.fs().Sync(ctx, id->vnode).ok());
+  ASSERT_TRUE(cell.fs().Sync(id->vnode).ok());
   const Vnode* vnode = cell.fs().FindVnode(id->vnode);
   ASSERT_EQ(vnode->disk_image.size(), 8192u);
   EXPECT_EQ(workloads::Checksum(vnode->disk_image), workloads::Checksum(data));

@@ -94,9 +94,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ContainmentParam{1, 200}, ContainmentParam{2, 15},
                       ContainmentParam{2, 150}, ContainmentParam{3, 10},
                       ContainmentParam{3, 99}, ContainmentParam{3, 350}),
-    [](const auto& info) {
-      return "cell" + std::to_string(info.param.victim) + "_t" +
-             std::to_string(info.param.inject_ms) + "ms";
+    [](const auto& param_info) {
+      return "cell" + std::to_string(param_info.param.victim) + "_t" +
+             std::to_string(param_info.param.inject_ms) + "ms";
     });
 
 // Corruption modes: each of the paper's pathological pointer corruptions in a
@@ -160,8 +160,8 @@ INSTANTIATE_TEST_SUITE_P(
                       flash::PointerCorruptionMode::kRandomOtherCell,
                       flash::PointerCorruptionMode::kOffByOneWord,
                       flash::PointerCorruptionMode::kSelfPointing),
-    [](const auto& info) {
-      switch (info.param) {
+    [](const auto& param_info) {
+      switch (param_info.param) {
         case flash::PointerCorruptionMode::kRandomSameCell:
           return std::string("RandomSameCell");
         case flash::PointerCorruptionMode::kRandomOtherCell:
@@ -200,8 +200,8 @@ TEST_P(DetectionPeriodSweep, LatencyBoundedByPeriod) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Periods, DetectionPeriodSweep, ::testing::Values(1, 2, 5, 10, 25),
-                         [](const auto& info) {
-                           return std::to_string(info.param) + "ms";
+                         [](const auto& param_info) {
+                           return std::to_string(param_info.param) + "ms";
                          });
 
 // Kernel heap: random alloc/free sequences keep payloads aligned, disjoint,
@@ -284,8 +284,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, FirewallPolicySweep,
                          ::testing::Values(FirewallPolicy::kBitVector,
                                            FirewallPolicy::kGlobalBit,
                                            FirewallPolicy::kSingleWriter),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case FirewallPolicy::kBitVector:
                                return std::string("BitVector");
                              case FirewallPolicy::kGlobalBit:

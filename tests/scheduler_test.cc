@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/cell.h"
+#include "src/flash/fault_injector.h"
 #include "src/workloads/workload.h"
 #include "tests/test_util.h"
 
@@ -116,6 +119,75 @@ TEST_F(SchedulerTest, WaitAllBlocksParentUntilChildrenExit) {
   for (ProcId child : *child_pids) {
     EXPECT_LE(ts_.cell(0).sched().FindProcess(child)->finished_at,
               parent_proc->finished_at);
+  }
+}
+
+// The live index as a pid list, checking each entry on the way.
+std::vector<ProcId> LivePids(const Scheduler& sched) {
+  std::vector<ProcId> pids;
+  for (const auto& [pid, proc] : sched.live_processes()) {
+    EXPECT_EQ(proc->pid(), pid);
+    EXPECT_FALSE(proc->finished()) << pid;
+    pids.push_back(pid);
+  }
+  return pids;
+}
+
+TEST_F(SchedulerTest, LiveIndexDropsExitedAndKilledProcesses) {
+  std::vector<ProcId> pids;
+  for (Time compute : {20 * kMillisecond, 2 * kSecond, 20 * kMillisecond, 2 * kSecond,
+                       2 * kSecond}) {
+    pids.push_back(Spawn(compute));
+  }
+  Scheduler& sched = ts_.cell(0).sched();
+  EXPECT_EQ(LivePids(sched), pids);
+
+  ASSERT_TRUE(ts_.hive->RunUntilDone({pids[0], pids[2]}, 1 * kSecond));
+  EXPECT_EQ(LivePids(sched), (std::vector<ProcId>{pids[1], pids[3], pids[4]}));
+
+  Ctx ctx = ts_.cell(0).MakeCtx();
+  sched.KillProcess(ctx, sched.FindProcess(pids[3]), "test kill");
+  EXPECT_EQ(LivePids(sched), (std::vector<ProcId>{pids[1], pids[4]}));
+  // Finished processes stay inspectable.
+  EXPECT_EQ(sched.process_count(), pids.size());
+  EXPECT_EQ(sched.FindProcess(pids[3])->state(), ProcState::kKilled);
+}
+
+TEST(SchedulerRecoveryTest, RecoverySweepKillsLeaveTheLiveIndex) {
+  hivetest::TestSystem ts = hivetest::BootHive(4);
+  Scheduler& sched = ts.cell(0).sched();
+  // Pid order: two dependents of cell 1 back to back, a bystander, then a
+  // third dependent, so the kill sweep removes neighbours as it walks.
+  std::vector<ProcId> dependents;
+  ProcId bystander = kInvalidProc;
+  for (bool dependent : {true, true, false, true}) {
+    auto behavior = std::make_unique<ScriptedBehavior>("long");
+    behavior->Add(OpCompute(5 * kSecond));
+    Ctx ctx = ts.cell(0).MakeCtx();
+    auto pid = ts.hive->Fork(ctx, 0, std::move(behavior));
+    ASSERT_TRUE(pid.ok());
+    if (dependent) {
+      sched.FindProcess(*pid)->AddDependency(1);
+      dependents.push_back(*pid);
+    } else {
+      bystander = *pid;
+    }
+  }
+
+  flash::FaultInjector injector(ts.machine.get(), 1);
+  injector.ScheduleNodeFailure(1, 25 * kMillisecond);
+  ts.machine->events().RunUntil(300 * kMillisecond);
+  ASSERT_EQ(ts.hive->recovery().recoveries_run(), 1);
+  ASSERT_TRUE(ts.cell(0).alive());
+
+  for (ProcId pid : dependents) {
+    EXPECT_EQ(sched.FindProcess(pid)->state(), ProcState::kKilled) << pid;
+    EXPECT_EQ(sched.FindProcess(pid)->exit_reason, "used resources of a failed cell");
+  }
+  const std::vector<ProcId> live = LivePids(sched);
+  EXPECT_NE(std::find(live.begin(), live.end(), bystander), live.end());
+  for (ProcId pid : dependents) {
+    EXPECT_EQ(std::find(live.begin(), live.end(), pid), live.end()) << pid;
   }
 }
 

@@ -136,6 +136,68 @@ TEST_F(SwapTest, TeardownDropsSwapSlots) {
   EXPECT_EQ(ts_.cell(3).swap().slots_in_use(), 0u);
 }
 
+TEST_F(SwapTest, DropNodeRemovesExactlyThatNodesSlots) {
+  Process* a = Spawn(0);
+  Process* b = Spawn(0);
+  MakeAnonPages(a, 16);
+  MakeAnonPages(b, 16);
+  SwapArea& swap = ts_.cell(0).swap();
+  ASSERT_EQ(swap.slots_in_use(), 0u);
+  DrainFreeFrames(ts_.cell(0));
+  Ctx ctx = ts_.cell(0).MakeCtx();
+  (void)ts_.cell(0).pageout().Scan(ctx, 4096);
+
+  // Neither process forked, so each one's pages live in its own COW leaf.
+  KernelHeap& heap = ts_.cell(0).heap();
+  const auto page = [&heap](Process* proc, uint64_t p) {
+    LogicalPageId lpid;
+    lpid.kind = LogicalPageId::Kind::kAnon;
+    lpid.data_home = 0;
+    lpid.object = heap.Read<uint64_t>(proc->cow_leaf() + CowNodeLayout::kNodeId);
+    lpid.page_offset = 0x1000000 / 4096 + p;
+    return lpid;
+  };
+  const auto swapped = [&swap, &page](Process* proc) {
+    size_t n = 0;
+    for (uint64_t p = 0; p < 16; ++p) {
+      n += swap.Contains(page(proc, p)) ? 1 : 0;
+    }
+    return n;
+  };
+  const size_t in_a = swapped(a);
+  const size_t in_b = swapped(b);
+  ASSERT_GT(in_a, 0u);
+  ASSERT_GT(in_b, 0u);
+  // SwapOut counted exactly the slots it made.
+  EXPECT_EQ(swap.slots_in_use(), in_a + in_b);
+  EXPECT_EQ(swap.swap_outs(), in_a + in_b);
+
+  swap.DropNode(page(a, 0).object);
+  EXPECT_EQ(swapped(a), 0u);
+  EXPECT_EQ(swapped(b), in_b);
+  EXPECT_EQ(swap.slots_in_use(), in_b);
+  swap.DropNode(page(a, 0).object);  // Already empty: a no-op.
+  EXPECT_EQ(swap.slots_in_use(), in_b);
+
+  // Node b's pages still swap back in with their contents, one slot each.
+  size_t left = in_b;
+  for (uint64_t p = 0; p < 16; ++p) {
+    const bool was_swapped = swap.Contains(page(b, p));
+    Ctx fctx = ts_.cell(0).MakeCtx();
+    ASSERT_TRUE(PageFault(fctx, *b, 0x1000000 + p * 4096, false).ok()) << p;
+    Mapping* mapping = b->address_space().FindMapping(0x1000000 + p * 4096);
+    ASSERT_NE(mapping, nullptr);
+    EXPECT_EQ(ts_.machine->mem().ReadValue<uint64_t>(ts_.cell(0).FirstCpu(),
+                                                     mapping->pfdat->frame),
+              1000 + p)
+        << p;
+    left -= was_swapped ? 1 : 0;
+    EXPECT_EQ(swap.slots_in_use(), left) << p;
+  }
+  EXPECT_EQ(swap.swap_ins(), in_b);
+  EXPECT_EQ(swap.slots_in_use(), 0u);
+}
+
 TEST_F(SwapTest, ExportedPagesAreNotSwapped) {
   // A page imported by another cell stays in memory (the export pins it).
   Process* parent = Spawn(1);

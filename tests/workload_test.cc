@@ -39,6 +39,102 @@ TEST(PatternDataTest, PatternChecksumAgrees) {
   EXPECT_EQ(PatternChecksum(9, 333), Checksum(PatternData(9, 333)));
 }
 
+uint64_t XorShift(uint64_t x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  return x;
+}
+
+// The stream's definition, one byte at a time: the generator steps once per
+// 8-byte block and byte i is byte (i % 8) of the state, low byte first.
+std::vector<uint8_t> SerialPattern(uint64_t seed, size_t size) {
+  uint64_t x = seed * 0x9E3779B97F4A7C15ull + 1;
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i < size; ++i) {
+    if (i % 8 == 0) {
+      x = XorShift(x);
+    }
+    out.push_back(static_cast<uint8_t>(x >> ((i % 8) * 8)));
+  }
+  return out;
+}
+
+constexpr uint64_t kPatternSeeds[] = {0, 1, 42, 0x9E3779B97F4A7C15ull, ~0ull};
+
+TEST(PatternAtTest, MatchesSerialDefinition) {
+  // Past 2^13 blocks the seek uses jump-table entries beyond 13.
+  constexpr uint64_t kFar = (1ull << 17) + 3;
+  const uint64_t offsets[] = {0, 1, 3, 7, 8, 9, 4095, 4096, 4097, 65531, kFar};
+  const size_t lengths[] = {0, 1, 7, 8, 4099};
+  for (uint64_t seed : kPatternSeeds) {
+    const std::vector<uint8_t> serial = SerialPattern(seed, kFar + 4099);
+    for (uint64_t offset : offsets) {
+      for (size_t len : lengths) {
+        const std::vector<uint8_t> expect(serial.begin() + static_cast<ptrdiff_t>(offset),
+                                          serial.begin() + static_cast<ptrdiff_t>(offset + len));
+        EXPECT_EQ(PatternAt(seed, offset, len), expect)
+            << "seed=" << seed << " offset=" << offset << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(PatternAtTest, PatternDataIsTheStreamPrefix) {
+  for (uint64_t seed : kPatternSeeds) {
+    for (size_t n : {0, 1, 7, 8, 9, 4099}) {
+      EXPECT_EQ(PatternData(seed, n), PatternAt(seed, 0, n)) << "seed=" << seed << " n=" << n;
+      EXPECT_EQ(PatternData(seed, n), SerialPattern(seed, n)) << "seed=" << seed << " n=" << n;
+    }
+  }
+}
+
+// The little-endian word of stream `seed` at byte `offset`.
+uint64_t WordAt(uint64_t seed, uint64_t offset) {
+  const std::vector<uint8_t> bytes = PatternAt(seed, offset, 8);
+  uint64_t word = 0;
+  for (int k = 7; k >= 0; --k) {
+    word = word << 8 | bytes[static_cast<size_t>(k)];
+  }
+  return word;
+}
+
+// The seed whose stream starts from generator state `state`: the seed map
+// x = seed * golden + 1 is a bijection because the golden ratio is odd.
+uint64_t SeedFor(uint64_t state) {
+  constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ull;
+  uint64_t inverse = kGolden;  // Each Newton step doubles the correct low bits.
+  for (int i = 0; i < 5; ++i) {
+    inverse *= 2 - kGolden * inverse;
+  }
+  return (state - 1) * inverse;
+}
+
+TEST(PatternAtTest, FarBlocksFollowTheGenerator) {
+  for (uint64_t seed : kPatternSeeds) {
+    // Block 2^k - 1 is 2^k steps from the seed state, and so 2^(k-1) steps
+    // on from block 2^(k-1) - 1. Restarting a stream at that midpoint must
+    // land on the same state: with MatchesSerialDefinition as the base case,
+    // this checks seeking at every offset scale.
+    for (int k = 1; k <= 61; ++k) {
+      const uint64_t half = (1ull << (k - 1)) - 1;
+      EXPECT_EQ(WordAt(SeedFor(WordAt(seed, half * 8)), half * 8),
+                WordAt(seed, ((1ull << k) - 1) * 8))
+          << "seed=" << seed << " k=" << k;
+    }
+    // Far away, consecutive blocks are one generator step apart, and a read
+    // split at any byte matches the whole.
+    for (uint64_t block : {(1ull << 20) + 7, (1ull << 40) - 1, 1ull << 60}) {
+      EXPECT_EQ(WordAt(seed, block * 8 + 8), XorShift(WordAt(seed, block * 8)))
+          << "seed=" << seed << " block=" << block;
+      std::vector<uint8_t> joined = PatternAt(seed, block * 8 + 3, 5);
+      const std::vector<uint8_t> rest = PatternAt(seed, block * 8 + 8, 11);
+      joined.insert(joined.end(), rest.begin(), rest.end());
+      EXPECT_EQ(joined, PatternAt(seed, block * 8 + 3, 16)) << "seed=" << seed;
+    }
+  }
+}
+
 class ScriptedBehaviorTest : public ::testing::Test {
  protected:
   ScriptedBehaviorTest() : ts_(hivetest::BootHive(1, 4, NoWax())) {}
@@ -184,8 +280,8 @@ TEST_P(WorkloadSweepTest, RaytraceCompletesAndValidates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(CellCounts, WorkloadSweepTest, ::testing::Values(1, 2, 4),
-                         [](const auto& info) {
-                           return std::to_string(info.param) + "cells";
+                         [](const auto& param_info) {
+                           return std::to_string(param_info.param) + "cells";
                          });
 
 }  // namespace

@@ -45,7 +45,7 @@ size_t MatchAngles(const std::vector<Token>& toks, size_t open, size_t budget = 
 }
 
 struct Header {
-  std::string chain;   // "Scheduler::AllProcesses" for out-of-line methods.
+  std::string chain;   // "Scheduler::KillProcess" for out-of-line methods.
   std::string simple;  // Last chain element.
   size_t name_tok = 0;
   size_t params_open = 0;

@@ -63,7 +63,7 @@ struct RangeForSite {
 };
 
 struct FunctionDef {
-  std::string name;       // Simple name: "RunScenario", "AllProcesses".
+  std::string name;       // Simple name: "RunScenario", "KillProcess".
   std::string qualified;  // Scope-qualified: "campaign::RunScenario".
   std::string file;       // rel_path of the defining file.
   int line = 0;
