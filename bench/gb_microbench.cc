@@ -71,8 +71,9 @@ void BM_PfdatHashLookup(benchmark::State& state) {
   hive::PfdatTable table;
   const int n = static_cast<int>(state.range(0));
   std::vector<hive::LogicalPageId> ids;
+  table.SetRegularRange(0, 4096, static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    hive::Pfdat* pfdat = table.AddRegular(static_cast<flash::PhysAddr>(i) * 4096);
+    hive::Pfdat* pfdat = table.Regular(static_cast<size_t>(i));
     pfdat->lpid.kind = hive::LogicalPageId::Kind::kFile;
     pfdat->lpid.data_home = 0;
     pfdat->lpid.object = static_cast<uint64_t>(i % 64);

@@ -26,6 +26,9 @@
 #       hive-bench-v3; the hive_serve soak smoke meets every SLO, its
 #       BENCH_serve.json validates against schema hive-serve-v1, and both
 #       seeded --bug modes demonstrably trip an SLO oracle (exit 3);
+#   4d. the pinned determinism fingerprints hold: hive_campaign merged
+#       fingerprints for seeds 1-3 at 600 scenarios, and the hive_serve
+#       fingerprints of the default and the 8-cell/32-tenant soak;
 #   5. the full test suite builds and passes under ASan+UBSan, and an
 #      ASan+UBSan hive_serve runs to a verdict (exit 0 or 3, never a signal
 #      or a sanitizer report) at every --cells {4,8,16} x --tenants
@@ -446,6 +449,40 @@ grep -q "recovery-time" "$slowrec_log" || {
   cat "$slowrec_log"
   fail "slow_recovery run did not name the recovery-time SLO"
 }
+
+echo "== determinism gate: pinned campaign and serve fingerprints =="
+# Simulated outcomes are a pure function of the seed. These values were
+# recorded when the campaign and serve engines last changed behaviour on
+# purpose; a change that moves one must say why and re-pin it here.
+for pin in "1 0xfd4cfb76d15112ae" "2 0x59a5e7a8fb48fa73" "3 0x3c2cd3a550ee0ee7"; do
+  read -r pin_seed pin_fp <<<"$pin"
+  pin_log="$BUILD_DIR/pinned_campaign_${pin_seed}.log"
+  "$CAMPAIGN" --seed="$pin_seed" --scenarios=600 --workers="$JOBS" \
+    >"$pin_log" 2>&1 || {
+    tail -n 40 "$pin_log"
+    fail "pinned campaign --seed=$pin_seed reported oracle violations"
+  }
+  grep -q "merged-fingerprint=$pin_fp\$" "$pin_log" || {
+    tail -n 5 "$pin_log"
+    fail "campaign --seed=$pin_seed --scenarios=600 merged fingerprint is not $pin_fp"
+  }
+done
+for pin in "4f0b6f9dcdbbb4c8" "8ea45dcb7dd55536 --cells=8 --tenants=32"; do
+  read -r pin_fp pin_args <<<"$pin"
+  pin_log="$BUILD_DIR/pinned_serve_${pin_fp}.log"
+  serve_status=0
+  # shellcheck disable=SC2086
+  "$SERVE" --seed=1 $pin_args --out="$BUILD_DIR/pinned_serve_${pin_fp}.json" \
+    >"$pin_log" 2>&1 || serve_status=$?
+  [[ "$serve_status" -eq 0 || "$serve_status" -eq 3 ]] || {
+    tail -n 40 "$pin_log"
+    fail "hive_serve --seed=1 $pin_args exited $serve_status (want a verdict: 0 or 3)"
+  }
+  grep -q "^fingerprint: $pin_fp " "$pin_log" || {
+    grep "^fingerprint:" "$pin_log" || true
+    fail "hive_serve --seed=1 $pin_args fingerprint is not $pin_fp"
+  }
+done
 
 echo "== sanitizer build: ASan+UBSan test suite =="
 ASAN_DIR="$BUILD_DIR/check-asan"

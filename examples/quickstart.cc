@@ -50,9 +50,8 @@ int main() {
   auto handle = hive.cell(3).fs().Open(ctx3, "/shared/data");
   std::vector<uint8_t> buf(64 * 1024);
   (void)hive.cell(3).fs().Read(ctx3, *handle, 0, std::span<uint8_t>(buf));
-  std::printf("cell 3 read 64 KB homed on cell 0 in %.1f us (checksum %s)\n",
-              static_cast<double>(ctx3.elapsed) / 1000.0,
-              workloads::Checksum(buf) == workloads::Checksum(data) ? "ok" : "BAD");
+  std::printf("cell 3 read 64 KB homed on cell 0 in %.1f us (contents %s)\n",
+              static_cast<double>(ctx3.elapsed) / 1000.0, buf == data ? "ok" : "BAD");
 
   // 4. Run compute processes on every cell.
   std::vector<hive::ProcId> pids;

@@ -266,8 +266,7 @@ void CheckCanaries(const OracleInput& input, std::vector<OracleViolation>* out) 
       // Data home's memory failed mid-read: unreadable, a legal outcome.
     }
     if (status.ok() &&
-        workloads::Checksum(buf) != workloads::PatternChecksum(canary.pattern_seed,
-                                                               canary.size)) {
+        buf != workloads::PatternData(canary.pattern_seed, canary.size)) {
       std::ostringstream detail;
       detail << "pre-fault handle for " << canary.path
              << " served corrupted data as current (generation not bumped)";
@@ -287,8 +286,7 @@ void CheckCanaries(const OracleInput& input, std::vector<OracleViolation>* out) 
     } catch (const flash::BusError&) {
     }
     if (status.ok() &&
-        workloads::Checksum(buf) != workloads::PatternChecksum(canary.pattern_seed,
-                                                               canary.size)) {
+        buf != workloads::PatternData(canary.pattern_seed, canary.size)) {
       std::ostringstream detail;
       detail << "fresh open of " << canary.path << " read corrupted data";
       Add(out, "generation-consistency", detail.str());
@@ -339,7 +337,7 @@ void CheckSurvivorsFunctional(const OracleInput& input,
     std::vector<uint8_t> buf(size);
     base::Status status = reader.fs().Read(rctx, *handle, 0, std::span<uint8_t>(buf));
     if (!status.ok() ||
-        workloads::Checksum(buf) != workloads::PatternChecksum(pattern, size)) {
+        buf != workloads::PatternData(pattern, size)) {
       std::ostringstream detail;
       detail << "survivor cell " << live.back() << " read of " << path
              << (status.ok() ? std::string(" returned corrupt data")

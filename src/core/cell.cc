@@ -106,15 +106,14 @@ void Cell::Boot() {
     fwm_->ProtectRange(mem_base_, mem_size_);
   }
 
-  // Build the pfdat table for paged memory: everything above the kernel
-  // region, across all of the cell's nodes.
+  // Register paged memory with the pfdat table: everything above the kernel
+  // region, across all of the cell's nodes. Pfdats materialize as frames are
+  // first touched.
   const uint64_t page_size = machine().mem().page_size();
-  paged_frames_ = 0;
-  for (PhysAddr frame = mem_base_ + kKernelRegionBytes; frame < mem_base_ + mem_size_;
-       frame += page_size) {
-    allocator_->AddBootFrame(pfdat_table_.AddRegular(frame));
-    ++paged_frames_;
-  }
+  paged_frames_ = mem_size_ > kKernelRegionBytes
+                      ? (mem_size_ - kKernelRegionBytes + page_size - 1) / page_size
+                      : 0;
+  pfdat_table_.SetRegularRange(mem_base_ + kKernelRegionBytes, page_size, paged_frames_);
 
   RegisterMiscHandlers();
   fs_->RegisterHandlers();

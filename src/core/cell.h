@@ -73,7 +73,7 @@ class Cell {
   Cell& operator=(const Cell&) = delete;
 
   // Boots the kernel: carves the kernel heap out of the first node, protects
-  // kernel memory with the firewall, builds the pfdat table for paged memory,
+  // kernel memory with the firewall, registers paged memory with the pfdat table,
   // registers RPC handlers, starts the clock.
   void Boot();
 

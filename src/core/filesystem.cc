@@ -1,6 +1,7 @@
 #include "src/core/filesystem.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/log.h"
 #include "src/base/sim_profile.h"
@@ -41,7 +42,7 @@ Vnode* FileSystem::FindShadowFor(CellId data_home, VnodeId remote_id) {
 }
 
 base::Result<FileId> FileSystem::Create(Ctx& ctx, const std::string& path,
-                                        std::span<const uint8_t> initial_data) {
+                                        std::vector<uint8_t> initial_data) {
   base::SimProfileScope profile_scope(base::SimSubsystem::kFilesystem);
   cell_->ChargeSyscallTax(ctx);
   ctx.Charge(cell_->costs().create_local_ns);
@@ -53,7 +54,7 @@ base::Result<FileId> FileSystem::Create(Ctx& ctx, const std::string& path,
   vnode.id = id;
   vnode.path = path;
   vnode.size_bytes = initial_data.size();
-  vnode.disk_image.assign(initial_data.begin(), initial_data.end());
+  vnode.disk_image = std::move(initial_data);
   const FileId file_id{cell_->id(), id};
   cell_->system()->RegisterPath(path, file_id);
   return file_id;

@@ -28,9 +28,9 @@ class FileSystem {
   // --- Name space operations. ---
 
   // Creates a file with this cell as data home and registers it in the global
-  // name space. `initial_data` becomes the on-disk contents.
+  // name space. `initial_data` is moved in as the on-disk contents.
   base::Result<FileId> Create(Ctx& ctx, const std::string& path,
-                              std::span<const uint8_t> initial_data = {});
+                              std::vector<uint8_t> initial_data = {});
 
   // Opens a file by path; resolves the data home through the global name
   // space, setting up a shadow vnode for remote files.

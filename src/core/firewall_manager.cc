@@ -42,11 +42,25 @@ void FirewallManager::ProtectLocal(Pfn pfn) {
 }
 
 void FirewallManager::ProtectRange(PhysAddr base, uint64_t size) {
+  CHECK(globally_writable_pfns_.empty()) << "ProtectRange after grants";
+  flash::Firewall& firewall = cell_->machine().firewall();
   const uint64_t page_size = cell_->machine().mem().page_size();
+  const uint64_t pages_per_node = cell_->machine().config().pages_per_node();
+  const uint64_t mask = cell_->CpuMask();
   const Pfn first = base / page_size;
-  const Pfn last = (base + size - 1) / page_size;
-  for (Pfn pfn = first; pfn <= last; ++pfn) {
-    ProtectLocal(pfn);
+  const Pfn end = (base + size - 1) / page_size + 1;
+  for (Pfn pfn = first; pfn < end;) {
+    const Pfn node_end =
+        std::min<Pfn>(end, (static_cast<Pfn>(firewall.NodeOfPfn(pfn)) + 1) * pages_per_node);
+    firewall.SetRange(pfn, node_end - pfn, mask, LocalCpuFor(pfn));
+    pfn = node_end;
+  }
+  // A cell holding every processor leaves its pages writable by all of them,
+  // which MutateVector would have recorded page by page.
+  if (mask == flash::Firewall::kAllowAll) {
+    for (Pfn pfn = first; pfn < end; ++pfn) {
+      globally_writable_pfns_.insert(pfn);
+    }
   }
 }
 
@@ -163,26 +177,19 @@ std::vector<Pfn> FirewallManager::RevokeAllFor(Ctx& ctx, CellId failed_cell) {
 
 int FirewallManager::RevokeAllRemote(Ctx& ctx) {
   int revoked = 0;
-  // Snapshot the grant set into (pfn, client) pairs and revoke in sorted
-  // order: the hash maps' iteration order must not leak into the mutation
-  // sequence (determinism purity, lint R10).
-  std::vector<std::pair<Pfn, CellId>> grants;
-  // hive-lint: allow(R10): collection loop only; the pairs are sorted below before any side effect.
-  for (auto& [pfn, cells] : grants_by_page_) {
-    for (auto& [client, count] : cells) {
+  // The grant table is ordered by pfn and each page's list by cell, so the
+  // mutation sequence is (pfn, cell) order regardless of host layout.
+  for (const auto& [pfn, cells] : grants_by_page_) {
+    for (const auto& [client, count] : cells) {
       (void)count;
-      grants.emplace_back(pfn, client);
+      MutateVector(pfn, [&, page = pfn, target = client] {
+        cell_->machine().firewall().RevokeCpus(
+            page, cell_->system()->cell(target).CpuMask(), LocalCpuFor(page));
+      });
+      ctx.Charge(cell_->machine().config().latency.firewall_revoke_ns);
+      ++revokes_;
+      ++revoked;
     }
-  }
-  std::sort(grants.begin(), grants.end());
-  for (const auto& [pfn, client] : grants) {
-    MutateVector(pfn, [&, page = pfn, target = client] {
-      cell_->machine().firewall().RevokeCpus(
-          page, cell_->system()->cell(target).CpuMask(), LocalCpuFor(page));
-    });
-    ctx.Charge(cell_->machine().config().latency.firewall_revoke_ns);
-    ++revokes_;
-    ++revoked;
   }
   grants_by_page_.clear();
   pages_by_cell_.clear();
@@ -225,6 +232,16 @@ uint64_t FirewallManager::GrantedCpuMask(Pfn pfn) const {
     }
   }
   return mask;
+}
+
+std::vector<Pfn> FirewallManager::GrantedPages() const {
+  std::vector<Pfn> pages;
+  pages.reserve(grants_by_page_.size());
+  for (const auto& [pfn, cells] : grants_by_page_) {
+    (void)cells;
+    pages.push_back(pfn);
+  }
+  return pages;
 }
 
 int FirewallManager::RemotelyWritablePages() const {

@@ -20,6 +20,7 @@
 #ifndef HIVE_SRC_CORE_FIREWALL_MANAGER_H_
 #define HIVE_SRC_CORE_FIREWALL_MANAGER_H_
 
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -36,9 +37,11 @@ class FirewallManager {
  public:
   explicit FirewallManager(Cell* cell);
 
-  // Boot: protect a local page so only this cell's processors may write it.
+  // Protects a local page so only this cell's processors may write it (a
+  // loaned frame coming back).
   void ProtectLocal(Pfn pfn);
-  // Boot: protect the cell's kernel ranges.
+  // Boot: protect every page of [base, base + size) with one fill per node.
+  // Must run before any grant (the globally-writable set starts empty).
   void ProtectRange(PhysAddr base, uint64_t size);
 
   // Grants/revokes write access on a *local* page for all processors of
@@ -65,10 +68,11 @@ class FirewallManager {
   // Invariant auditing: grant bookkeeping snapshots (see invariant_checker.h).
   bool HasGrant(Pfn pfn, CellId client_cell) const;
   std::vector<CellId> GrantedCells(Pfn pfn) const;
-  // Union of the CPU masks of every cell granted on `pfn`. Allocation-free:
-  // the per-page audit sweep calls this once per local page after every
-  // recovery round.
+  // Union of the CPU masks of every cell granted on `pfn`.
   uint64_t GrantedCpuMask(Pfn pfn) const;
+  // Every page with an outstanding grant, ascending: the audit merges its
+  // page sweep over this list instead of probing the grant table per page.
+  std::vector<Pfn> GrantedPages() const;
 
   uint64_t grants() const { return grants_; }
   uint64_t revokes() const { return revokes_; }
@@ -87,8 +91,8 @@ class FirewallManager {
 
   // Wraps a firewall vector mutation on `pfn`, keeping the globally-writable
   // set in sync. Membership is decided by the vector's post-mutation state,
-  // so pages whose boot-time vector was open but never granted (ProtectLocal
-  // at boot) are never counted.
+  // so pages whose power-on vector was open but never granted (closed by
+  // ProtectRange at boot) are never counted.
   template <typename Fn>
   void MutateVector(Pfn pfn, Fn&& fn) {
     fn();
@@ -109,8 +113,10 @@ class FirewallManager {
   // (no per-page allocation churn on the fault path) and makes every
   // iteration over a page's clients deterministic by construction.
   using GrantList = std::vector<std::pair<CellId, int>>;
-  // pfn -> [(cell, grant count)] sorted by cell.
-  std::unordered_map<Pfn, GrantList> grants_by_page_;
+  // pfn -> [(cell, grant count)] sorted by cell. Ordered by pfn, so sweeps
+  // over every grant (RevokeAllRemote, the audit's GrantedPages) need no
+  // sort; only the pages remote cells currently write are in it.
+  std::map<Pfn, GrantList> grants_by_page_;
   // Reverse index: client cell -> local pages it currently has write grants
   // on. Keeps RevokeAllFor proportional to the failed cell's footprint.
   std::unordered_map<CellId, std::unordered_set<Pfn>> pages_by_cell_;

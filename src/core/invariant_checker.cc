@@ -57,12 +57,35 @@ void InvariantChecker::AuditFirewallVectors(CellId cell_id, bool raise_hints,
   flash::PhysMem& mem = system_->machine().mem();
   flash::Firewall& firewall = system_->machine().firewall();
   const Pfn first = mem.PfnOfAddr(cell.mem_base());
-  const Pfn count = cell.mem_size() / mem.page_size();
+  const Pfn end = first + cell.mem_size() / mem.page_size();
+  const uint64_t own_mask = cell.CpuMask();
 
-  for (Pfn pfn = first; pfn < first + count; ++pfn) {
+  // Every page's hardware vector is checked, but only a page with a pfdat or
+  // a grant can expect more than the owner's CPUs: an untouched frame's pfdat
+  // is unbound and unloaned. Both lists are in pfn order and are merged with
+  // the sweep, so no page costs a table probe.
+  std::vector<Pfdat*> local;
+  cell.pfdats().ForEach([&](Pfdat* pfdat) {
+    if (cell.OwnsAddr(pfdat->frame)) {
+      local.push_back(pfdat);
+    }
+  });
+  const std::vector<Pfn> granted = cell.firewall_manager().GrantedPages();
+  auto next_pfdat = local.begin();
+  auto next_grant = granted.begin();
+
+  for (Pfn pfn = first; pfn < end; ++pfn) {
     ++report->pages_audited;
-    Pfdat* pfdat = cell.pfdats().FindByFrame(mem.AddrOfPfn(pfn));
-    uint64_t expected = cell.CpuMask();
+    const PhysAddr addr = mem.AddrOfPfn(pfn);
+    while (next_pfdat != local.end() && (*next_pfdat)->frame < addr) {
+      ++next_pfdat;
+    }
+    while (next_grant != granted.end() && *next_grant < pfn) {
+      ++next_grant;
+    }
+    Pfdat* pfdat =
+        next_pfdat != local.end() && (*next_pfdat)->frame == addr ? *next_pfdat : nullptr;
+    uint64_t expected = own_mask;
 
     if (pfdat != nullptr) {
       const bool in_loan_set = cell.allocator().IsLoanedFrame(pfdat);
@@ -83,7 +106,9 @@ void InvariantChecker::AuditFirewallVectors(CellId cell_id, bool raise_hints,
         }
       }
     }
-    expected |= cell.firewall_manager().GrantedCpuMask(pfn);
+    if (next_grant != granted.end() && *next_grant == pfn) {
+      expected |= cell.firewall_manager().GrantedCpuMask(pfn);
+    }
 
     const uint64_t actual = firewall.GetVector(pfn);
     if (actual == expected) {

@@ -18,15 +18,28 @@ constexpr int kBorrowBatch = 4;
 
 PageAllocator::PageAllocator(Cell* cell) : cell_(cell) {}
 
-void PageAllocator::AddBootFrame(Pfdat* pfdat) { free_list_.push_back(pfdat); }
+size_t PageAllocator::free_frames() const {
+  return cell_->pfdats().regular_frames() - next_boot_frame_ + free_list_.size();
+}
+
+Pfdat* PageAllocator::PopLocalFree() {
+  if (next_boot_frame_ < cell_->pfdats().regular_frames()) {
+    return cell_->pfdats().Regular(next_boot_frame_++);
+  }
+  if (free_list_.empty()) {
+    return nullptr;
+  }
+  Pfdat* pfdat = free_list_.front();
+  free_list_.pop_front();
+  return pfdat;
+}
 
 base::Result<Pfdat*> PageAllocator::TakeLocalFree(Ctx& ctx) {
-  if (free_list_.empty()) {
+  Pfdat* pfdat = PopLocalFree();
+  if (pfdat == nullptr) {
     return base::OutOfMemory();
   }
   ctx.Charge(kLocalAllocNs);
-  Pfdat* pfdat = free_list_.front();
-  free_list_.pop_front();
   pfdat->refcount = 1;
   pfdat->dirty = false;
   pfdat->lpid = LogicalPageId{};
@@ -49,7 +62,7 @@ base::Result<Pfdat*> PageAllocator::AllocFrame(Ctx& ctx, const AllocConstraints&
   CellId remote_target = kInvalidCell;
   if (constraints.preferred_cell != kInvalidCell && constraints.preferred_cell != self) {
     remote_target = constraints.preferred_cell;
-  } else if (free_list_.size() <= kLocalReserveFrames) {
+  } else if (free_frames() <= kLocalReserveFrames) {
     // Under pressure: consult the Wax hint, fall back to any acceptable cell.
     const WaxHints& hints = cell_->wax_hints();
     if (hints.valid && hints.preferred_borrow_target != kInvalidCell &&
@@ -169,10 +182,8 @@ std::vector<PhysAddr> PageAllocator::LoanFrames(Ctx& ctx, CellId client, int cou
   std::vector<PhysAddr> frames;
   // Keep a local reserve so loaning cannot deadlock this cell (section 3.2:
   // each cell preserves enough local free memory to avoid deadlock).
-  while (static_cast<int>(frames.size()) < count &&
-         free_list_.size() > kLocalReserveFrames) {
-    Pfdat* pfdat = free_list_.front();
-    free_list_.pop_front();
+  while (static_cast<int>(frames.size()) < count && free_frames() > kLocalReserveFrames) {
+    Pfdat* pfdat = PopLocalFree();
     pfdat->loaned_out = true;
     pfdat->loaned_to = client;
     loaned_[client].insert(pfdat);

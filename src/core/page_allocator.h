@@ -39,10 +39,9 @@ struct AllocConstraints {
 
 class PageAllocator {
  public:
+  // Hands out the cell's paged frames (its pfdat table's regular range,
+  // registered at boot) in frame order, then recycled frames FIFO.
   PageAllocator(Cell* cell);
-
-  // Called at boot with every local paged frame.
-  void AddBootFrame(Pfdat* pfdat);
 
   // Allocates a frame subject to constraints. May borrow remotely. The
   // returned pfdat has no logical binding and refcount 1.
@@ -87,7 +86,7 @@ class PageAllocator {
   // pfdat state cannot hide a disagreement.
   bool IsLoanedFrame(const Pfdat* pfdat) const;
 
-  size_t free_frames() const { return free_list_.size(); }
+  size_t free_frames() const;
   size_t loaned_frames() const { return loaned_count_; }
   uint64_t borrow_rpcs() const { return borrow_rpcs_; }
 
@@ -99,9 +98,16 @@ class PageAllocator {
  private:
   base::Result<Pfdat*> BorrowFrom(Ctx& ctx, CellId memory_home);
   base::Result<Pfdat*> TakeLocalFree(Ctx& ctx);
+  // Pops the next local free frame (nullptr when there is none).
+  Pfdat* PopLocalFree();
 
   Cell* cell_;
-  std::deque<Pfdat*> free_list_;  // Local free frames.
+  // Local free frames: the regular frames from next_boot_frame_ on have
+  // never been handed out, and come first in frame order; freed frames
+  // queue behind them FIFO. That is the pop order of one deque seeded with
+  // every frame at boot, without building it.
+  size_t next_boot_frame_ = 0;
+  std::deque<Pfdat*> free_list_;
   // Borrowed frames not yet in use, bucketed by memory home: the AllocFrame
   // reuse probe pops the target home's bucket in O(1).
   std::unordered_map<CellId, std::deque<Pfdat*>> borrowed_free_;

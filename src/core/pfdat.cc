@@ -35,53 +35,37 @@ void PfdatTable::ReleaseSlot(Pfdat* pfdat) {
   free_slots_.push_back(pfdat);
 }
 
-Pfdat* PfdatTable::FindRegular(PhysAddr frame) {
-  if (dense_stride_ != 0) {
-    if (frame < dense_base_) {
-      return nullptr;
-    }
-    const uint64_t offset = frame - dense_base_;
-    const uint64_t index = offset / dense_stride_;
-    if (offset % dense_stride_ != 0 || index >= dense_regular_.size()) {
-      return nullptr;
-    }
-    return dense_regular_[index];
+size_t PfdatTable::DenseIndex(PhysAddr frame) const {
+  if (dense_.empty() || frame < dense_base_ || (frame - dense_base_) % dense_stride_ != 0) {
+    return dense_.size();
   }
-  auto it = std::lower_bound(
-      regulars_.begin(), regulars_.end(), frame,
-      [](const Pfdat* p, PhysAddr f) { return p->frame < f; });
-  return (it != regulars_.end() && (*it)->frame == frame) ? *it : nullptr;
+  const uint64_t index = (frame - dense_base_) / dense_stride_;
+  return static_cast<size_t>(std::min<uint64_t>(index, dense_.size()));
 }
 
-Pfdat* PfdatTable::AddRegular(PhysAddr frame) {
-  CHECK(FindByFrame(frame) == nullptr) << "duplicate pfdat for frame";
-  Pfdat* pfdat = AllocateSlot();
-  pfdat->frame = frame;
-  pfdat->extended = false;
-  // Maintain the dense fault-path index while boot keeps a uniform stride.
-  if (regulars_.empty()) {
-    dense_base_ = frame;
-    dense_stride_ = 0;
-    dense_regular_.assign(1, pfdat);
-  } else if (dense_stride_ == 0 && !dense_regular_.empty() && frame > dense_base_) {
-    dense_stride_ = frame - dense_base_;
-    dense_regular_.push_back(pfdat);
-  } else if (dense_stride_ != 0 &&
-             frame == dense_base_ + dense_stride_ * dense_regular_.size()) {
-    dense_regular_.push_back(pfdat);
-  } else {
-    dense_regular_.clear();
-    dense_stride_ = 0;
+void PfdatTable::SetRegularRange(PhysAddr base, uint64_t page_size, size_t count) {
+  CHECK(dense_.empty()) << "regular range registered twice";
+  CHECK_GT(page_size, 0u);
+  dense_base_ = base;
+  dense_stride_ = page_size;
+  dense_.assign(count, nullptr);
+  dense_hi_ = 0;
+}
+
+Pfdat* PfdatTable::Regular(size_t index) {
+  CHECK_LT(index, dense_.size());
+  Pfdat*& slot = dense_[index];
+  if (slot == nullptr) {
+    slot = AllocateSlot();
+    slot->frame = dense_base_ + dense_stride_ * index;
+    slot->extended = false;
+    dense_hi_ = std::max(dense_hi_, index + 1);
   }
-  auto it = std::lower_bound(
-      regulars_.begin(), regulars_.end(), frame,
-      [](const Pfdat* p, PhysAddr f) { return p->frame < f; });
-  regulars_.insert(it, pfdat);
-  return pfdat;
+  return slot;
 }
 
 Pfdat* PfdatTable::AddExtended(PhysAddr frame) {
-  CHECK(FindRegular(frame) == nullptr)
+  CHECK(DenseIndex(frame) == dense_.size())
       << "extended pfdat collides with existing pfdat for frame";
   Pfdat* pfdat = AllocateSlot();
   pfdat->frame = frame;
@@ -102,8 +86,8 @@ void PfdatTable::RemoveExtended(Pfdat* pfdat) {
 }
 
 Pfdat* PfdatTable::FindByFrame(PhysAddr frame) {
-  if (Pfdat* regular = FindRegular(frame)) {
-    return regular;
+  if (const size_t index = DenseIndex(frame); index < dense_.size()) {
+    return Regular(index);
   }
   auto it = extended_by_frame_.find(frame);
   return it == extended_by_frame_.end() ? nullptr : it->second;

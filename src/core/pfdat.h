@@ -70,17 +70,26 @@ struct Pfdat {
 // Per-cell pfdat table + hash (paper figure 5.3). Owns regular pfdats for
 // every local paged frame and dynamically allocated extended pfdats.
 //
-// Pfdats are carved out of a slab arena (fixed-size blocks, recycled through
-// a free list) instead of one heap allocation per page: boot allocates one
-// slab per kSlabPfdats frames and the borrow/return churn of extended pfdats
-// reuses slots without touching the host allocator. Pfdat pointers are stable
-// for the life of the table (slabs never move).
+// Regular pfdats are lazy: boot registers the paged range once, and a frame's
+// pfdat is carved out of the slab arena the first time the frame is looked up
+// or allocated. An untouched frame's pfdat would be default-valued (unbound,
+// unexported, not loaned), so no walker has anything to do with it and
+// ForEach skips it. Extended pfdats come from the same arena, and their
+// borrow/return churn reuses freed slots without touching the host
+// allocator. Pfdat pointers are stable for the life of the table (slabs never
+// move).
 class PfdatTable {
  public:
   PfdatTable() = default;
 
-  // Registers a regular pfdat for a local frame (called at cell boot).
-  Pfdat* AddRegular(PhysAddr frame);
+  // Registers the regular frames [base, base + count * page_size) (called
+  // once at cell boot, after Clear()).
+  void SetRegularRange(PhysAddr base, uint64_t page_size, size_t count);
+
+  // The regular pfdat of the range's `index`-th frame, materialized on first
+  // use. The page allocator hands frames out in index order.
+  Pfdat* Regular(size_t index);
+  size_t regular_frames() const { return dense_.size(); }
 
   // Allocates an extended pfdat bound to a remote frame.
   Pfdat* AddExtended(PhysAddr frame);
@@ -88,7 +97,8 @@ class PfdatTable {
   // Removes an extended pfdat (release/return_frame).
   void RemoveExtended(Pfdat* pfdat);
 
-  // Frame index: any pfdat (regular or extended) for this frame address.
+  // Frame index: any pfdat (regular or extended) for this frame address. A
+  // regular frame that was never touched yields its fresh, unbound pfdat.
   Pfdat* FindByFrame(PhysAddr frame);
 
   // Logical page hash.
@@ -96,16 +106,15 @@ class PfdatTable {
   void InsertHash(Pfdat* pfdat);
   void RemoveHash(Pfdat* pfdat);
 
-  // Enumeration for recovery scans. Visits pfdats in ascending frame order:
-  // several callers bound or order their side effects by visit order
-  // (pageout passes stop at max_pages, recovery scans build drop lists), so
-  // container iteration order must not leak into simulation outcomes
-  // (determinism purity, lint R10). Regular pfdats are kept frame-sorted
-  // (boot adds them in ascending order) and extended pfdats live in an
-  // ordered map, so the merged walk needs no per-call sort. Extended entries
-  // are snapshotted first because `fn` may call RemoveExtended/AddExtended;
-  // mutations during the walk affect membership exactly like the old
-  // snapshot-and-sort implementation did.
+  // Enumeration for recovery scans. Visits the materialized pfdats in
+  // ascending frame order: several callers bound or order their side effects
+  // by visit order (pageout passes stop at max_pages, recovery scans build
+  // drop lists), so container iteration order must not leak into simulation
+  // outcomes (determinism purity, lint R10). The dense index is frame-sorted
+  // and extended pfdats live in an ordered map, so the merged walk needs no
+  // per-call sort. Extended entries are snapshotted first because `fn` may
+  // call RemoveExtended/AddExtended: one added during the walk is not
+  // visited, one removed during it still is.
   template <typename Fn>
   void ForEach(Fn&& fn) {
     // Borrow the scratch buffer's capacity; a reentrant walk just gets a
@@ -117,22 +126,29 @@ class PfdatTable {
     for (const auto& [frame, pfdat] : extended_by_frame_) {
       extended.push_back(pfdat);
     }
-    size_t ri = 0;
     size_t ei = 0;
-    const size_t rn = regulars_.size();
     const size_t en = extended.size();
-    while (ri < rn || ei < en) {
-      if (ei == en || (ri < rn && regulars_[ri]->frame < extended[ei]->frame)) {
-        fn(regulars_[ri++]);
-      } else {
+    // dense_hi_ is re-read each step: a pfdat `fn` materializes further on
+    // is still visited.
+    for (size_t ri = 0; ri < dense_hi_; ++ri) {
+      Pfdat* regular = dense_[ri];
+      if (regular == nullptr) {
+        continue;
+      }
+      while (ei < en && extended[ei]->frame < regular->frame) {
         fn(extended[ei++]);
       }
+      fn(regular);
+    }
+    while (ei < en) {
+      fn(extended[ei++]);
     }
     foreach_scratch_.swap(extended);
   }
 
   size_t hash_size() const { return by_lpid_.size(); }
-  size_t total_pfdats() const { return regulars_.size() + extended_by_frame_.size(); }
+  // Every registered regular frame counts, materialized or not.
+  size_t total_pfdats() const { return dense_.size() + extended_by_frame_.size(); }
 
   // Arena introspection (tests): slabs allocated so far.
   size_t arena_slabs() const { return slabs_.size(); }
@@ -141,10 +157,10 @@ class PfdatTable {
   // next boot's allocations.
   void Clear() {
     by_lpid_.clear();
-    regulars_.clear();
-    dense_regular_.clear();
+    dense_.clear();
     dense_base_ = 0;
     dense_stride_ = 0;
+    dense_hi_ = 0;
     extended_by_frame_.clear();
     free_slots_.clear();
     slab_used_ = slabs_.empty() ? kSlabPfdats : 0;
@@ -157,7 +173,9 @@ class PfdatTable {
   Pfdat* AllocateSlot();
   void ReleaseSlot(Pfdat* pfdat);
 
-  Pfdat* FindRegular(PhysAddr frame);
+  // Dense-index slot for a regular frame, or dense_.size() if `frame` is not
+  // one of the registered frames.
+  size_t DenseIndex(PhysAddr frame) const;
 
   // Slab arena: blocks never move, so Pfdat* stays valid until Clear().
   std::vector<std::unique_ptr<Pfdat[]>> slabs_;
@@ -165,15 +183,13 @@ class PfdatTable {
   size_t slab_used_ = kSlabPfdats;     // Slots used in that slab (full = new slab).
   std::vector<Pfdat*> free_slots_;     // Recycled slots (RemoveExtended).
 
-  // Regular (local-frame) pfdats, in ascending frame order. Boot adds local
-  // frames at a uniform stride, so FindByFrame on the fault path resolves
-  // through the O(1) dense index; if an AddRegular call ever breaks the
-  // stride pattern the dense index is abandoned and lookups binary-search
-  // `regulars_` instead.
-  std::vector<Pfdat*> regulars_;
-  std::vector<Pfdat*> dense_regular_;  // index = (frame - base) / stride.
+  // Regular (local-frame) pfdats: index = (frame - base) / stride, nullptr
+  // until the frame is first touched. dense_hi_ is one past the highest
+  // materialized index, so ForEach stops where the touched frames end.
+  std::vector<Pfdat*> dense_;
   PhysAddr dense_base_ = 0;
-  uint64_t dense_stride_ = 0;          // 0 = not (or no longer) dense.
+  uint64_t dense_stride_ = 0;
+  size_t dense_hi_ = 0;
 
   // Extended (remote-frame) pfdats, ordered by frame so ForEach can merge.
   std::map<PhysAddr, Pfdat*> extended_by_frame_;

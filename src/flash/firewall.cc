@@ -1,5 +1,8 @@
 #include "src/flash/firewall.h"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "src/base/log.h"
 
 namespace flash {
@@ -17,6 +20,19 @@ void Firewall::SetVector(Pfn pfn, uint64_t mask, int requesting_cpu) {
       << "only local processors may change a node's firewall bits";
   vectors_[pfn] = mask;
   ++vector_changes_;
+}
+
+void Firewall::SetRange(Pfn first, uint64_t count, uint64_t mask, int requesting_cpu) {
+  if (count == 0) {
+    return;
+  }
+  const Pfn last = first + count - 1;
+  CHECK_LT(last, vectors_.size());
+  CHECK_EQ(NodeOfPfn(first), NodeOfPfn(last)) << "firewall range spans nodes";
+  CHECK_EQ(NodeOfPfn(first), NodeOfCpu(requesting_cpu))
+      << "only local processors may change a node's firewall bits";
+  std::fill_n(vectors_.begin() + static_cast<std::ptrdiff_t>(first), count, mask);
+  vector_changes_ += count;
 }
 
 void Firewall::GrantCpus(Pfn pfn, uint64_t mask, int requesting_cpu) {

@@ -37,6 +37,9 @@ class Firewall {
   // Replaces the permission vector for a page. `requesting_cpu` must be local
   // to the node owning the page (hardware restriction, section 4.2).
   void SetVector(Pfn pfn, uint64_t mask, int requesting_cpu);
+  // SetVector over pages [first, first + count), which must lie on one node:
+  // one locality check and one fill. Counts one vector change per page.
+  void SetRange(Pfn first, uint64_t count, uint64_t mask, int requesting_cpu);
 
   void GrantCpus(Pfn pfn, uint64_t mask, int requesting_cpu);
   void RevokeCpus(Pfn pfn, uint64_t mask, int requesting_cpu);

@@ -1,5 +1,7 @@
 #include "src/workloads/pmake.h"
 
+#include <algorithm>
+
 #include "src/base/log.h"
 #include "src/core/filesystem.h"
 
@@ -187,11 +189,9 @@ int PmakeWorkload::ValidateOutputs() {
       ++corrupt;
       continue;
     }
-    std::vector<uint8_t> disk(vnode->disk_image.begin(),
-                              vnode->disk_image.begin() +
-                                  static_cast<int64_t>(params_.output_bytes));
     const uint64_t seed = params_.name_seed * 2000 + static_cast<uint64_t>(job);
-    if (Checksum(disk) != PatternChecksum(seed, params_.output_bytes)) {
+    const std::vector<uint8_t> expected = PatternData(seed, params_.output_bytes);
+    if (!std::equal(expected.begin(), expected.end(), vnode->disk_image.begin())) {
       ++corrupt;
     }
   }

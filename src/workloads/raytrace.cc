@@ -1,5 +1,7 @@
 #include "src/workloads/raytrace.h"
 
+#include <algorithm>
+
 #include "src/base/log.h"
 #include "src/core/filesystem.h"
 
@@ -121,11 +123,9 @@ int RaytraceWorkload::ValidateOutputs() {
       ++corrupt;
       continue;
     }
-    std::vector<uint8_t> disk(vnode->disk_image.begin(),
-                              vnode->disk_image.begin() +
-                                  static_cast<int64_t>(params_.result_bytes));
-    if (Checksum(disk) !=
-        PatternChecksum(params_.name_seed * 4000 + w, params_.result_bytes)) {
+    const std::vector<uint8_t> expected =
+        PatternData(params_.name_seed * 4000 + w, params_.result_bytes);
+    if (!std::equal(expected.begin(), expected.end(), vnode->disk_image.begin())) {
       ++corrupt;
     }
   }

@@ -106,19 +106,6 @@ std::vector<uint8_t> PatternData(uint64_t seed, size_t size) {
   return PatternAt(seed, 0, size);
 }
 
-uint64_t Checksum(const std::vector<uint8_t>& data) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (uint8_t byte : data) {
-    h ^= byte;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-uint64_t PatternChecksum(uint64_t seed, size_t size) {
-  return Checksum(PatternData(seed, size));
-}
-
 StepOutcome ScriptedBehavior::Step(Ctx& ctx, Process& proc) {
   if (next_ >= ops_.size()) {
     return StepOutcome::kDone;
@@ -182,8 +169,7 @@ OpFn OpOpen(std::string path, std::shared_ptr<int> fd_out) {
 
 OpFn OpCreate(std::string path, uint64_t seed, uint64_t size) {
   return [path = std::move(path), seed, size](Ctx& ctx, Process& proc) -> StepOutcome {
-    const std::vector<uint8_t> data = PatternData(seed, size);
-    auto id = ctx.cell->fs().Create(ctx, path, data);
+    auto id = ctx.cell->fs().Create(ctx, path, PatternData(seed, size));
     if (!id.ok()) {
       proc.exit_reason = "create failed";
       return StepOutcome::kFailed;

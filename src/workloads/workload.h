@@ -36,8 +36,6 @@ using hive::Time;
 std::vector<uint8_t> PatternAt(uint64_t seed, uint64_t offset, size_t size);
 // The stream's first `size` bytes: PatternAt(seed, 0, size).
 std::vector<uint8_t> PatternData(uint64_t seed, size_t size);
-uint64_t Checksum(const std::vector<uint8_t>& data);
-uint64_t PatternChecksum(uint64_t seed, size_t size);
 
 // One scripted operation. Returning kContinue advances to the next op;
 // kBlocked parks the process (resuming at the NEXT op when woken); kFailed

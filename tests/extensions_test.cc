@@ -261,7 +261,7 @@ TEST_F(PageoutTest, DirtyPagesWrittenBackBeforeReclaim) {
   ASSERT_GE(vnode->disk_image.size(), data.size());
   std::vector<uint8_t> disk(vnode->disk_image.begin(),
                             vnode->disk_image.begin() + static_cast<int64_t>(data.size()));
-  EXPECT_EQ(workloads::Checksum(disk), workloads::Checksum(data));
+  EXPECT_EQ(disk, data);
 }
 
 TEST_F(PageoutTest, ReclaimedPageRefetchesCorrectly) {
@@ -281,7 +281,7 @@ TEST_F(PageoutTest, ReclaimedPageRefetchesCorrectly) {
   (void)cell.pageout().Scan(ctx, 4096);
   // Read again: pages refetch from disk with identical contents.
   ASSERT_TRUE(cell.fs().Read(ctx, *handle, 0, std::span<uint8_t>(buf)).ok());
-  EXPECT_EQ(workloads::Checksum(buf), workloads::PatternChecksum(4, 16 * 4096));
+  EXPECT_EQ(buf, workloads::PatternData(4, 16 * 4096));
 }
 
 class MultiFailureTest : public ::testing::Test {

@@ -63,7 +63,7 @@ TEST_F(FailureRecoveryTest, SurvivingCellsKeepWorkingAfterRecovery) {
   ASSERT_TRUE(handle.ok());
   std::vector<uint8_t> buf(8192);
   ASSERT_TRUE(b.fs().Read(bctx, *handle, 0, std::span<uint8_t>(buf)).ok());
-  EXPECT_EQ(workloads::Checksum(buf), workloads::PatternChecksum(3, 8192));
+  EXPECT_EQ(buf, workloads::PatternData(3, 8192));
 }
 
 TEST_F(FailureRecoveryTest, PreemptiveDiscardDropsPagesWritableByFailedCell) {
@@ -103,7 +103,7 @@ TEST_F(FailureRecoveryTest, PreemptiveDiscardDropsPagesWritableByFailedCell) {
   auto fresh = home.fs().Open(hctx2, "/victim");
   ASSERT_TRUE(fresh.ok());
   ASSERT_TRUE(home.fs().Read(hctx2, *fresh, 0, std::span<uint8_t>(buf)).ok());
-  EXPECT_EQ(workloads::Checksum(buf), workloads::PatternChecksum(9, 4096));
+  EXPECT_EQ(buf, workloads::PatternData(9, 4096));
 }
 
 TEST_F(FailureRecoveryTest, FirewallRevokedFromFailedCell) {
@@ -227,7 +227,7 @@ TEST_F(FailureRecoveryTest, ReintegrationRebootsFailedCell) {
   ASSERT_TRUE(handle.ok());
   std::vector<uint8_t> buf(4096);
   ASSERT_TRUE(client.fs().Read(cctx, *handle, 0, std::span<uint8_t>(buf)).ok());
-  EXPECT_EQ(workloads::Checksum(buf), workloads::PatternChecksum(4, 4096));
+  EXPECT_EQ(buf, workloads::PatternData(4, 4096));
   // And a later failure of the same cell is detectable again.
   injector.ScheduleNodeFailure(2, ts_.machine->Now() + 20 * kMillisecond);
   ts_.machine->events().RunUntil(ts_.machine->Now() + 300 * kMillisecond);
@@ -658,7 +658,7 @@ TEST_F(SalvageTest, CleanWriteExportedPageIsSalvagedNotDiscarded) {
   std::vector<uint8_t> buf(4096);
   ASSERT_TRUE(
       home.fs().Read(ctx, pre_failure_handle_, 0, std::span<uint8_t>(buf)).ok());
-  EXPECT_EQ(workloads::Checksum(buf), workloads::PatternChecksum(7, 4096));
+  EXPECT_EQ(buf, workloads::PatternData(7, 4096));
 }
 
 TEST_F(SalvageTest, ScribbledWriteExportIsRejectedAndDiscarded) {
@@ -683,7 +683,7 @@ TEST_F(SalvageTest, ScribbledWriteExportIsRejectedAndDiscarded) {
   auto fresh = home.fs().Open(ctx, "/salvage");
   ASSERT_TRUE(fresh.ok());
   ASSERT_TRUE(home.fs().Read(ctx, *fresh, 0, std::span<uint8_t>(buf)).ok());
-  EXPECT_EQ(workloads::Checksum(buf), workloads::PatternChecksum(7, 4096));
+  EXPECT_EQ(buf, workloads::PatternData(7, 4096));
 }
 
 TEST(LiveRejoinTest, RebootedCellConvergesToFullMemberUnderLiveRejoin) {
@@ -716,7 +716,7 @@ TEST(LiveRejoinTest, RebootedCellConvergesToFullMemberUnderLiveRejoin) {
   ASSERT_TRUE(handle.ok());
   std::vector<uint8_t> buf(4096);
   ASSERT_TRUE(peer.fs().Read(pctx, *handle, 0, std::span<uint8_t>(buf)).ok());
-  EXPECT_EQ(workloads::Checksum(buf), workloads::PatternChecksum(5, 4096));
+  EXPECT_EQ(buf, workloads::PatternData(5, 4096));
 }
 
 }  // namespace

@@ -167,7 +167,7 @@ TEST_F(FileSystemTest, SyncWritesDirtyPagesToDisk) {
   ASSERT_TRUE(cell.fs().Sync(id->vnode).ok());
   const Vnode* vnode = cell.fs().FindVnode(id->vnode);
   ASSERT_EQ(vnode->disk_image.size(), 8192u);
-  EXPECT_EQ(workloads::Checksum(vnode->disk_image), workloads::Checksum(data));
+  EXPECT_EQ(vnode->disk_image, data);
 }
 
 TEST_F(FileSystemTest, ShadowVnodeReusedAcrossOpens) {

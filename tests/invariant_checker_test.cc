@@ -58,18 +58,46 @@ TEST_F(InvariantCheckerTest, CatchesUnauthorizedFirewallGrant) {
   EXPECT_TRUE(checker.AuditAll().clean());
 }
 
+TEST_F(InvariantCheckerTest, CatchesUnauthorizedBitOnNeverAllocatedFrame) {
+  // The audit looks up bookkeeping only for touched frames, yet must still
+  // compare every page's vector: an open bit on the cell's last paged frame,
+  // which nothing ever allocated, is caught and named.
+  Cell& victim = ts_.cell(3);
+  flash::PhysMem& mem = ts_.machine->mem();
+  const Pfn last = mem.PfnOfAddr(victim.mem_base() + victim.mem_size() - mem.page_size());
+  ts_.machine->firewall().GrantCpus(last, ts_.cell(1).CpuMask(), victim.FirstCpu());
+
+  InvariantChecker checker(ts_.hive.get());
+  const InvariantReport report = checker.AuditCell(3);
+  ASSERT_EQ(report.mismatches.size(), 1u);
+  EXPECT_EQ(report.mismatches.front().cell, 3);
+  EXPECT_EQ(report.mismatches.front().pfn, last);
+  EXPECT_EQ(report.mismatches.front().expected, victim.CpuMask());
+  EXPECT_EQ(report.mismatches.front().actual & ~report.mismatches.front().expected,
+            ts_.cell(1).CpuMask());
+}
+
+TEST_F(InvariantCheckerTest, AuditsEveryPageOfTheCell) {
+  InvariantChecker checker(ts_.hive.get());
+  for (CellId c = 0; c < 4; ++c) {
+    const Cell& cell = ts_.cell(c);
+    EXPECT_EQ(checker.AuditCell(c).pages_audited,
+              cell.mem_size() / ts_.machine->mem().page_size())
+        << "cell " << c;
+  }
+}
+
 TEST_F(InvariantCheckerTest, CatchesLoanBookkeepingMismatch) {
   // A pfdat that claims its frame is loaned out while the allocator disagrees
   // is corrupt bookkeeping (and the firewall vector no longer matches the
   // claimed borrower).
   Cell& cell = ts_.cell(2);
-  Pfdat* pfdat = nullptr;
-  cell.pfdats().ForEach([&](Pfdat* p) {
-    if (pfdat == nullptr && !p->extended && !p->loaned_out) {
-      pfdat = p;
-    }
-  });
+  const uint64_t page_size = ts_.machine->mem().page_size();
+  Pfdat* pfdat = cell.pfdats().FindByFrame(cell.mem_base() + cell.mem_size() -
+                                           cell.paged_frames() * page_size);
   ASSERT_NE(pfdat, nullptr);
+  ASSERT_FALSE(pfdat->extended);
+  ASSERT_FALSE(pfdat->loaned_out);
   pfdat->loaned_out = true;
   pfdat->loaned_to = 0;
 

@@ -133,7 +133,7 @@ TEST_F(MemorySharingTest, RemoteReadSeesDataWrittenAtHome) {
   Ctx ctx = client.MakeCtx();
   std::vector<uint8_t> buf(16384);
   ASSERT_TRUE(client.fs().Read(ctx, handle, 0, std::span<uint8_t>(buf)).ok());
-  EXPECT_EQ(workloads::Checksum(buf), workloads::PatternChecksum(99, 16384));
+  EXPECT_EQ(buf, workloads::PatternData(99, 16384));
 }
 
 TEST_F(MemorySharingTest, RemoteWriteReachesHomeDisk) {
@@ -147,7 +147,7 @@ TEST_F(MemorySharingTest, RemoteWriteReachesHomeDisk) {
   const Vnode* vnode = ts_.cell(1).fs().FindVnode(home_vnode);
   ASSERT_NE(vnode, nullptr);
   std::vector<uint8_t> disk(vnode->disk_image.begin(), vnode->disk_image.begin() + 8192);
-  EXPECT_EQ(workloads::Checksum(disk), workloads::Checksum(data));
+  EXPECT_EQ(disk, data);
 }
 
 // --- Physical-level sharing. ---

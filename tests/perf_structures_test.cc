@@ -1,11 +1,12 @@
 // Tests for the hot-path data structures behind the simulator overhaul:
 // the firewall manager's per-client reverse index and globally-writable
-// counter, the page allocator's per-cell loan/borrow buckets, and the pfdat
-// slab arena.
+// counter, the page allocator's per-cell loan/borrow buckets, the pfdat slab
+// arena, and lazy pfdats (boot cost proportional to touched frames).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 
 #include "src/core/cell.h"
 #include "src/core/filesystem.h"
@@ -180,7 +181,8 @@ TEST(PfdatArenaTest, SlabsGrowByBlockAndRecycleSlots) {
 
 TEST(PfdatArenaTest, PointersStayStableAsArenaGrows) {
   PfdatTable table;
-  Pfdat* first = table.AddRegular(0x1000);
+  table.SetRegularRange(0x1000, 4096, 1);
+  Pfdat* first = table.Regular(0);
   first->refcount = 7;
   for (uint64_t i = 0; i < 4 * PfdatTable::kSlabPfdats; ++i) {
     table.AddExtended(0x200000 + i * 4096);
@@ -205,6 +207,108 @@ TEST(PfdatArenaTest, ClearRetainsSlabMemoryForReboot) {
     table.AddExtended(0x300000 + i * 4096);
   }
   EXPECT_EQ(table.arena_slabs(), slabs_before);
+}
+
+// --- Lazy pfdats: boot registers the paged range, frames materialize on use. ---
+
+PhysAddr FirstPagedFrame(Cell& cell) {
+  const uint64_t page_size = cell.machine().mem().page_size();
+  return cell.mem_base() + cell.mem_size() - cell.paged_frames() * page_size;
+}
+
+TEST(LazyPfdatTest, BootMaterializesNoFramePfdats) {
+  hivetest::TestSystem ts = hivetest::BootHive(4);
+  for (CellId c = 0; c < 4; ++c) {
+    Cell& cell = ts.cell(c);
+    ASSERT_GT(cell.paged_frames(), PfdatTable::kSlabPfdats);
+    // Every paged frame counts (recovery charges its scan by this)...
+    EXPECT_EQ(cell.pfdats().total_pfdats(), cell.paged_frames()) << "cell " << c;
+    // ...but an eager boot would have carved paged_frames / kSlabPfdats slabs.
+    EXPECT_LE(cell.pfdats().arena_slabs(), 1u) << "cell " << c;
+  }
+}
+
+TEST(LazyPfdatTest, AllocatorPopsUntouchedFramesThenRecycledFifo) {
+  hivetest::TestSystem ts = hivetest::BootHive(4);
+  Cell& cell = ts.cell(1);
+  Ctx ctx = cell.MakeCtx();
+  const uint64_t page_size = cell.machine().mem().page_size();
+  // Model: a FIFO seeded at boot with every paged frame in ascending order.
+  std::deque<PhysAddr> model;
+  for (uint64_t i = 0; i < cell.paged_frames(); ++i) {
+    model.push_back(FirstPagedFrame(cell) + i * page_size);
+  }
+  std::vector<Pfdat*> held;
+  auto alloc_and_match = [&]() {
+    auto pfdat = cell.allocator().AllocFrame(ctx, AllocConstraints{.kernel_internal = true});
+    ASSERT_TRUE(pfdat.ok());
+    ASSERT_FALSE(model.empty());
+    EXPECT_EQ((*pfdat)->frame, model.front());
+    model.pop_front();
+    held.push_back(*pfdat);
+    EXPECT_EQ(cell.allocator().free_frames(), model.size());
+  };
+  auto free_held = [&](size_t i) {
+    held[i]->refcount = 0;
+    model.push_back(held[i]->frame);
+    cell.allocator().FreeFrame(ctx, held[i]);
+    EXPECT_EQ(cell.allocator().free_frames(), model.size());
+  };
+
+  for (int i = 0; i < 8; ++i) {
+    alloc_and_match();
+  }
+  // Freed frames queue behind every untouched frame, in the order freed.
+  free_held(5);
+  free_held(2);
+  free_held(7);
+  while (model.size() > 3) {
+    alloc_and_match();
+  }
+  free_held(0);
+  while (!model.empty()) {
+    alloc_and_match();
+  }
+  EXPECT_FALSE(cell.allocator().AllocFrame(ctx, AllocConstraints{.kernel_internal = true}).ok());
+}
+
+TEST(LazyPfdatTest, FindByFrameOnUntouchedFrameYieldsUnboundPfdat) {
+  hivetest::TestSystem ts = hivetest::BootHive(4);
+  Cell& cell = ts.cell(2);
+  const uint64_t page_size = cell.machine().mem().page_size();
+  const PhysAddr last = cell.mem_base() + cell.mem_size() - page_size;
+  Pfdat* pfdat = cell.pfdats().FindByFrame(last);
+  ASSERT_NE(pfdat, nullptr);
+  EXPECT_EQ(pfdat->frame, last);
+  EXPECT_FALSE(pfdat->extended);
+  EXPECT_FALSE(pfdat->HasLogicalBinding());
+  EXPECT_FALSE(pfdat->loaned_out);
+  EXPECT_EQ(pfdat->refcount, 0);
+  EXPECT_EQ(pfdat->imported_from, kInvalidCell);
+  // The same pfdat on every later lookup; the kernel region has none.
+  EXPECT_EQ(cell.pfdats().FindByFrame(last), pfdat);
+  EXPECT_EQ(cell.pfdats().FindByFrame(cell.mem_base()), nullptr);
+  EXPECT_EQ(cell.pfdats().total_pfdats(), cell.paged_frames());
+}
+
+TEST(LazyPfdatTest, ForEachMergesMaterializedRegularsWithExtendedInFrameOrder) {
+  PfdatTable table;
+  const PhysAddr base = 0x10000;
+  table.SetRegularRange(base, 4096, 16);
+  table.AddExtended(0x100000);
+  Pfdat* r9 = table.Regular(9);
+  table.AddExtended(0x1000);
+  Pfdat* r3 = table.Regular(3);
+  table.AddExtended(base + 16 * 4096);  // First frame past the range.
+  table.AddExtended(0x8000);
+
+  std::vector<PhysAddr> visited;
+  table.ForEach([&](Pfdat* pfdat) { visited.push_back(pfdat->frame); });
+  const std::vector<PhysAddr> expected = {0x1000, 0x8000, r3->frame, r9->frame,
+                                          base + 16 * 4096, 0x100000};
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(r3->frame, base + 3 * 4096);
+  EXPECT_EQ(table.total_pfdats(), 16u + 4u);
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ TEST_F(SingleSystemTest, RenameKeepsContents) {
   ASSERT_TRUE(handle.ok());
   std::vector<uint8_t> buf(4096);
   ASSERT_TRUE(reader.fs().Read(rctx, *handle, 0, std::span<uint8_t>(buf)).ok());
-  EXPECT_EQ(workloads::Checksum(buf), workloads::PatternChecksum(4, 4096));
+  EXPECT_EQ(buf, workloads::PatternData(4, 4096));
 }
 
 TEST_F(SingleSystemTest, RenameToExistingPathFails) {

@@ -28,17 +28,6 @@ TEST(PatternDataTest, PrefixStable) {
   }
 }
 
-TEST(PatternDataTest, ChecksumDetectsCorruption) {
-  auto data = PatternData(3, 512);
-  const uint64_t clean = Checksum(data);
-  data[100] ^= 0x01;
-  EXPECT_NE(Checksum(data), clean);
-}
-
-TEST(PatternDataTest, PatternChecksumAgrees) {
-  EXPECT_EQ(PatternChecksum(9, 333), Checksum(PatternData(9, 333)));
-}
-
 uint64_t XorShift(uint64_t x) {
   x ^= x << 13;
   x ^= x >> 7;
