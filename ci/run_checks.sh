@@ -5,8 +5,9 @@
 #      warn on stale baseline entries), and the full-tree run stays under
 #      the 5-second budget;
 #   2. hive_lint flags every seeded violation in tests/lint_fixtures
-#      (including the R0 bad-suppression case and the whole-program rules
-#      R8-R11) and honours the one properly suppressed site;
+#      (including the R0 bad-suppression case, the whole-program rules
+#      R8-R11 and the unsuppressible R12) and honours the one properly
+#      suppressed site;
 #   2b. when clang-tidy is installed, the pinned .clang-tidy profile
 #      (bugprone-* + concurrency-*) runs clean over src/base/ using the
 #      compile_commands.json exported by the primary build;
@@ -29,10 +30,12 @@
 #   4d. the pinned determinism fingerprints hold: hive_campaign merged
 #       fingerprints for seeds 1-3 at 600 scenarios, and the hive_serve
 #       fingerprints of the default and the 8-cell/32-tenant soak;
+#   4e. a 20000-scenario campaign sweep (seed 2) reaches a verdict with no
+#       violation: the uncaught-bus-error crash family stays closed;
 #   5. the full test suite builds and passes under ASan+UBSan, and an
 #      ASan+UBSan hive_serve runs to a verdict (exit 0 or 3, never a signal
-#      or a sanitizer report) at every --cells {4,8,16} x --tenants
-#      {8,32,64} geometry;
+#      or a sanitizer report) at every --seed {1..6} x --cells {4,8,16} x
+#      --tenants {8,32,64} soak, each the full 60 s;
 #   6. the campaign thread pool -- including the RPC retry/quarantine state
 #      it exercises -- builds and runs clean under TSan;
 #   7. optionally, a nightly-scale campaign sweep (HIVE_CAMPAIGN_SCENARIOS).
@@ -115,12 +118,12 @@ echo "== hive_lint: seeded fixtures must be flagged =="
 fixture_out="$("$LINT" --root "$SOURCE_DIR/tests/lint_fixtures" 2>&1)" && \
   fail "hive_lint exited 0 on the seeded fixture tree"
 echo "$fixture_out"
-for rule in R0 R1 R2 R3 R4 R5 R6 R7 R8 R9 R10 R11; do
+for rule in R0 R1 R2 R3 R4 R5 R6 R7 R8 R9 R10 R11 R12; do
   grep -q "\[$rule\]" <<<"$fixture_out" || fail "fixture scan did not report $rule"
 done
-# Good twins of the whole-program rules must be completely silent.
+# Good twins of the whole-program rules and R12 must be completely silent.
 for good in good_lock_order.cc good_status_discard.cc good_nondeterminism.cc \
-            good_remote_deref.cc; do
+            good_remote_deref.cc good_bus_panic.cc; do
   grep -q "/$good:" <<<"$fixture_out" && \
     fail "hive_lint reported diagnostics in good twin $good"
 done
@@ -484,6 +487,17 @@ for pin in "4f0b6f9dcdbbb4c8" "8ea45dcb7dd55536 --cells=8 --tenants=32"; do
   }
 done
 
+echo "== bus-error crash family: 20000-scenario campaign sweep =="
+# A trap taken by a kernel whose node died before its next clock tick once
+# escaped the event loop (first at scenario 608 of seed 2) or panicked the
+# wrong cell. Every trap now panics only the kernel that took it, so the
+# sweep must reach a verdict with no violation.
+"$CAMPAIGN" --seed=2 --scenarios=20000 --workers="$JOBS" \
+  >"$BUILD_DIR/bus_error_sweep.log" 2>&1 || {
+  tail -n 40 "$BUILD_DIR/bus_error_sweep.log"
+  fail "campaign --seed=2 --scenarios=20000 did not pass every oracle"
+}
+
 echo "== sanitizer build: ASan+UBSan test suite =="
 ASAN_DIR="$BUILD_DIR/check-asan"
 cmake -B "$ASAN_DIR" -S "$SOURCE_DIR" \
@@ -493,21 +507,24 @@ cmake --build "$ASAN_DIR" --target hive_tests -j "$JOBS" >/dev/null
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
   -E '^(hive_lint_clean|hive_lint_fixture)' || fail "sanitizer test suite failed"
 
-echo "== sanitizer build: hive_serve geometry matrix =="
+echo "== sanitizer build: hive_serve seed x geometry matrix =="
 # Wider soaks fork, kill and reboot far more processes than the smoke soak;
-# this is where freed exit waiters and dangling callbacks show up. Each run
-# must reach a verdict: 0 (SLOs met) or 3 (SLO violations).
+# this is where freed exit waiters, dangling callbacks and traps escaping
+# the event loop show up. Each of the 54 full-length runs must reach a
+# verdict: 0 (SLOs met) or 3 (SLO violations).
 cmake --build "$ASAN_DIR" --target hive_serve -j "$JOBS" >/dev/null
-for cells in 4 8 16; do
-  for tenants in 8 32 64; do
-    echo "$cells $tenants"
+for seed in 1 2 3 4 5 6; do
+  for cells in 4 8 16; do
+    for tenants in 8 32 64; do
+      echo "$seed $cells $tenants"
+    done
   done
 done | xargs -P "$JOBS" -L 1 bash -c '
-  run="$0/serve_matrix_${1}x${2}"
+  run="$0/serve_matrix_${1}_${2}x${3}"
   status=0
-  "$0/tools/hive_serve/hive_serve" --seed=1 --duration-s=20 --cells="$1" \
-    --tenants="$2" --out="$run.json" >"$run.log" 2>&1 || status=$?
-  echo "hive_serve --cells=$1 --tenants=$2: exit $status"
+  "$0/tools/hive_serve/hive_serve" --seed="$1" --cells="$2" --tenants="$3" \
+    --out="$run.json" >"$run.log" 2>&1 || status=$?
+  echo "hive_serve --seed=$1 --cells=$2 --tenants=$3: exit $status"
   if [[ "$status" -ne 0 && "$status" -ne 3 ]]; then
     tail -n 40 "$run.log"
     exit 1

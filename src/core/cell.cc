@@ -3,7 +3,6 @@
 #include "src/base/log.h"
 #include "src/base/sim_profile.h"
 #include "src/core/hive_system.h"
-#include "src/flash/bus_error.h"
 
 namespace hive {
 namespace {
@@ -292,15 +291,11 @@ void Cell::ClockTick() {
       rogue_.active && (rogue_.clock_freeze ||
                         (rogue_.clock_drift &&
                          clock_ticks_ % static_cast<uint64_t>(rogue_.clock_drift_divisor) != 0));
-  if (!skip_increment) {
-    try {
-      const uint64_t value = heap_->Read<uint64_t>(clock_word_addr_);
-      heap_->Write<uint64_t>(clock_word_addr_, value + 1);
-      // hive-lint: allow(R3): bus error outside a careful section panics this kernel (paper 4.1) -- the required conversion IS the panic.
-    } catch (const flash::BusError& e) {
-      Panic(std::string("bus error updating own clock: ") + e.what());
-      return;
-    }
+  if (!skip_increment && !RunKernel("updating own clock", [this] {
+        const uint64_t value = heap_->Read<uint64_t>(clock_word_addr_);
+        heap_->Write<uint64_t>(clock_word_addr_, value + 1);
+      })) {
+    return;
   }
 
   if (!system_->smp_mode() && system_->num_cells() > 1) {

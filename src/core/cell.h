@@ -26,6 +26,7 @@
 #include "src/core/trace.h"
 #include "src/core/types.h"
 #include "src/core/wax.h"
+#include "src/flash/bus_error.h"
 #include "src/flash/machine.h"
 
 namespace hive {
@@ -111,6 +112,25 @@ class Cell {
   // or an internal consistency failure. Cuts off remote access to this cell's
   // memory (table 8.1 "memory cutoff") and halts its processors.
   void Panic(const std::string& reason);
+
+  // Runs `fn` as this cell's kernel. This is the one place the section 4.1
+  // rule lives: a bus error that reaches here was taken outside a careful
+  // section, so this kernel is corrupt and panics with reason
+  // "bus error <what>: <trap>". Returns false if it did. Every kernel entry
+  // goes through its own cell's boundary, nested ones included (an RPC
+  // served for a client, a cell's share of a recovery round run from a
+  // peer's event), so a trap unwinds only the work of the kernel that took
+  // it and never panics the cell whose event happened to be running.
+  template <typename Fn>
+  bool RunKernel(const char* what, Fn&& fn) {
+    try {
+      fn();
+      return true;
+    } catch (const flash::BusError& e) {
+      Panic(std::string("bus error ") + what + ": " + e.what());
+      return false;
+    }
+  }
 
   // Hardware death (node failure).
   void MarkDead();

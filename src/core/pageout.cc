@@ -31,7 +31,11 @@ void PageoutDaemon::Tick() {
     return;
   }
   Ctx ctx = cell_->MakeCtx();
-  (void)Scan(ctx);
+  // A swap-out DMA from a node that failed before the clock tick noticed
+  // traps; the panicked kernel does not re-arm the daemon.
+  if (!cell_->RunKernel("during pageout", [&] { (void)Scan(ctx); })) {
+    return;
+  }
   // The daemon's work occupies the CPU like any kernel thread.
   flash::Cpu& cpu = cell_->machine().cpu(ctx.cpu);
   cpu.free_at = std::max(cpu.free_at, ctx.start) + ctx.elapsed;

@@ -244,12 +244,24 @@ RecoveryStats RecoveryManager::Run(Ctx& ctx, const std::vector<CellId>& failed_c
   }
   stats.entered_recovery = entry;
 
+  // Each cell's share of the round runs as that cell's own kernel. A cell
+  // whose node failed since its last clock tick is still in the live set,
+  // traps on its own memory here, panics, and takes no further part in the
+  // round.
+  std::vector<bool> in_round(live.size(), true);
+  auto run_share = [&](size_t i, auto&& phase) {
+    in_round[i] = in_round[i] && system_->cell(live[i]).RunKernel("during recovery", phase);
+    return in_round[i];
+  };
+
   // Phase A (before barrier 1): flush TLBs, remove mappings. Page faults that
   // arrive after a cell joins the barrier are held up on the client side.
   Time barrier1 = 0;
   for (size_t i = 0; i < live.size(); ++i) {
-    const Time cost = PhaseFlushMappings(ctx, live[i]);
-    barrier1 = std::max(barrier1, entry[i] + cost);
+    Time cost = 0;
+    if (run_share(i, [&] { cost = PhaseFlushMappings(ctx, live[i]); })) {
+      barrier1 = std::max(barrier1, entry[i] + cost);
+    }
   }
   barrier1 += system_->costs().recovery_barrier_round_ns;
   stats.barrier1_time = barrier1;
@@ -257,28 +269,36 @@ RecoveryStats RecoveryManager::Run(Ctx& ctx, const std::vector<CellId>& failed_c
   // Phase B (between barriers): revoke grants, preemptive discard, VM and
   // process cleanup.
   Time barrier2 = barrier1;
-  for (CellId cell_id : live) {
-    Time cost = PhaseDiscardAndCleanup(ctx, cell_id, failed_cells, &stats);
-    cost += PhaseKillDependents(ctx, cell_id, failed_cells, &stats);
-    barrier2 = std::max(barrier2, barrier1 + cost);
+  for (size_t i = 0; i < live.size(); ++i) {
+    Time cost = 0;
+    if (run_share(i, [&] {
+          cost = PhaseDiscardAndCleanup(ctx, live[i], failed_cells, &stats);
+          cost += PhaseKillDependents(ctx, live[i], failed_cells, &stats);
+        })) {
+      barrier2 = std::max(barrier2, barrier1 + cost);
+    }
   }
   barrier2 += system_->costs().recovery_barrier_round_ns;
   stats.barrier2_time = barrier2;
 
-  // Cells that exit the second barrier resume normal operation.
-  for (CellId cell_id : live) {
+  // Cells that exit the second barrier resume normal operation. A cell that
+  // panicked during the round only closes the recovery bracket it entered.
+  for (size_t i = 0; i < live.size(); ++i) {
+    const CellId cell_id = live[i];
     Cell& cell = system_->cell(cell_id);
+    cell.set_in_recovery(false);
+    cell.Trace(TraceEvent::kExitRecovery, static_cast<uint64_t>(stats.pages_discarded));
+    if (!in_round[i]) {
+      continue;
+    }
     cell.SuspendUsersUntil(barrier2);
     if (system_->slo_recorder() != nullptr) {
       // Survivors were frozen from confirmation to barrier 2; the window
       // counts against their availability even though they never went down.
       system_->slo_recorder()->NoteSuspension(cell_id, stats.detect_time, barrier2);
     }
-    cell.set_in_recovery(false);
-    cell.Trace(TraceEvent::kExitRecovery, static_cast<uint64_t>(stats.pages_discarded));
-    cell.detector().ForgetCell(failed_cells.front());
-    for (size_t i = 1; i < failed_cells.size(); ++i) {
-      cell.detector().ForgetCell(failed_cells[i]);
+    for (CellId f : failed_cells) {
+      cell.detector().ForgetCell(f);
     }
     cell.sched().KickAll();
   }
@@ -286,9 +306,14 @@ RecoveryStats RecoveryManager::Run(Ctx& ctx, const std::vector<CellId>& failed_c
   // Waiters blocked on processes that died with a failed cell are woken.
   system_->WakeOrphanedWaiters();
 
-  // Elect the recovery master (lowest live cell id) and run diagnostics on
-  // the failed nodes; if they pass, reboot and reintegrate.
-  stats.recovery_master = *std::min_element(live.begin(), live.end());
+  // Elect the recovery master (lowest id still in the round; `live` is in id
+  // order) and run diagnostics on the failed nodes; if they pass, reboot and
+  // reintegrate.
+  for (size_t i = 0; i < live.size() && stats.recovery_master == kInvalidCell; ++i) {
+    if (in_round[i]) {
+      stats.recovery_master = live[i];
+    }
+  }
   if (auto_reintegrate) {
     for (CellId f : failed_cells) {
       system_->machine().events().ScheduleAt(

@@ -5,25 +5,10 @@
 #include "src/base/sim_profile.h"
 #include "src/core/cell.h"
 #include "src/core/hive_system.h"
-#include "src/flash/bus_error.h"
 #include "src/flash/fault_injector.h"
 
 namespace hive {
 namespace {
-
-// A cell is reachable if its kernel is up AND the hardware under it is alive
-// (a freshly failed node drops SIPS messages before the kernel state knows).
-bool Reachable(Cell& cell) {
-  if (!cell.alive()) {
-    return false;
-  }
-  for (int node = cell.first_node(); node < cell.first_node() + cell.num_nodes(); ++node) {
-    if (cell.machine().NodeDead(node)) {
-      return false;
-    }
-  }
-  return true;
-}
 
 // Fate of one message hop under the active fault model (if any). A corrupted
 // line is detected by the per-line checksum at the receiver, so for the
@@ -148,7 +133,13 @@ base::Status RpcLayer::ServeSequenced(Ctx& server_ctx, CellId client, uint64_t s
     // non-idempotent handler is exactly the bug the replay cache prevents.
     ++stats_.at_most_once_violations;
   }
-  const base::Status status = Serve(server_ctx, type, args, reply);
+  base::Status status = base::OkStatus();
+  if (!cell_->RunKernel("during RPC service",
+                        [&] { status = Serve(server_ctx, type, args, reply); })) {
+    // The serving kernel panicked: nothing is cached or counted, and the
+    // client, finding this cell unreachable, times out.
+    return base::Unavailable();
+  }
   if (status.ok() && IsAtMostOnce(type)) {
     ++stats_.executed_mutations;
   }
@@ -291,7 +282,7 @@ base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs
   }
 
   Cell& tcell = system_->cell(target);
-  if (!Reachable(tcell)) {
+  if (!system_->CellReachable(target)) {
     // The message vanishes and no retry can help: the node is gone. The
     // timeout raises a failure hint (at most one per agreement window).
     return TimeoutPath(ctx, target, /*exhausted=*/false);
@@ -364,15 +355,8 @@ base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs
       // boundary -- O(1) for the victim, a full round trip for the babbler.
       status = base::Unavailable();
     } else {
-      try {
-        status = tcell.rpc().ServeSequenced(server_ctx, cell_->id(), seq, type, args, reply,
-                                            cell_->incarnation());
-        // hive-lint: allow(R3): bus error in kernel service means the serving kernel is corrupt; the catch is the panic path.
-      } catch (const flash::BusError& e) {
-        // A bus error during kernel service outside a careful section means the
-        // serving kernel is corrupt: it panics, and the client times out.
-        tcell.Panic(std::string("bus error during RPC service: ") + e.what());
-      }
+      status = tcell.rpc().ServeSequenced(server_ctx, cell_->id(), seq, type, args, reply,
+                                          cell_->incarnation());
     }
 
     if (tcell.rogue().rpc_garbage && status.ok() &&
@@ -399,19 +383,14 @@ base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs
       dup_ctx.start = server_ctx.VirtualNow();
       dup_ctx.Charge(costs_.rpc_dispatch_ns + costs_.rpc_server_stub_ns);
       RpcReply scratch;
-      try {
-        // The duplicate's status is deliberately dropped: the client already
-        // answered from the original; only the occupancy cost matters here.
-        (void)tcell.rpc().ServeSequenced(dup_ctx, cell_->id(), seq, type, args, &scratch,
-                                         cell_->incarnation());
-        // hive-lint: allow(R3): bus error in kernel service means the serving kernel is corrupt; the catch is the panic path.
-      } catch (const flash::BusError& e) {
-        tcell.Panic(std::string("bus error during RPC service: ") + e.what());
-      }
+      // The duplicate's status is deliberately dropped: the client already
+      // answered from the original; only the occupancy cost matters here.
+      (void)tcell.rpc().ServeSequenced(dup_ctx, cell_->id(), seq, type, args, &scratch,
+                                       cell_->incarnation());
       extra_occupancy = dup_ctx.elapsed;
     }
 
-    if (!Reachable(tcell)) {
+    if (!system_->CellReachable(target)) {
       return TimeoutPath(ctx, target, /*exhausted=*/false);
     }
 
@@ -482,7 +461,7 @@ base::Status RpcLayer::CallFault(Ctx& ctx, CellId target, MsgType type, const Rp
   }
 
   Cell& tcell = system_->cell(target);
-  if (!Reachable(tcell)) {
+  if (!system_->CellReachable(target)) {
     return TimeoutPath(ctx, target, /*exhausted=*/false);
   }
   if (tcell.in_recovery()) {
@@ -527,14 +506,8 @@ base::Status RpcLayer::CallFault(Ctx& ctx, CellId target, MsgType type, const Rp
     server_ctx.start = ctx.VirtualNow();
     server_ctx.fault_bd = ctx.fault_bd;
 
-    base::Status status = base::OkStatus();
-    try {
-      status = tcell.rpc().ServeSequenced(server_ctx, cell_->id(), seq, type, args, reply,
-                                          cell_->incarnation());
-      // hive-lint: allow(R3): bus error in kernel service means the serving kernel is corrupt; the catch is the panic path.
-    } catch (const flash::BusError& e) {
-      tcell.Panic(std::string("bus error during RPC service: ") + e.what());
-    }
+    const base::Status status = tcell.rpc().ServeSequenced(server_ctx, cell_->id(), seq, type,
+                                                           args, reply, cell_->incarnation());
 
     Time extra_occupancy = 0;
     if (request.duplicate && tcell.alive()) {
@@ -543,19 +516,14 @@ base::Status RpcLayer::CallFault(Ctx& ctx, CellId target, MsgType type, const Rp
       dup_ctx.cpu = server_cpu;
       dup_ctx.start = server_ctx.VirtualNow();
       RpcReply scratch;
-      try {
-        // The duplicate's status is deliberately dropped: the client already
-        // answered from the original; only the occupancy cost matters here.
-        (void)tcell.rpc().ServeSequenced(dup_ctx, cell_->id(), seq, type, args, &scratch,
-                                         cell_->incarnation());
-        // hive-lint: allow(R3): bus error in kernel service means the serving kernel is corrupt; the catch is the panic path.
-      } catch (const flash::BusError& e) {
-        tcell.Panic(std::string("bus error during RPC service: ") + e.what());
-      }
+      // The duplicate's status is deliberately dropped: the client already
+      // answered from the original; only the occupancy cost matters here.
+      (void)tcell.rpc().ServeSequenced(dup_ctx, cell_->id(), seq, type, args, &scratch,
+                                       cell_->incarnation());
       extra_occupancy = dup_ctx.elapsed;
     }
 
-    if (!Reachable(tcell)) {
+    if (!system_->CellReachable(target)) {
       return TimeoutPath(ctx, target, /*exhausted=*/false);
     }
 

@@ -169,8 +169,10 @@ class RpcLayer {
   base::Status Serve(Ctx& server_ctx, MsgType type, const RpcArgs& args, RpcReply* reply);
 
   // Serves one sequenced request from `client`; consults the replay cache.
-  // Public so oracle tests can deliver literal duplicate sequence numbers
-  // without a fault model in the transport path.
+  // The handler runs as this cell's kernel (Cell::RunKernel): a trap in it
+  // panics this cell and returns Unavailable with nothing cached. Public so
+  // oracle tests can deliver literal duplicate sequence numbers without a
+  // fault model in the transport path.
   //
   // `client_epoch` is the caller's boot incarnation. A rebooted client
   // restarts its sequence numbers at 1, so its fresh calls could collide

@@ -8,7 +8,6 @@
 #include "src/core/cow_tree.h"
 #include "src/core/filesystem.h"
 #include "src/core/hive_system.h"
-#include "src/flash/bus_error.h"
 
 namespace hive {
 
@@ -123,25 +122,21 @@ void Scheduler::RunSlice(int cpu_index) {
   ctx.start = now;
 
   StepOutcome outcome = StepOutcome::kContinue;
-  while (ctx.elapsed < kQuantum) {
-    const Time before = ctx.elapsed;
-    try {
-      outcome = proc->behavior()->Step(ctx, *proc);
-      // hive-lint: allow(R3): this catch implements the section 4.1 discipline itself: uncontained bus error => panic.
-    } catch (const flash::BusError& e) {
-      // A bus error during kernel execution outside a careful section means
-      // this kernel is corrupt (paper section 4.1): panic.
-      cell_->Panic(std::string("bus error during process execution: ") + e.what());
-      return;
-    }
-    if (ctx.elapsed == before) {
-      // Zero-cost steps would spin the quantum loop forever; charge a cycle's
-      // worth of progress as a backstop.
-      ctx.Charge(1000);
-    }
-    if (outcome != StepOutcome::kContinue || proc->finished() || !cell_->alive()) {
-      break;
-    }
+  if (!cell_->RunKernel("during process execution", [&] {
+        while (ctx.elapsed < kQuantum) {
+          const Time before = ctx.elapsed;
+          outcome = proc->behavior()->Step(ctx, *proc);
+          if (ctx.elapsed == before) {
+            // Zero-cost steps would spin the quantum loop forever; charge a
+            // cycle's worth of progress as a backstop.
+            ctx.Charge(1000);
+          }
+          if (outcome != StepOutcome::kContinue || proc->finished() || !cell_->alive()) {
+            break;
+          }
+        }
+      })) {
+    return;
   }
 
   machine.cpu(cpu_id).free_at = now + ctx.elapsed;

@@ -585,6 +585,61 @@ TEST_F(FailureRecoveryTest, BabbleThrottleMarksFloodingPeer) {
   EXPECT_GE(detector.hints_for(HintReason::kBabbling), 1u);
 }
 
+// --- The section 4.1 boundary (Cell::RunKernel): a trap panics only the
+// kernel that took it. ---
+
+TEST_F(FailureRecoveryTest, TrapInAPeersRecoveryShareEndsOnlyThatPeer) {
+  // The nodes of cells 2 and 3 fail before either cell's clock tick notices,
+  // so both are still alive() when cell 1's alert about cell 2 runs
+  // recovery. Cell 3's share of the round kills a process that depended on
+  // cell 2, and tearing its address space down reads cell 3's own dead heap.
+  // That trap panics cell 3 alone, inside the round; the round completes and
+  // the alert machinery is free for the next failure.
+  auto behavior = std::make_unique<workloads::ScriptedBehavior>("dep");
+  behavior->Add(workloads::OpCompute(10 * kSecond));
+  Ctx fork_ctx = ts_.cell(3).MakeCtx();
+  auto pid = ts_.hive->Fork(fork_ctx, 3, std::move(behavior));
+  ASSERT_TRUE(pid.ok());
+  ts_.cell(3).sched().FindProcess(*pid)->AddDependency(2);
+
+  ts_.machine->FailNode(2);
+  ts_.machine->FailNode(3);
+  ASSERT_TRUE(ts_.cell(2).alive());
+  ASSERT_TRUE(ts_.cell(3).alive());
+
+  Ctx ctx = ts_.cell(1).MakeCtx();
+  ASSERT_NO_THROW(ts_.hive->HandleAlert(ctx, 1, 2, HintReason::kClockStale));
+  EXPECT_EQ(ts_.cell(3).panic_reason(), "bus error during recovery: bus error: node failed");
+  for (CellId c : {0, 1}) {
+    EXPECT_TRUE(ts_.cell(c).alive()) << c;
+    EXPECT_EQ(ts_.cell(c).panic_reason(), "") << c;
+  }
+  for (CellId c = 0; c < 4; ++c) {
+    EXPECT_FALSE(ts_.cell(c).in_recovery()) << c;
+  }
+
+  ts_.hive->HandleAlert(ctx, 1, 3, HintReason::kClockStale);
+  EXPECT_EQ(ts_.hive->recovery().recoveries_run(), 2);
+  EXPECT_TRUE(ts_.hive->CellConfirmedFailed(3));
+}
+
+TEST_F(FailureRecoveryTest, DeniedClockWordStorePanicsOnlyThatCell) {
+  // Cell 2 loses write permission on the page holding its own clock word:
+  // the increment at its next clock tick takes a firewall trap, and that
+  // kernel, and no other, panics.
+  Cell& cell = ts_.cell(2);
+  flash::PhysMem& mem = ts_.machine->mem();
+  mem.firewall().SetVector(mem.PfnOfAddr(cell.clock_word_addr()), 0, cell.FirstCpu());
+  ASSERT_NO_THROW(ts_.machine->events().RunUntil(300 * kMillisecond));
+
+  EXPECT_EQ(cell.panic_reason(),
+            "bus error updating own clock: bus error: firewall write denied");
+  for (CellId c : {0, 1, 3}) {
+    EXPECT_TRUE(ts_.cell(c).alive()) << c;
+    EXPECT_EQ(ts_.cell(c).panic_reason(), "") << c;
+  }
+}
+
 TEST_F(FailureRecoveryTest, TraversalHighWaterMarkTracksWorstWalk) {
   FailureDetector& detector = ts_.cell(0).detector();
   const int before = detector.max_traversal_hops();

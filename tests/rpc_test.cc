@@ -134,6 +134,31 @@ TEST_F(RpcTest, PingHandlerRegistered) {
   EXPECT_TRUE(client.rpc().Call(ctx, 3, MsgType::kPing, args, &reply).ok());
 }
 
+TEST_F(RpcTest, TrappingHandlerPanicsTheServerAndTheClientTimesOut) {
+  // Cell 1's null handler stores into cell 2's memory without a firewall
+  // grant. The trap is the serving kernel's: cell 1 panics, the client sees
+  // a timeout and lives on, and so does cell 2.
+  Cell& server = ts_.cell(1);
+  const PhysAddr foreign = ts_.cell(2).mem_base() + 4096;
+  server.rpc().RegisterInterrupt(
+      MsgType::kNull, [this, foreign](Ctx& server_ctx, const RpcArgs&, RpcReply*) {
+        ts_.machine->mem().WriteValue<uint64_t>(server_ctx.cpu, foreign, 0xBAD);
+        return base::OkStatus();
+      });
+  Cell& client = ts_.cell(0);
+  Ctx ctx = client.MakeCtx();
+  RpcArgs args;
+  RpcReply reply;
+  EXPECT_EQ(client.rpc().Call(ctx, 1, MsgType::kNull, args, &reply).code(),
+            base::StatusCode::kTimeout);
+  EXPECT_EQ(server.panic_reason(),
+            "bus error during RPC service: bus error: firewall write denied");
+  for (CellId c : {0, 2, 3}) {
+    EXPECT_TRUE(ts_.cell(c).alive()) << c;
+    EXPECT_EQ(ts_.cell(c).panic_reason(), "") << c;
+  }
+}
+
 TEST_F(RpcTest, DeadCellHintedOncePerAgreementWindow) {
   // Regression: repeated calls (or retries) against a dead peer must raise
   // exactly one failure-detector hint per agreement window, not one per call.

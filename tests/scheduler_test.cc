@@ -191,6 +191,41 @@ TEST(SchedulerRecoveryTest, RecoverySweepKillsLeaveTheLiveIndex) {
   }
 }
 
+// A step that stores into another cell's memory without a firewall grant:
+// the hardware denies the write with a bus error.
+class WildStoreBehavior : public Behavior {
+ public:
+  explicit WildStoreBehavior(PhysAddr target) : target_(target) {}
+
+  StepOutcome Step(Ctx& ctx, Process& proc) override {
+    (void)proc;
+    ctx.Charge(1000);
+    ctx.cell->machine().mem().WriteValue<uint64_t>(ctx.cpu, target_, 0xBAD);
+    return StepOutcome::kContinue;
+  }
+  std::string name() const override { return "wild-store"; }
+
+ private:
+  PhysAddr target_;
+};
+
+TEST(SchedulerBoundaryTest, TrapInProcessStepPanicsOnlyItsCell) {
+  hivetest::TestSystem ts = hivetest::BootHive(4);
+  const PhysAddr target = ts.cell(1).mem_base() + 4096;
+  const uint64_t before = ts.machine->mem().ReadValue<uint64_t>(ts.cell(1).FirstCpu(), target);
+  Ctx ctx = ts.cell(0).MakeCtx();
+  ASSERT_TRUE(ts.hive->Fork(ctx, 0, std::make_unique<WildStoreBehavior>(target)).ok());
+  ASSERT_NO_THROW(ts.machine->events().RunUntil(300 * kMillisecond));
+
+  EXPECT_EQ(ts.cell(0).panic_reason(),
+            "bus error during process execution: bus error: firewall write denied");
+  for (CellId c = 1; c < 4; ++c) {
+    EXPECT_TRUE(ts.cell(c).alive()) << c;
+    EXPECT_EQ(ts.cell(c).panic_reason(), "") << c;
+  }
+  EXPECT_EQ(ts.machine->mem().ReadValue<uint64_t>(ts.cell(1).FirstCpu(), target), before);
+}
+
 TEST_F(SchedulerTest, CpuBusyTimeAccounted) {
   const ProcId pid = Spawn(100 * kMillisecond);
   ASSERT_TRUE(ts_.hive->RunUntilDone({pid}, 10 * kSecond));

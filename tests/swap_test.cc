@@ -198,6 +198,32 @@ TEST_F(SwapTest, DropNodeRemovesExactlyThatNodesSlots) {
   EXPECT_EQ(swap.slots_in_use(), 0u);
 }
 
+TEST_F(SwapTest, PageoutTrapOnAFailedNodePanicsOnlyThatCell) {
+  // Cell 0's node fails between two clock ticks. Its pageout tick at 250 ms
+  // runs before the clock tick due then (it was scheduled first) and must
+  // copy an anonymous page out of the dead memory. The trap panics cell 0
+  // through its kernel boundary instead of escaping the event loop.
+  ts_.machine->events().RunUntil(PageoutDaemon::kScanPeriod - 5 * kMillisecond);
+  // A busy process keeps its anonymous pages (an idle one would exit and
+  // free them).
+  auto behavior = std::make_unique<workloads::ScriptedBehavior>("busy");
+  behavior->Add(workloads::OpCompute(10 * kSecond));
+  Ctx ctx = ts_.cell(0).MakeCtx();
+  auto pid = ts_.hive->Fork(ctx, 0, std::move(behavior));
+  ASSERT_TRUE(pid.ok());
+  MakeAnonPages(ts_.cell(0).sched().FindProcess(*pid), 32);
+  DrainFreeFrames(ts_.cell(0));
+  ts_.machine->FailNode(0);
+  ASSERT_TRUE(ts_.cell(0).alive());
+  ASSERT_NO_THROW(ts_.machine->events().RunUntil(PageoutDaemon::kScanPeriod + kMillisecond));
+
+  EXPECT_EQ(ts_.cell(0).panic_reason(), "bus error during pageout: bus error: node failed");
+  for (CellId c = 1; c < 4; ++c) {
+    EXPECT_TRUE(ts_.cell(c).alive()) << c;
+    EXPECT_EQ(ts_.cell(c).panic_reason(), "") << c;
+  }
+}
+
 TEST_F(SwapTest, ExportedPagesAreNotSwapped) {
   // A page imported by another cell stays in memory (the export pins it).
   Process* parent = Spawn(1);

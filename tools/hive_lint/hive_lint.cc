@@ -2,9 +2,9 @@
 //
 // Pass 1: tokenize every .h/.cc under <root>/{src,tests,bench} (skipping
 // tests/lint_fixtures, which holds deliberate violations) and build the
-// whole-program index. Pass 2: run the registered rules (R1-R11; R0 falls
+// whole-program index. Pass 2: run the registered rules (R1-R12; R0 falls
 // out of suppression parsing), apply `hive-lint: allow(Rn): why` markers
-// (same line or the line above; R0 itself is unsuppressible), sort, render.
+// (same line or the line above; R0 and R12 are unsuppressible), sort, render.
 //
 //   hive_lint [--root <dir>] [--format=text|json] [--stats] [--verbose]
 //
@@ -228,12 +228,13 @@ int Run(const std::string& root_arg, const std::string& format, bool stats_flag,
   }
 
   // Apply suppressions: same file, same rule, marker on the diagnostic's
-  // line or the line above. R0 (suppression hygiene) is unsuppressible.
+  // line or the line above. R0 (suppression hygiene) and R12 (hand-written
+  // bus-error panics) are unsuppressible.
   std::vector<Diagnostic> active;
   size_t suppressed = 0;
   for (const Diagnostic& diag : diags) {
     bool keep = true;
-    if (diag.rule != "R0") {
+    if (diag.rule != "R0" && diag.rule != "R12") {
       for (const auto& [rel_path, sup] : sups) {
         if (rel_path == diag.rel_path && sup.rule == diag.rule &&
             (sup.line == diag.line || sup.line == diag.line - 1)) {

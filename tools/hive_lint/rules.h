@@ -44,7 +44,7 @@ struct RuleContext {
 };
 
 struct RuleInfo {
-  const char* id;     // "R1" ... "R11".
+  const char* id;     // "R1" ... "R12".
   const char* title;  // One-line summary for --help / --stats.
   void (*fn)(const RuleContext&);
 };

@@ -1,8 +1,8 @@
-// Per-file rules R0-R7, ported unchanged from hive_lint v1 (they predate the
-// whole-program index and deliberately do not use it), plus the two
-// cross-file enum rules R4/R5. Receiver heuristics are documented next to
-// each rule; see DESIGN.md "Verification layers" for the discipline each one
-// enforces.
+// Per-file rules R0-R7, ported from hive_lint v1 (they predate the
+// whole-program index and deliberately do not use it), the two cross-file
+// enum rules R4/R5, and the per-file rule R12. Receiver heuristics are
+// documented next to each rule; see DESIGN.md "Verification layers" for the
+// discipline each one enforces.
 
 #include <algorithm>
 #include <cctype>
@@ -120,13 +120,17 @@ void CheckR2(const SourceFile& file, std::vector<Diagnostic>* diags) {
   }
 }
 
-// R3: BusError must be converted to base::Status at the careful-reference
-// boundary. src/flash/ raises it; careful_ref.* catches it; tests/ observe
-// the raw trap when testing the substrate itself.
+// The section 4.1 boundary (Cell::RunKernel) lives in cell.h.
+constexpr char kKernelBoundaryFile[] = "src/core/cell.h";
+
+// R3: BusError is caught at two boundaries only. careful_ref.* converts it
+// to base::Status inside a careful section; Cell::RunKernel (cell.h) panics
+// the kernel that took it. src/flash/ raises it; tests/ observe the raw trap
+// when testing the substrate itself.
 void CheckR3(const SourceFile& file, std::vector<Diagnostic>* diags) {
   if (StartsWith(file.rel_path, "src/flash/") || StartsWith(file.rel_path, "tests/") ||
       file.rel_path == "src/core/careful_ref.h" ||
-      file.rel_path == "src/core/careful_ref.cc") {
+      file.rel_path == "src/core/careful_ref.cc" || file.rel_path == kKernelBoundaryFile) {
     return;
   }
   const std::vector<Token>& toks = file.tokens;
@@ -154,10 +158,47 @@ void CheckR3(const SourceFile& file, std::vector<Diagnostic>* diags) {
           }
         } else if (toks[j].kind == Token::kIdent && toks[j].text == "BusError") {
           diags->push_back({file.rel_path, toks[i].line, "R3",
-                            "BusError caught outside careful_ref; bus errors must become "
-                            "base::Status at the careful-reference boundary (paper 4.1)"});
+                            "BusError caught outside careful_ref and Cell::RunKernel; a "
+                            "careful section converts it to base::Status, any other trap "
+                            "reaches the cell's RunKernel boundary and panics (paper 4.1)"});
           break;
         }
+      }
+    }
+  }
+}
+
+// R12: no hand-written section 4.1 panic in src/core/. A catch that names
+// BusError and calls Panic in its handler re-implements Cell::RunKernel, and
+// covers whatever code happens to run inside it -- including another cell's
+// nested kernel work, whose trap would then panic the wrong cell. Like R0,
+// R12 cannot be suppressed: run the kernel entry through its own cell's
+// RunKernel instead.
+void CheckR12(const SourceFile& file, std::vector<Diagnostic>* diags) {
+  if (!StartsWith(file.rel_path, "src/core/") || file.rel_path == kKernelBoundaryFile) {
+    return;
+  }
+  const std::vector<Token>& toks = file.tokens;
+  for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind != Token::kIdent || toks[i].text != "catch" || toks[i + 1].text != "(") {
+      continue;
+    }
+    const size_t params_end = MatchForward(toks, i + 1, "(", ")");
+    bool names_bus_error = false;
+    for (size_t j = i + 2; j < params_end && j < toks.size(); ++j) {
+      names_bus_error = names_bus_error || toks[j].text == "BusError";
+    }
+    if (!names_bus_error || params_end + 1 >= toks.size() || toks[params_end + 1].text != "{") {
+      continue;
+    }
+    const size_t handler_end = MatchForward(toks, params_end + 1, "{", "}");
+    for (size_t j = params_end + 2; j < handler_end && j + 1 < toks.size(); ++j) {
+      if (toks[j].kind == Token::kIdent && toks[j].text == "Panic" && toks[j + 1].text == "(") {
+        diags->push_back({file.rel_path, toks[i].line, "R12",
+                          "hand-written bus-error panic; run the kernel entry through "
+                          "Cell::RunKernel, the one section 4.1 boundary, so a trap panics "
+                          "only the kernel that took it (unsuppressible)"});
+        break;
       }
     }
   }
@@ -464,7 +505,7 @@ const std::vector<RuleInfo>& AllRules() {
       {"R1", "no direct PhysMem access from src/core/", &ForEachFile<CheckR1>},
       {"R2", "RawWrite/RawRead backdoor confined to the fault injector",
        &ForEachFile<CheckR2>},
-      {"R3", "BusError converted to Status at the careful-ref boundary",
+      {"R3", "BusError caught only at the careful-ref and Cell::RunKernel boundaries",
        &ForEachFile<CheckR3>},
       {"R4", "every TraceEvent enumerator named in TraceEventName", &RunR4},
       {"R5", "KernelTypeTag values pairwise distinct", &RunR5},
@@ -476,6 +517,8 @@ const std::vector<RuleInfo>& AllRules() {
       {"R10", "determinism purity on simulator/campaign-reachable paths",
        &CheckR10},
       {"R11", "tagged remote structures only behind CarefulRef", &CheckR11},
+      {"R12", "no hand-written bus-error panic in src/core/ (unsuppressible)",
+       &ForEachFile<CheckR12>},
   };
   return kRules;
 }
