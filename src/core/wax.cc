@@ -8,15 +8,12 @@
 namespace hive {
 
 void Wax::Start(Time when) {
+  flash::EventQueue& events = system_->machine().events();
+  events.Cancel(scan_event_);
   ++incarnation_;
   running_ = true;
   LOG(kDebug) << "wax incarnation " << incarnation_ << " starting at t=" << when;
-  const Time now = system_->machine().Now();
-  system_->machine().events().ScheduleAt(std::max(when, now), [this] {
-    if (running_) {
-      Scan();
-    }
-  });
+  scan_event_ = events.ScheduleAt(std::max(when, events.Now()), [this] { Scan(); });
 }
 
 void Wax::OnCellFailure() {
@@ -27,21 +24,21 @@ void Wax::OnCellFailure() {
   // whenever any cell fails. No attempt is made to recover its internal data
   // structures (paper section 3.2).
   running_ = false;
+  system_->machine().events().Cancel(scan_event_);
+  scan_event_ = flash::kInvalidEventId;
   LOG(kDebug) << "wax incarnation " << incarnation_ << " exits (cell failure)";
 }
 
 void Wax::Restart(Time when) { Start(when); }
 
 void Wax::ScheduleScan() {
-  system_->machine().events().ScheduleAfter(kScanPeriod, [this] {
-    if (running_) {
-      Scan();
-    }
-  });
+  scan_event_ = system_->machine().events().ScheduleAfter(kScanPeriod, [this] { Scan(); });
 }
 
 void Wax::Scan() {
+  scan_event_ = flash::kInvalidEventId;
   ++scans_;
+  const int incarnation = incarnation_;
   const std::vector<CellId> live = system_->LiveCells();
   if (live.empty()) {
     running_ = false;
@@ -78,8 +75,8 @@ void Wax::Scan() {
     args.w[1] = static_cast<uint64_t>(least_loaded);
     RpcReply reply;
     (void)home.rpc().Call(ctx, id, MsgType::kWaxHint, args, &reply);
-    if (!running_) {
-      return;  // A timeout mid-scan triggered failure handling.
+    if (!running_ || incarnation_ != incarnation) {
+      return;  // A timeout mid-scan triggered failure handling (and restart).
     }
   }
   ScheduleScan();

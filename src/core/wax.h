@@ -20,6 +20,7 @@
 
 #include "src/core/context.h"
 #include "src/core/types.h"
+#include "src/flash/event_queue.h"
 
 namespace hive {
 
@@ -36,11 +37,13 @@ class Wax {
  public:
   explicit Wax(HiveSystem* system) : system_(system) {}
 
-  // Forks Wax threads to all live cells and schedules the periodic scan.
+  // Forks Wax threads to all live cells and schedules the periodic scan. An
+  // incarnation has exactly one pending scan; starting a new one cancels
+  // whatever an earlier incarnation left queued.
   void Start(Time when);
 
-  // Any cell failed: Wax's pages are discarded and it exits. Recovery calls
-  // Restart afterwards.
+  // Any cell failed: Wax's pages are discarded and it exits, cancelling its
+  // pending scan. Recovery calls Restart afterwards.
   void OnCellFailure();
   void Restart(Time when);
 
@@ -58,6 +61,7 @@ class Wax {
   bool running_ = false;
   int incarnation_ = 0;
   uint64_t scans_ = 0;
+  flash::EventId scan_event_ = flash::kInvalidEventId;  // The pending scan.
 };
 
 }  // namespace hive

@@ -21,6 +21,7 @@
 #include "src/core/rpc.h"
 #include "src/core/scheduler.h"
 #include "src/core/slo.h"
+#include "src/core/wax.h"
 #include "src/flash/fault_injector.h"
 #include "src/flash/machine.h"
 #include "src/flash/sips.h"
@@ -826,6 +827,8 @@ ServeResult RunSoak(const ServeOptions& options) {
   }
   result.recoveries_run = sys.recovery().recoveries_run();
   result.reintegrations = static_cast<int>(sys.recovery().reintegration_log().size());
+  result.wax_incarnations = sys.wax().incarnation();
+  result.wax_scans = sys.wax().scans();
 
   JudgeSlos(result);
   result.fingerprint = ComputeFingerprint(result, sys);

@@ -104,6 +104,13 @@ struct ServeResult {
   int recoveries_run = 0;
   int reintegrations = 0;
 
+  // Wax (paper section 3.2): incarnations started and scans run. Each
+  // incarnation has one scan chain, so scans grow with the run's length, not
+  // with the recoveries it survived. Reported, not hashed into the
+  // fingerprint.
+  int wax_incarnations = 0;
+  uint64_t wax_scans = 0;
+
   // SLO verdict.
   std::vector<std::string> violations;
   bool ok() const { return violations.empty(); }

@@ -204,13 +204,13 @@ TEST(ScenarioRunnerTest, GoldenFingerprintsAreStable) {
     uint64_t digest;
   };
   const Mode kModes[] = {
-      {"default/0", 0, nullptr, 0, 12, 0xd085fadeb257ebc7ull},
-      {"default/1", 1, nullptr, 0, 12, 0x00390acfa7cbb5dcull},
+      {"default/0", 0, nullptr, 0, 12, 0x171e7e3d37a43d98ull},
+      {"default/1", 1, nullptr, 0, 12, 0x1a2718a96a6baa43ull},
       {"message", 0, &GeneratorOptions::message_faults_only, 0, 12, 0x8c179d0bd30dd7e1ull},
-      {"rogue", 0, &GeneratorOptions::rogue_only, 0, 12, 0xe83a3a9045df3d0cull},
-      {"reboot-storm", 0, &GeneratorOptions::reboot_storm_only, 0, 12, 0x292ecc8e22e3e0f6ull},
+      {"rogue", 0, &GeneratorOptions::rogue_only, 0, 12, 0x468ce12c11656709ull},
+      {"reboot-storm", 0, &GeneratorOptions::reboot_storm_only, 0, 12, 0xcd7db3e8866a431cull},
       {"wild-write", 0, &GeneratorOptions::wild_write_fixture, 0, 12, 0x3073d08f87a3a988ull},
-      {"16-cell", 0, nullptr, 16, 3, 0x940ea7b2e0d11fa5ull},
+      {"16-cell", 0, nullptr, 16, 3, 0x97fc75a787179ca1ull},
   };
   std::set<FaultKind> seen;
   for (const Mode& mode : kModes) {

@@ -54,4 +54,15 @@ if ! diff "$(printf %s "$out1")" "$(printf %s "$out4")" >/dev/null 2>&1; then
     || fail "1-worker and 4-worker replay outputs differ beyond workers="
 fi
 
+# Replay must not pass vacuously: a missing directory, or one with no
+# *.corpus entries, is a usage error (exit 2), not "all oracles passed".
+empty=$(mktemp -d)
+trap 'rm -rf "$out1" "$out4" "$out1.norm" "$out4.norm" "$empty"' EXIT
+for dir in "$empty/nonexistent" "$empty"; do
+  status=0
+  "$CAMPAIGN" --corpus="$dir" --replay-corpus > "$out1" 2>&1 || status=$?
+  [ "$status" -eq 2 ] || fail "replay of '$dir' exited $status (want 2):
+$(cat "$out1")"
+done
+
 echo "corpus_replay_test: OK ($entries entries, worker-count independent)"

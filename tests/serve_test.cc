@@ -79,7 +79,7 @@ TEST(ServeTest, RecoveryEpisodesAndAvailabilityAccounted) {
 // request mix or the fault rotation moves this fingerprint.
 TEST(ServeTest, GoldenFingerprintIsStable) {
   EXPECT_EQ(RunSoak(SmokeOptions(20 * hive::kSecond)).fingerprint,
-            0x2d78f3ea1753d83full);
+            0x915118a94dbae15aull);
 }
 
 TEST(ServeTest, DifferentSeedsDiverge) {

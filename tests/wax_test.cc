@@ -106,5 +106,42 @@ TEST_F(WaxTest, IncarnationCountsRestarts) {
   EXPECT_EQ(ts_.hive->wax().incarnation(), 2);
 }
 
+// Wax exits on any cell failure and recovery starts a fresh incarnation; the
+// old one's scan must not keep running beside it. One chain scans 10 times
+// per simulated second.
+TEST_F(WaxTest, RestartLeavesOneScanChain) {
+  ts_.machine->events().RunUntil(150 * kMillisecond);
+  flash::FaultInjector injector(ts_.machine.get(), 1);
+  injector.ScheduleNodeFailure(1, ts_.machine->Now() + 10 * kMillisecond);
+  // Recovery, the restart delay and the new incarnation's first scan.
+  ts_.machine->events().RunUntil(ts_.machine->Now() + 800 * kMillisecond);
+  ASSERT_EQ(ts_.hive->wax().incarnation(), 2);
+  const uint64_t before = ts_.hive->wax().scans();
+  ts_.machine->events().RunUntil(ts_.machine->Now() + 2 * kSecond);
+  EXPECT_NEAR(static_cast<double>(ts_.hive->wax().scans() - before), 20.0, 1.0);
+}
+
+// A hint RPC to a cell whose node died after its last clock tick times out
+// and runs failure handling, including Wax's restart, inside Scan. The scan
+// that was interrupted belongs to the old incarnation and must not
+// reschedule itself.
+TEST_F(WaxTest, HintTimeoutInsideScanLeavesOneScanChain) {
+  // Scans run at boot + k * kScanPeriod, each ahead of the clock ticks that
+  // share its instant. Node 2 dies 1 ns before the third scan and after
+  // cell 2's clock last ticked, so the scan finds cell 2 alive but
+  // unreachable.
+  const Time scan = ts_.machine->Now() + 3 * Wax::kScanPeriod;
+  flash::FaultInjector injector(ts_.machine.get(), 1);
+  injector.ScheduleNodeFailure(2, scan - 1);
+  ts_.machine->events().RunUntil(scan);
+  ASSERT_FALSE(ts_.cell(2).alive());
+  ASSERT_EQ(ts_.hive->wax().incarnation(), 2);  // Restarted inside that scan.
+  ts_.machine->events().RunUntil(scan + 800 * kMillisecond);
+  const uint64_t before = ts_.hive->wax().scans();
+  ts_.machine->events().RunUntil(ts_.machine->Now() + 2 * kSecond);
+  EXPECT_NEAR(static_cast<double>(ts_.hive->wax().scans() - before), 20.0, 1.0);
+  EXPECT_EQ(ts_.hive->wax().incarnation(), 2);
+}
+
 }  // namespace
 }  // namespace hive

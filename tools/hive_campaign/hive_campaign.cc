@@ -106,7 +106,8 @@ void Usage() {
                "  --corpus=DIR         load corpus entries from DIR before the run and\n"
                "                       persist newly admitted entries into it\n"
                "  --replay-corpus      run exactly the corpus entries in --corpus=DIR\n"
-               "                       (regression replay; no mutation, no admission)\n"
+               "                       (regression replay; no mutation, no admission);\n"
+               "                       a missing or empty DIR is a usage error\n"
                "  --stop-on-violation  stop at the first batch boundary after a\n"
                "                       violation and report its discovery cost\n"
                "  --mutate=CHAIN       with --scenario=K: apply this comma-separated\n"
@@ -329,6 +330,13 @@ int main(int argc, char** argv) {
   }
   if (args.replay_corpus && args.corpus_dir.empty()) {
     std::fprintf(stderr, "hive_campaign: --replay-corpus requires --corpus=DIR\n");
+    return 2;
+  }
+  // A replay of nothing must not report "all containment oracles passed".
+  if (args.replay_corpus && campaign::LoadCorpusDir(args.corpus_dir).empty()) {
+    std::fprintf(stderr,
+                 "hive_campaign: --replay-corpus: no readable *.corpus entries in %s\n",
+                 args.corpus_dir.c_str());
     return 2;
   }
   return args.have_scenario ? RunSingle(args) : RunSweep(args);

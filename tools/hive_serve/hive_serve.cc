@@ -136,6 +136,8 @@ bool WriteJson(const Args& args, const serve::ServeResult& result, uint64_t peak
   std::fprintf(out, "  \"cells\": %d,\n", args.cells);
   std::fprintf(out, "  \"tenants\": %d,\n", result.options.tenants);
   std::fprintf(out, "  \"duration_s\": %" PRIu64 ",\n", args.duration_s);
+  std::fprintf(out, "  \"drain_s\": %" PRId64 ",\n",
+               result.options.drain_ns / hive::kSecond);
   std::fprintf(out, "  \"bug\": \"%s\",\n", args.bug.c_str());
   std::fprintf(out, "  \"requests\": {\n");
   std::fprintf(out,
@@ -193,6 +195,8 @@ bool WriteJson(const Args& args, const serve::ServeResult& result, uint64_t peak
                recovery.empty() ? 0.0 : recovery.Percentile(50.0) / 1e6,
                recovery.empty() ? 0.0 : recovery.max() / 1e6);
   std::fprintf(out, "  },\n");
+  std::fprintf(out, "  \"wax\": {\"incarnations\": %d, \"scans\": %" PRIu64 "},\n",
+               result.wax_incarnations, result.wax_scans);
   std::fprintf(out, "  \"oracles\": {\n");
   std::fprintf(out, "    \"ok\": %s,\n", result.ok() ? "true" : "false");
   std::fprintf(out, "    \"violations\": [");
