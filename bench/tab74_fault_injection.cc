@@ -14,12 +14,14 @@
 // fault and the main workload, a pmake run on the survivors acts as the
 // system correctness check, exactly as in the paper.
 
-#include <functional>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "src/base/histogram.h"
+#include "src/campaign/injectors.h"
 #include "src/core/cell.h"
 #include "src/core/cow_tree.h"
+#include "src/core/process.h"
 #include "src/flash/fault_injector.h"
 #include "src/workloads/pmake.h"
 #include "src/workloads/raytrace.h"
@@ -168,42 +170,23 @@ TestResult CorruptAddressMap(uint64_t seed, CellId victim) {
   // pointer of a map entry of a process on the victim cell. The process's
   // next fault walks into garbage, fails the type-tag check, and the victim
   // kernel panics; the other cells detect the dead kernel by clock
-  // monitoring.
-  auto inject_time = std::make_shared<Time>(0);
+  // monitoring. Attempts retry every 10 ms until some process on the victim
+  // cell has built its address map (jobs spend their first tens of ms in
+  // metadata calls).
+  Time inject_time = 0;
   base::Rng rng(seed * 3 + 1);
   const Time when = 60 * kMillisecond + static_cast<Time>(rng.Below(30)) * kMillisecond;
-  // Retry every 10 ms until some process on the victim cell has built its
-  // address map (jobs spend their first tens of ms in metadata calls).
-  auto try_inject = std::make_shared<std::function<void()>>();
-  std::function<void()>* retry = try_inject.get();
-  *try_inject = [&system, victim, seed, inject_time, retry] {
-    hive::Cell& cell = system.hive->cell(victim);
-    for (const auto& [pid, proc] : cell.sched().live_processes()) {
-      hive::Ctx ctx = cell.MakeCtx();
-      auto regions = proc->address_space().ListRegions(ctx);
-      if (regions.size() < 2) {
-        continue;
-      }
-      flash::FaultInjector injector(system.machine.get(), seed * 7 + 5);
-      // Corrupting the first entry's next pointer poisons every walk that
-      // has to search past it (all subsequent fault misses).
-      hive::Cell& other = system.hive->cell((victim + 1) % 4);
-      injector.CorruptPointer(regions[0].entry_addr + hive::AddrMapEntryLayout::kNext,
-                              ModeFor(seed), cell.mem_base(), cell.mem_size(),
-                              other.mem_base(), other.mem_size());
-      *inject_time = system.machine->Now();
-      return;
-    }
-    if (system.machine->Now() < 2 * kSecond) {
-      system.machine->events().ScheduleAfter(10 * kMillisecond, *retry);
-    }
-  };
-  system.machine->events().ScheduleAt(when, [try_inject] { (*try_inject)(); });
+  hive::HiveSystem& sys = *system.hive;
+  system.machine->events().ScheduleAt(when, [&sys, victim, seed, &inject_time] {
+    campaign::CorruptPointerWhenFound(sys, victim, seed * 7 + 5, ModeFor(seed), 2 * kSecond,
+                                      campaign::AddrMapNextPointer,
+                                      [&sys, &inject_time] { inject_time = sys.machine().Now(); });
+  });
   (void)system.hive->RunUntilDone(pids, 600 * kSecond);
-  if (*inject_time == 0) {
+  if (inject_time == 0) {
     return TestResult{};  // No target process found: count as failure.
   }
-  return Evaluate(system, victim, *inject_time, seed * 19 + 11);
+  return Evaluate(system, victim, inject_time, seed * 19 + 11);
 }
 
 TestResult CorruptCowTree(uint64_t seed) {
@@ -217,37 +200,29 @@ TestResult CorruptCowTree(uint64_t seed) {
   // slice fault walks the tree and panics the victim; remote workers'
   // careful references merely fail. Detection is slow because COW searches
   // are infrequent (the paper's 401 ms average).
-  auto inject_time = std::make_shared<Time>(0);
+  Time inject_time = 0;
   base::Rng rng(seed * 5 + 3);
   const Time when = 300 * kMillisecond + static_cast<Time>(rng.Below(60)) * kMillisecond;
-  auto try_inject = std::make_shared<std::function<void()>>();
-  std::function<void()>* retry = try_inject.get();
-  *try_inject = [&system, seed, inject_time, retry] {
-    hive::Cell& cell = system.hive->cell(victim);
-    for (const auto& [pid, proc] : cell.sched().live_processes()) {
-      // Target the local *worker* (it keeps walking the tree for later scene
-      // slices); the parent sits in wait() and would never traverse again.
-      if (proc->cow_leaf() == 0 || proc->parent == hive::kInvalidProc) {
-        continue;
-      }
-      flash::FaultInjector injector(system.machine.get(), seed * 11 + 1);
-      hive::Cell& other = system.hive->cell(1);
-      injector.CorruptPointer(proc->cow_leaf() + hive::CowNodeLayout::kParentAddr,
-                              ModeFor(seed), cell.mem_base(), cell.mem_size(),
-                              other.mem_base(), other.mem_size());
-      *inject_time = system.machine->Now();
-      return;
-    }
-    if (system.machine->Now() < 2 * kSecond) {
-      system.machine->events().ScheduleAfter(10 * kMillisecond, *retry);
-    }
-  };
-  system.machine->events().ScheduleAt(when, [try_inject] { (*try_inject)(); });
+  hive::HiveSystem& sys = *system.hive;
+  system.machine->events().ScheduleAt(when, [&sys, seed, &inject_time] {
+    campaign::CorruptPointerWhenFound(
+        sys, victim, seed * 11 + 1, ModeFor(seed), 2 * kSecond,
+        [](hive::Cell&, hive::Process& proc) -> std::optional<hive::PhysAddr> {
+          // Target the local *worker* (it keeps walking the tree for later
+          // scene slices); the parent sits in wait() and would never
+          // traverse again.
+          if (proc.cow_leaf() == 0 || proc.parent == hive::kInvalidProc) {
+            return std::nullopt;
+          }
+          return proc.cow_leaf() + hive::CowNodeLayout::kParentAddr;
+        },
+        [&sys, &inject_time] { inject_time = sys.machine().Now(); });
+  });
   (void)system.hive->RunUntilDone(pids, 600 * kSecond);
-  if (*inject_time == 0) {
+  if (inject_time == 0) {
     return TestResult{};
   }
-  return Evaluate(system, victim, *inject_time, seed * 23 + 9);
+  return Evaluate(system, victim, inject_time, seed * 23 + 9);
 }
 
 void Accumulate(ClassResult* cls, const TestResult& result) {

@@ -28,16 +28,19 @@
 #       BENCH_serve.json validates against schema hive-serve-v1, and both
 #       seeded --bug modes demonstrably trip an SLO oracle (exit 3);
 #   4d. the pinned determinism fingerprints hold: hive_campaign merged
-#       fingerprints for seeds 1-3 at 600 scenarios, and the hive_serve
-#       fingerprints of the default and the 8-cell/32-tenant soak; both
-#       soaks keep one Wax scan chain per incarnation (scan count bounded
-#       by the run length plus the incarnations);
+#       fingerprints for seeds 1-3 at 600 scenarios, the hive_serve
+#       fingerprints of the default and the 8-cell/32-tenant soak, and the
+#       sha256 of the Table 7.4 bench's output (the fault-injection
+#       library's third caller); both soaks keep one Wax scan chain per
+#       incarnation (scan count bounded by the run length plus the
+#       incarnations);
 #   4e. a 20000-scenario campaign sweep (seed 2) reaches a verdict with no
 #       violation: the uncaught-bus-error crash family stays closed;
-#   5. the full test suite builds and passes under ASan+UBSan, and an
-#      ASan+UBSan hive_serve runs to a verdict (exit 0 or 3, never a signal
-#      or a sanitizer report) at every --seed {1..6} x --cells {4,8,16} x
-#      --tenants {8,32,64} soak, each the full 60 s;
+#   5. the full test suite builds and passes under ASan+UBSan, the four
+#      examples run clean under ASan+UBSan (exit 0, no sanitizer report),
+#      and an ASan+UBSan hive_serve runs to a verdict (exit 0 or 3, never a
+#      signal or a sanitizer report) at every --seed {1..6} x --cells
+#      {4,8,16} x --tenants {8,32,64} soak, each the full 60 s;
 #   6. the campaign thread pool -- including the RPC retry/quarantine state
 #      it exercises -- builds and runs clean under TSan;
 #   7. optionally, a nightly-scale campaign sweep (HIVE_CAMPAIGN_SCENARIOS).
@@ -457,10 +460,11 @@ grep -q "recovery-time" "$slowrec_log" || {
   fail "slow_recovery run did not name the recovery-time SLO"
 }
 
-echo "== determinism gate: pinned campaign and serve fingerprints =="
+echo "== determinism gate: pinned campaign, serve and Table 7.4 outputs =="
 # Simulated outcomes are a pure function of the seed. These values were
-# recorded when the campaign and serve engines last changed behaviour on
-# purpose; a change that moves one must say why and re-pin it here.
+# recorded when the campaign and serve engines and the Table 7.4 bench last
+# changed behaviour on purpose; a change that moves one must say why and
+# re-pin it here.
 for pin in "1 0xad852eebfcfec416" "2 0x1b550263badc770c" "3 0x34d94a8bac939bae"; do
   read -r pin_seed pin_fp <<<"$pin"
   pin_log="$BUILD_DIR/pinned_campaign_${pin_seed}.log"
@@ -506,6 +510,21 @@ PYEOF
   fi
 done
 
+# Table 7.4 injects through the same library as the campaign and the soak;
+# EXPERIMENTS.md's Table 7.4 rows come from this output.
+TAB74="$BUILD_DIR/bench/tab74_fault_injection"
+[[ -x "$TAB74" ]] || fail "tab74_fault_injection not built at $TAB74"
+tab74_out="$BUILD_DIR/pinned_tab74.out"
+"$TAB74" >"$tab74_out" 2>/dev/null || {
+  cat "$tab74_out"
+  fail "tab74_fault_injection exited nonzero (an injected fault was not contained)"
+}
+tab74_sha="$(sha256sum "$tab74_out" | cut -d' ' -f1)"
+[[ "$tab74_sha" == "1d19ad0e47d23c1f8cdf296504d433dcda39fd356125be60717f4f7e56259413" ]] || {
+  cat "$tab74_out"
+  fail "tab74_fault_injection output sha256 is $tab74_sha, not the pinned value"
+}
+
 echo "== bus-error crash family: 20000-scenario campaign sweep =="
 # A trap taken by a kernel whose node died before its next clock tick once
 # escaped the event loop (first at scenario 608 of seed 2) or panicked the
@@ -525,6 +544,24 @@ cmake -B "$ASAN_DIR" -S "$SOURCE_DIR" \
 cmake --build "$ASAN_DIR" --target hive_tests -j "$JOBS" >/dev/null
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
   -E '^(hive_lint_clean|hive_lint_fixture)' || fail "sanitizer test suite failed"
+
+echo "== sanitizer build: examples =="
+# The examples schedule injected failures from injectors built in scopes that
+# end before the failure fires; each must exit 0 with no sanitizer report.
+EXAMPLES="quickstart compute_server parallel_app maintenance"
+# shellcheck disable=SC2086
+cmake --build "$ASAN_DIR" --target $EXAMPLES -j "$JOBS" >/dev/null
+for example in $EXAMPLES; do
+  example_log="$ASAN_DIR/example_${example}.log"
+  "$ASAN_DIR/examples/$example" >"$example_log" 2>&1 || {
+    tail -n 40 "$example_log"
+    fail "ASan+UBSan example $example exited nonzero"
+  }
+  if grep -qE "Sanitizer|runtime error:" "$example_log"; then
+    tail -n 40 "$example_log"
+    fail "ASan+UBSan example $example printed a sanitizer report"
+  fi
+done
 
 echo "== sanitizer build: hive_serve seed x geometry matrix =="
 # Wider soaks fork, kill and reboot far more processes than the smoke soak;

@@ -1,23 +1,20 @@
 #include "src/campaign/runner.h"
 
-#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "src/base/rng.h"
 #include "src/campaign/coverage.h"
-#include "src/core/address_space.h"
+#include "src/campaign/injectors.h"
 #include "src/core/careful_ref.h"
 #include "src/core/cell.h"
 #include "src/core/failure_detection.h"
-#include "src/core/kernel_heap.h"
-#include "src/core/process.h"
 #include "src/core/recovery.h"
 #include "src/core/rpc.h"
-#include "src/core/scheduler.h"
 #include "src/flash/fault_injector.h"
 #include "src/flash/machine.h"
-#include "src/flash/sips.h"
 #include "src/workloads/ocean.h"
 #include "src/workloads/pmake.h"
 #include "src/workloads/raytrace.h"
@@ -129,88 +126,28 @@ CanaryState SetUpCanaries(const ScenarioSpec& spec, HiveSystem& sys) {
   return canaries;
 }
 
-// State shared between the runner and the scheduled injection callbacks.
-struct InjectionState {
-  HiveSystem* sys = nullptr;
-  const ScenarioSpec* spec = nullptr;
-  std::vector<bool> injected;
-  // Frames where an injected wild write actually landed (firewall checking
-  // off). The salvage-containment oracle asserts none of them was salvaged.
-  std::vector<hive::PhysAddr> wild_write_frames;
-};
-
-void InjectNodeFailure(InjectionState& state, size_t fault_index) {
-  const FaultSpec& fault = state.spec->faults[fault_index];
-  state.sys->machine().FailNode(state.sys->cell(fault.victim).first_node());
-  state.injected[fault_index] = true;
-}
-
-// Corrupts an address-map next pointer of some process on the victim cell.
-// Retries every 10 ms until a process has built a map; gives up 400 ms after
-// the nominal injection time (the fault is then recorded as not landed).
-void TryAddrMapCorruption(const std::shared_ptr<InjectionState>& state,
-                          size_t fault_index, Time give_up) {
-  const FaultSpec& fault = state->spec->faults[fault_index];
-  HiveSystem& sys = *state->sys;
-  Cell& victim = sys.cell(fault.victim);
-  // Reachable = kernel up AND hardware alive; a node-failure victim stays
-  // alive() until agreement confirms, but its memory is already gone.
-  if (!sys.CellReachable(fault.victim)) {
-    return;  // Already dead (earlier fault); corrupting it adds nothing.
-  }
-  for (const auto& [pid, proc] : victim.sched().live_processes()) {
-    Ctx ctx = victim.MakeCtx();
-    auto regions = proc->address_space().ListRegions(ctx);
-    if (regions.size() < 2) {
-      continue;
-    }
-    flash::FaultInjector injector(&sys.machine(), state->spec->seed ^ fault_index);
-    Cell& other = sys.cell((fault.victim + 1) % sys.num_cells());
-    injector.CorruptPointer(
-        regions[0].entry_addr + hive::AddrMapEntryLayout::kNext, fault.mode,
-        victim.mem_base(), victim.mem_size(), other.mem_base(), other.mem_size());
-    state->injected[fault_index] = true;
-    return;
-  }
-  if (sys.machine().Now() < give_up) {
-    sys.machine().events().ScheduleAfter(10 * kMillisecond, [state, fault_index, give_up] {
-      TryAddrMapCorruption(state, fault_index, give_up);
-    });
-  }
-}
-
-// The victim kernel computes a bogus address inside the target cell's memory
-// (here: the frame caching the target's canary page) and stores through the
-// checked hardware path. Firewall on: the store is denied, the bus error
-// panics the victim -- damage contained. Firewall checking off (the
-// wild-write fixture): the store lands in the target's page cache and the
-// canary oracle must flag the corruption.
-void InjectWildWrite(InjectionState& state, size_t fault_index) {
-  const FaultSpec& fault = state.spec->faults[fault_index];
-  HiveSystem& sys = *state.sys;
-  Cell& writer = sys.cell(fault.victim);
-  Cell& target = sys.cell(fault.target);
+// The victim kernel scribbles over the frame caching the target's canary page
+// (WildWrite). Firewall on: the victim panics -- damage contained. Firewall
+// checking off (the wild-write fixture): the store lands in the target's page
+// cache, its frame joins `landed_frames` and the canary oracle must flag the
+// corruption.
+void InjectWildWrite(const ScenarioSpec& spec, HiveSystem& sys, size_t fault_index,
+                     const OnLanded& landed, std::vector<hive::PhysAddr>& landed_frames) {
+  const FaultSpec& fault = spec.faults[fault_index];
   if (!sys.CellReachable(fault.victim) || !sys.CellReachable(fault.target)) {
     return;
   }
-  // Materialize the target's canary page in its page cache so the scribble
-  // has a live frame to hit (a read-only lookup by the target itself).
-  Ctx tctx = target.MakeCtx();
-  auto handle = target.fs().Open(tctx, CanaryPath(fault.target));
-  if (!handle.ok()) {
+  const std::optional<hive::PhysAddr> frame =
+      CachedFrame(sys.cell(fault.target), CanaryPath(fault.target), 0);
+  if (!frame.has_value()) {
     return;
   }
-  auto page = target.fs().GetPage(tctx, *handle, 0, /*want_write=*/false,
-                                  hive::FileSystem::AccessPath::kSyscall);
-  if (!page.ok()) {
-    return;
-  }
-  base::Rng garbage_rng(state.spec->seed ^ (0xBADull << 32) ^ fault_index);
+  base::Rng garbage_rng(spec.seed ^ (0xBADull << 32) ^ fault_index);
   std::vector<uint8_t> garbage(64);
   for (uint8_t& byte : garbage) {
     byte = static_cast<uint8_t>(garbage_rng.Next());
   }
-  if (state.spec->salvage) {
+  if (spec.salvage) {
     // Salvage scenarios: the victim first takes a writable import of one
     // canary page, so the target holds a write-exported page (a discard
     // candidate with a checksum baseline) when the victim later dies. With
@@ -220,7 +157,8 @@ void InjectWildWrite(InjectionState& state, size_t fault_index) {
     // never touched it. With checking off (--bug=salvage_unchecked) the
     // import covers the scribbled page itself, so blind adoption keeps the
     // corrupt bytes and checked adoption rejects them.
-    const uint64_t import_page = state.spec->disable_firewall ? 0 : 1;
+    const uint64_t import_page = spec.disable_firewall ? 0 : 1;
+    Cell& writer = sys.cell(fault.victim);
     Ctx wctx = writer.MakeCtx();
     auto whandle = writer.fs().Open(wctx, CanaryPath(fault.target));
     if (whandle.ok()) {
@@ -231,239 +169,26 @@ void InjectWildWrite(InjectionState& state, size_t fault_index) {
       }
     }
   }
-  const int writer_cpu = sys.machine().FirstCpuOfNode(writer.first_node());
-  state.injected[fault_index] = true;
-  try {
-    sys.machine().mem().Write(writer_cpu, (*page)->frame + 128, garbage);
-    state.wild_write_frames.push_back((*page)->frame);
-    // hive-lint: allow(R3): injected wild write from the fault harness; the firewall trap is converted into the victim kernel's panic, as section 4.1 prescribes.
-  } catch (const flash::BusError&) {
-    std::ostringstream reason;
-    reason << "wild write into cell " << fault.target << " denied by firewall";
-    writer.Panic(reason.str());
+  landed();
+  if (WildWrite(sys, fault.victim, fault.target, *frame + 128, garbage)) {
+    landed_frames.push_back(*frame);
   }
 }
 
-// Seed-driven repeated kill/rejoin cycles of rotating victims. Each cycle
-// fails the current victim's node, then polls until auto-reintegration has
-// restored the node and rebooted the kernel, then draws the next victim and
-// inter-kill gap from the storm's own deterministic stream. One gap in three
-// is short enough (1 ms) to land the next kill inside the prior victim's
-// warm-rejoin window, exercising a membership change during live rejoin.
-void DriveRebootStorm(const std::shared_ptr<InjectionState>& state, size_t fault_index,
-                      uint32_t cycle, CellId victim, Time until);
-
-// Polls every 2 ms until the cycle's victim is a live, unconfirmed-failed,
-// not-in-recovery member again (or the storm window closes), then schedules
-// the next kill cycle.
-void WaitForStormRejoin(const std::shared_ptr<InjectionState>& state, size_t fault_index,
-                        uint32_t cycle, CellId victim, Time until) {
-  HiveSystem& sys = *state->sys;
-  if (sys.machine().Now() >= until) {
-    return;
-  }
-  if (!sys.CellReachable(victim) || sys.CellConfirmedFailed(victim) ||
-      sys.cell(victim).in_recovery()) {
-    sys.machine().events().ScheduleAfter(
-        2 * kMillisecond, [state, fault_index, cycle, victim, until] {
-          WaitForStormRejoin(state, fault_index, cycle, victim, until);
-        });
-    return;
-  }
-  base::Rng rng(state->spec->seed ^ (0x5706ull << 32) ^
-                (static_cast<uint64_t>(fault_index) << 8) ^ cycle);
-  const CellId n = static_cast<CellId>(sys.num_cells());
+// The storm's next victim and inter-kill gap, from its own deterministic
+// stream. One gap in three is short enough (1 ms) to land the next kill
+// inside the prior victim's warm-rejoin window, exercising a membership
+// change during live rejoin.
+std::pair<CellId, Time> DrawStormKill(const ScenarioSpec& spec, size_t fault_index,
+                                      uint32_t cycle, CellId victim) {
+  base::Rng rng(spec.seed ^ (0x5706ull << 32) ^ (static_cast<uint64_t>(fault_index) << 8) ^
+                cycle);
+  const CellId n = static_cast<CellId>(spec.num_cells);
   const CellId next = static_cast<CellId>(
       (victim + 1 + static_cast<CellId>(rng.Below(static_cast<uint64_t>(n - 1)))) % n);
   const Time gap =
       rng.OneIn(3) ? 1 * kMillisecond : static_cast<Time>(20 + rng.Below(80)) * kMillisecond;
-  sys.machine().events().ScheduleAfter(gap, [state, fault_index, cycle, next, until] {
-    DriveRebootStorm(state, fault_index, cycle + 1, next, until);
-  });
-}
-
-void DriveRebootStorm(const std::shared_ptr<InjectionState>& state, size_t fault_index,
-                      uint32_t cycle, CellId victim, Time until) {
-  const FaultSpec& fault = state->spec->faults[fault_index];
-  HiveSystem& sys = *state->sys;
-  if (cycle >= fault.storm_cycles || sys.machine().Now() >= until) {
-    return;
-  }
-  // Hold the kill while the victim is unreachable or mid-recovery, and keep
-  // at least two survivors after the kill so a recovery master exists.
-  if (!sys.CellReachable(victim) || sys.cell(victim).in_recovery() ||
-      sys.LiveCells().size() < 3) {
-    sys.machine().events().ScheduleAfter(
-        2 * kMillisecond, [state, fault_index, cycle, victim, until] {
-          DriveRebootStorm(state, fault_index, cycle, victim, until);
-        });
-    return;
-  }
-  sys.machine().FailNode(sys.cell(victim).first_node());
-  state->injected[fault_index] = true;
-  WaitForStormRejoin(state, fault_index, cycle, victim, until);
-}
-
-// Installs one time-windowed message-fault plan on the SIPS substrate. Plans
-// are evaluated by send time, so installation happens at scenario setup; the
-// fault is recorded as landed immediately (the window is guaranteed active).
-void InstallMessageFaultPlan(InjectionState& state, size_t fault_index) {
-  const FaultSpec& fault = state.spec->faults[fault_index];
-  HiveSystem& sys = *state.sys;
-  flash::Sips& sips = sys.machine().sips();
-  if (sips.fault_model() == nullptr) {
-    sips.EnableFaultModel(state.spec->seed ^ 0x6D7367666Cull);
-  }
-  flash::MessageFaultPlan plan;
-  plan.start = fault.inject_at;
-  plan.end = fault.inject_at + fault.duration;
-  plan.drop_pm = fault.drop_pm;
-  plan.dup_pm = fault.dup_pm;
-  plan.delay_pm = fault.delay_pm;
-  plan.corrupt_pm = fault.corrupt_pm;
-  // Delayed lines stay well under the RPC spin window (50 us): delay models
-  // a non-minimal route, not a partition.
-  plan.delay_max_ns = 30 * hive::kMicrosecond;
-  plan.src_node = fault.victim >= 0 ? sys.cell(fault.victim).first_node() : -1;
-  plan.dst_node = fault.target >= 0 ? sys.cell(fault.target).first_node() : -1;
-  sips.fault_model()->AddPlan(plan);
-  state.injected[fault_index] = true;
-}
-
-// Drives a steady stream of non-idempotent intercell RPCs (borrow one frame
-// from the neighbor cell, then return it) for message-fault scenarios. The
-// workloads' own RPC mix is bursty and can quiesce before a fault window
-// opens; without this traffic the at-most-once and liveness oracles would
-// pass vacuously.
-void ProbeIntercellRpc(const std::shared_ptr<InjectionState>& state, Time until) {
-  HiveSystem& sys = *state->sys;
-  const int n = sys.num_cells();
-  for (CellId c = 0; c < n; ++c) {
-    const CellId peer = (c + 1) % n;
-    if (peer == c || !sys.CellReachable(c) || !sys.CellReachable(peer)) {
-      continue;
-    }
-    Cell& cell = sys.cell(c);
-    if (cell.in_recovery() || sys.cell(peer).in_recovery()) {
-      continue;
-    }
-    Ctx ctx = cell.MakeCtx();
-    hive::RpcArgs borrow;
-    borrow.w[0] = static_cast<uint64_t>(c);
-    borrow.w[1] = 1;
-    hive::RpcReply frames;
-    const base::Status status =
-        cell.rpc().Call(ctx, peer, hive::MsgType::kBorrowFrames, borrow, &frames);
-    if (status.ok() && frames.w[0] >= 1) {
-      hive::RpcArgs give_back;
-      give_back.w[0] = static_cast<uint64_t>(c);
-      give_back.w[1] = frames.w[1];
-      hive::RpcReply ignored;
-      (void)cell.rpc().Call(ctx, peer, hive::MsgType::kReturnFrame, give_back, &ignored);
-    }
-  }
-  if (sys.machine().Now() + 5 * kMillisecond <= until) {
-    sys.machine().events().ScheduleAfter(
-        5 * kMillisecond, [state, until] { ProbeIntercellRpc(state, until); });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rogue-cell fault family.
-// ---------------------------------------------------------------------------
-
-// The rogue keeps flooding every peer with null requests until it is excised
-// (or the scenario window closes). Bursts are interleaved across peers so all
-// survivors cross the babble threshold nearly together and can corroborate
-// each other's kBabbling evidence from their own incoming-rate counters.
-void DriveRogueBabble(const std::shared_ptr<InjectionState>& state, CellId rogue,
-                      Time until) {
-  HiveSystem& sys = *state->sys;
-  if (!sys.CellReachable(rogue) || sys.CellConfirmedFailed(rogue)) {
-    return;
-  }
-  Cell& cell = sys.cell(rogue);
-  for (CellId peer = 0; peer < sys.num_cells(); ++peer) {
-    if (peer == rogue || !sys.CellReachable(peer)) {
-      continue;
-    }
-    for (int burst = 0; burst < 30; ++burst) {
-      if (!sys.CellReachable(rogue) || sys.CellConfirmedFailed(rogue)) {
-        return;  // Excised mid-flood by a peer's babble throttle.
-      }
-      Ctx ctx = cell.MakeCtx();
-      hive::RpcArgs args;
-      hive::RpcReply reply;
-      (void)cell.rpc().Call(ctx, peer, hive::MsgType::kNull, args, &reply);
-    }
-  }
-  if (sys.machine().Now() + kMillisecond <= until) {
-    sys.machine().events().ScheduleAfter(kMillisecond, [state, rogue, until] {
-      DriveRogueBabble(state, rogue, until);
-    });
-  }
-}
-
-// The rogue repeatedly accuses the same healthy cell. Voting refuses to kill
-// the accused both times, and the second voted-down alert turns the strike
-// counter against the rogue itself (paper section 4.3).
-void DriveRogueAccusations(const std::shared_ptr<InjectionState>& state, CellId rogue,
-                           CellId target, Time until) {
-  HiveSystem& sys = *state->sys;
-  if (!sys.CellReachable(rogue) || sys.CellConfirmedFailed(rogue)) {
-    return;
-  }
-  if (sys.CellReachable(target)) {
-    Ctx ctx = sys.cell(rogue).MakeCtx();
-    sys.HandleAlert(ctx, rogue, target, hive::HintReason::kRpcTimeout);
-  }
-  if (sys.machine().Now() + 30 * kMillisecond <= until) {
-    sys.machine().events().ScheduleAfter(30 * kMillisecond, [state, rogue, target, until] {
-      DriveRogueAccusations(state, rogue, target, until);
-    });
-  }
-}
-
-// Periodic null-RPC heartbeats between every pair of live cells (rogue-family
-// scenarios only). A mute rogue surfaces as retry exhaustion (kRpcTimeout
-// hints come from the transport itself); a garbling rogue surfaces here, when
-// a reply that must be all-zero comes back with garbage payload words.
-void DriveHeartbeats(const std::shared_ptr<InjectionState>& state, Time until) {
-  HiveSystem& sys = *state->sys;
-  for (CellId c = 0; c < sys.num_cells(); ++c) {
-    if (!sys.CellReachable(c) || sys.cell(c).in_recovery()) {
-      continue;
-    }
-    Cell& cell = sys.cell(c);
-    for (CellId peer = 0; peer < sys.num_cells(); ++peer) {
-      if (peer == c || !sys.CellReachable(peer) || sys.cell(peer).in_recovery()) {
-        continue;
-      }
-      Ctx ctx = cell.MakeCtx();
-      hive::RpcArgs args;
-      hive::RpcReply reply;
-      const base::Status status =
-          cell.rpc().Call(ctx, peer, hive::MsgType::kNull, args, &reply);
-      if (!status.ok()) {
-        continue;  // Timeout path already raised its own hint.
-      }
-      bool garbage = false;
-      for (uint64_t word : reply.w) {
-        garbage = garbage || word != 0;
-      }
-      if (garbage) {
-        hive::HintEvidence evidence;
-        evidence.structure = hive::EvidenceStructure::kRpcReply;
-        cell.detector().RaiseHintWithEvidence(ctx, peer,
-                                              hive::HintReason::kInvariantMismatch,
-                                              evidence);
-      }
-    }
-  }
-  if (sys.machine().Now() + 20 * kMillisecond <= until) {
-    sys.machine().events().ScheduleAfter(
-        20 * kMillisecond, [state, until] { DriveHeartbeats(state, until); });
-  }
+  return {next, gap};
 }
 
 // Periodic careful-reference walks of every other live cell's published probe
@@ -472,9 +197,7 @@ void DriveHeartbeats(const std::shared_ptr<InjectionState>& state, Time until) {
 // that agreement voters re-walk themselves. In the no-hop-bound fixture the
 // chase runs with the bound effectively removed and cycle detection off, so a
 // cyclic chain racks up the hop count the no-survivor-hang oracle flags.
-void ProbeRemoteStructures(const std::shared_ptr<InjectionState>& state, Time until) {
-  HiveSystem& sys = *state->sys;
-  const bool no_hop_bound = state->spec->disable_hop_bound;
+void ProbeRemoteStructures(HiveSystem& sys, bool no_hop_bound, Time until) {
   const int max_hops = no_hop_bound ? 4096 : 16;
   for (CellId c = 0; c < sys.num_cells(); ++c) {
     if (!sys.CellReachable(c) || sys.cell(c).in_recovery()) {
@@ -519,84 +242,10 @@ void ProbeRemoteStructures(const std::shared_ptr<InjectionState>& state, Time un
     }
   }
   if (sys.machine().Now() + 15 * kMillisecond <= until) {
-    sys.machine().events().ScheduleAfter(
-        15 * kMillisecond, [state, until] { ProbeRemoteStructures(state, until); });
+    sys.machine().events().ScheduleAfter(15 * kMillisecond, [&sys, no_hop_bound, until] {
+      ProbeRemoteStructures(sys, no_hop_bound, until);
+    });
   }
-}
-
-// Turns the victim Byzantine: behaviour flags for the clock / RPC / vote axes
-// and raw-path corruption of the victim's own published probe structures for
-// the heap axes (a cell's own bug scribbling its own memory -- damage to
-// others can only flow through checked reads of that memory). Babbling and
-// repeated accusations need ongoing activity, so they run as drivers.
-void InjectRogue(const std::shared_ptr<InjectionState>& state, size_t fault_index,
-                 Time drive_until) {
-  const FaultSpec& fault = state->spec->faults[fault_index];
-  HiveSystem& sys = *state->sys;
-  if (!sys.CellReachable(fault.victim)) {
-    return;
-  }
-  Cell& victim = sys.cell(fault.victim);
-  const uint32_t axes = fault.rogue_axes;
-
-  hive::RogueBehavior behavior;
-  behavior.active = true;
-  behavior.clock_freeze = (axes & kRogueClockFreeze) != 0;
-  behavior.clock_drift = (axes & kRogueClockDrift) != 0;
-  behavior.rpc_silent = (axes & kRogueRpcSilence) != 0;
-  behavior.rpc_garbage = (axes & kRogueRpcGarbage) != 0;
-  behavior.vote_contrarian = (axes & kRogueVoteContrarian) != 0;
-  behavior.garbage_seed = state->spec->seed ^ (0x90609ull << 32) ^ fault_index;
-  victim.SetRogueBehavior(behavior);
-
-  const uint32_t heap_axes =
-      kRogueHeapScribble | kRogueHeapBadPtr | kRogueHeapCycle | kRogueHeapTorn;
-  if ((axes & heap_axes) != 0) {
-    flash::FaultInjector injector(&sys.machine(),
-                                  state->spec->seed ^ (0xBADull << 32) ^ fault_index);
-    const std::vector<hive::PhysAddr>& nodes = victim.chain_node_addrs();
-    if ((axes & kRogueHeapScribble) != 0 && nodes.size() > 1) {
-      // Scribble the second node's type tag: the walk passes the head, then
-      // the careful reference protocol's tag check must refuse the node.
-      injector.CorruptTypeTag(nodes[1] - hive::KernelHeap::kHeaderSize + 4, 0xDEADBEEFu);
-    }
-    if ((axes & kRogueHeapBadPtr) != 0 && !nodes.empty()) {
-      // Bend the head's next pointer into another cell's range: the chase
-      // must refuse to follow a pointer outside the suspect's memory.
-      injector.WriteWord(nodes[0] + 8, sys.cell(fault.target).mem_base() + 64);
-    }
-    if ((axes & kRogueHeapCycle) != 0 && !nodes.empty()) {
-      injector.WriteWord(nodes.back() + 8, victim.chain_head_addr());
-    }
-    if ((axes & kRogueHeapTorn) != 0 && victim.seq_block_addr() != 0) {
-      // A writer died mid-update: odd sequence word plus a half-written
-      // payload. Generation-retry readers must give up, never spin forever.
-      injector.WriteWord(victim.seq_block_addr(), 3);
-      injector.WriteWord(victim.seq_block_addr() + 8, injector.rng().Next());
-    }
-  }
-  state->injected[fault_index] = true;
-
-  if ((axes & kRogueRpcBabble) != 0) {
-    DriveRogueBabble(state, fault.victim, drive_until);
-  }
-  if ((axes & kRogueVoteAccuse) != 0) {
-    DriveRogueAccusations(state, fault.victim, fault.target, drive_until);
-  }
-}
-
-// A buggy detector on the accuser cell raises a hint against a healthy cell.
-// Agreement (voting or the oracle) must refuse to kill the accused.
-void InjectFalseAccusation(InjectionState& state, size_t fault_index) {
-  const FaultSpec& fault = state.spec->faults[fault_index];
-  HiveSystem& sys = *state.sys;
-  Cell& accuser = sys.cell(fault.victim);
-  if (!sys.CellReachable(fault.victim) || !sys.CellReachable(fault.target)) {
-    return;
-  }
-  state.injected[fault_index] = true;
-  Ctx ctx = accuser.MakeCtx();
-  sys.HandleAlert(ctx, fault.victim, fault.target, hive::HintReason::kRpcTimeout);
 }
 
 uint64_t ComputeFingerprint(const ScenarioResult& result, HiveSystem& sys) {
@@ -706,57 +355,87 @@ ScenarioResult RunScenario(const ScenarioSpec& spec) {
     pids.insert(pids.end(), started.begin(), started.end());
   }
 
-  // Schedule the fault plan.
-  auto state = std::make_shared<InjectionState>();
-  state->sys = &sys;
-  state->spec = &spec;
-  state->injected.assign(spec.faults.size(), false);
+  // Schedule the fault plan: one event per fault at its injection time (a
+  // message-fault plan is installed right away instead).
+  result.injected.assign(spec.faults.size(), false);
+  // Frames where an injected wild write actually landed (firewall checking
+  // off). The salvage-containment oracle asserts none of them was salvaged.
+  std::vector<hive::PhysAddr> wild_write_frames;
   Time last_inject = 0;
   Time probe_until = 0;
   for (size_t i = 0; i < spec.faults.size(); ++i) {
     const FaultSpec& fault = spec.faults[i];
+    const OnLanded landed = [&result, i] { result.injected[i] = true; };
     last_inject = std::max(last_inject, fault.inject_at);
+    flash::EventFn inject;
     switch (fault.kind) {
       case FaultKind::kNodeFailure:
-        machine.events().ScheduleAt(fault.inject_at,
-                                    [state, i] { InjectNodeFailure(*state, i); });
+        inject = [&sys, &fault, landed] {
+          FailCellNode(sys, fault.victim);
+          landed();
+        };
         break;
-      case FaultKind::kAddrMapCorruption: {
-        const Time give_up = fault.inject_at + 400 * kMillisecond;
-        machine.events().ScheduleAt(fault.inject_at, [state, i, give_up] {
-          TryAddrMapCorruption(state, i, give_up);
-        });
+      case FaultKind::kAddrMapCorruption:
+        // Gives up 400 ms after the nominal injection time (the fault is then
+        // recorded as not landed).
+        inject = [&sys, &spec, &fault, i, landed] {
+          CorruptPointerWhenFound(sys, fault.victim, spec.seed ^ i, fault.mode,
+                                  fault.inject_at + 400 * kMillisecond, AddrMapNextPointer,
+                                  landed);
+        };
         break;
-      }
       case FaultKind::kWildWrite:
-        machine.events().ScheduleAt(fault.inject_at,
-                                    [state, i] { InjectWildWrite(*state, i); });
+        inject = [&sys, &spec, i, landed, &wild_write_frames] {
+          InjectWildWrite(spec, sys, i, landed, wild_write_frames);
+        };
         break;
       case FaultKind::kFalseAccusation:
-        machine.events().ScheduleAt(fault.inject_at,
-                                    [state, i] { InjectFalseAccusation(*state, i); });
+        inject = [&sys, &fault, landed] {
+          if (FalseAccusation(sys, fault.victim, fault.target)) {
+            landed();
+          }
+        };
         break;
-      case FaultKind::kMessageFaults:
-        InstallMessageFaultPlan(*state, i);
+      case FaultKind::kMessageFaults: {
+        // Plans are evaluated by send time, so the plan goes in at setup and
+        // lands at once. victim/target of -1 match every route.
+        flash::MessageFaultPlan plan;
+        plan.start = fault.inject_at;
+        plan.end = fault.inject_at + fault.duration;
+        plan.drop_pm = fault.drop_pm;
+        plan.dup_pm = fault.dup_pm;
+        plan.delay_pm = fault.delay_pm;
+        plan.corrupt_pm = fault.corrupt_pm;
+        plan.src_node = fault.victim >= 0 ? sys.cell(fault.victim).first_node() : -1;
+        plan.dst_node = fault.target >= 0 ? sys.cell(fault.target).first_node() : -1;
+        InstallMessageFaults(sys, spec.seed, plan);
+        landed();
         last_inject = std::max(last_inject, fault.inject_at + fault.duration);
         probe_until = std::max(probe_until, fault.inject_at + fault.duration);
         break;
-      case FaultKind::kRogueCell: {
-        const Time drive_until = fault.inject_at + spec.settle_ns;
-        machine.events().ScheduleAt(fault.inject_at, [state, i, drive_until] {
-          InjectRogue(state, i, drive_until);
-        });
-        break;
       }
-      case FaultKind::kRebootStorm: {
-        const Time storm_until = fault.inject_at + fault.duration;
-        const CellId first_victim = fault.victim;
-        machine.events().ScheduleAt(fault.inject_at, [state, i, first_victim, storm_until] {
-          DriveRebootStorm(state, i, /*cycle=*/0, first_victim, storm_until);
-        });
-        last_inject = std::max(last_inject, storm_until);
+      case FaultKind::kRogueCell:
+        inject = [&sys, &spec, &fault, i, landed] {
+          if (TurnRogue(sys, fault.victim, fault.target, fault.rogue_axes, spec.seed, i,
+                        fault.inject_at + spec.settle_ns)) {
+            landed();
+          }
+        };
         break;
-      }
+      case FaultKind::kRebootStorm:
+        inject = [&sys, &spec, &fault, i, landed] {
+          RunRebootStorm(
+              sys, fault.victim, fault.storm_cycles, fault.inject_at + fault.duration,
+              [&spec, i](uint32_t cycle, CellId victim) {
+                return DrawStormKill(spec, i, cycle, victim);
+              },
+              landed);
+        };
+        last_inject = std::max(last_inject, fault.inject_at + fault.duration);
+        break;
+    }
+    if (inject) {
+      machine.events().ScheduleAt(fault.inject_at, std::move(inject));
     }
   }
   if (spec.rogue_only || spec.healthy_baseline) {
@@ -768,19 +447,23 @@ ScenarioResult RunScenario(const ScenarioSpec& spec) {
       sys.cell(c).PublishProbeStructures();
     }
     const Time drivers_until = last_inject + spec.settle_ns;
-    machine.events().ScheduleAt(10 * kMillisecond, [state, drivers_until] {
-      DriveHeartbeats(state, drivers_until);
+    machine.events().ScheduleAt(10 * kMillisecond, [&sys, drivers_until] {
+      DriveHeartbeats(sys, drivers_until);
     });
-    machine.events().ScheduleAt(15 * kMillisecond, [state, drivers_until] {
-      ProbeRemoteStructures(state, drivers_until);
+    machine.events().ScheduleAt(15 * kMillisecond, [&sys, &spec, drivers_until] {
+      ProbeRemoteStructures(sys, spec.disable_hop_bound, drivers_until);
     });
   }
   if (probe_until > 0) {
-    // Keep probing a few quiet rounds past the last fault window so retry
-    // exhaustion tails and quarantine probation can resolve.
+    // Message-fault scenarios: the workloads' own RPC mix is bursty and can
+    // quiesce before a fault window opens; without steady probe traffic the
+    // at-most-once and liveness oracles would pass vacuously. Keep probing a
+    // few quiet rounds past the last fault window so retry exhaustion tails
+    // and quarantine probation can resolve.
     probe_until += 50 * kMillisecond;
-    machine.events().ScheduleAt(
-        5 * kMillisecond, [state, probe_until] { ProbeIntercellRpc(state, probe_until); });
+    machine.events().ScheduleAt(5 * kMillisecond, [&sys, probe_until] {
+      ProbeIntercellRpc(sys, 5 * kMillisecond, probe_until);
+    });
   }
 
   // Run the workload (bounded), then settle long enough after the last
@@ -791,7 +474,6 @@ ScenarioResult RunScenario(const ScenarioSpec& spec) {
   machine.RunUntil(std::max(machine.Now(), last_inject) + spec.settle_ns);
   result.end_time = machine.Now();
   result.events_run = machine.events().total_run();
-  result.injected = state->injected;
 
   // Output validation: each validator already skips dead cells and
   // unfinished jobs, but a dead pmake file server would count every output
@@ -814,9 +496,9 @@ ScenarioResult RunScenario(const ScenarioSpec& spec) {
   input.spec = &spec;
   input.system = &sys;
   input.canaries = &canaries;
-  input.injected = state->injected;
+  input.injected = result.injected;
   input.corrupt_outputs = corrupt;
-  input.wild_write_frames = state->wild_write_frames;
+  input.wild_write_frames = wild_write_frames;
   result.violations = CheckAllOracles(input);
 
   result.fingerprint = ComputeFingerprint(result, sys);

@@ -7,7 +7,7 @@
 namespace flash {
 
 void FaultInjector::ScheduleNodeFailure(int node, Time when) {
-  machine_->events().ScheduleAt(when, [this, node] { machine_->FailNode(node); });
+  machine_->events().ScheduleAt(when, [machine = machine_, node] { machine->FailNode(node); });
 }
 
 uint64_t FaultInjector::CorruptPointer(PhysAddr addr, PointerCorruptionMode mode,

@@ -41,7 +41,8 @@ class FaultInjector {
   explicit FaultInjector(Machine* machine, uint64_t seed)
       : machine_(machine), rng_(seed) {}
 
-  // Schedules a fail-stop node failure at absolute time `when`.
+  // Schedules a fail-stop node failure at absolute time `when`. The event
+  // holds only the machine, so the injector may be gone before it fires.
   void ScheduleNodeFailure(int node, Time when);
 
   // Immediately corrupts the 8-byte pointer at `addr` according to `mode`.

@@ -3,28 +3,26 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "src/base/log.h"
 #include "src/base/rng.h"
 #include "src/base/table.h"
 #include "src/campaign/coverage.h"
-#include "src/core/address_space.h"
-#include "src/core/careful_ref.h"
+#include "src/campaign/injectors.h"
 #include "src/core/cell.h"
-#include "src/core/failure_detection.h"
 #include "src/core/hive_system.h"
-#include "src/core/kernel_heap.h"
 #include "src/core/process.h"
 #include "src/core/recovery.h"
 #include "src/core/report.h"
-#include "src/core/rpc.h"
 #include "src/core/scheduler.h"
 #include "src/core/slo.h"
 #include "src/core/wax.h"
 #include "src/flash/fault_injector.h"
 #include "src/flash/machine.h"
-#include "src/flash/sips.h"
 #include "src/workloads/serve_requests.h"
 #include "src/workloads/workload.h"
 
@@ -113,8 +111,9 @@ struct SoakState {
 
 constexpr uint64_t kTenantFileSize = 64 * 1024;
 
+// Reachable (which implies alive) and not frozen in recovery.
 bool CellUsable(HiveSystem& sys, CellId c) {
-  return sys.CellReachable(c) && sys.cell(c).alive() && !sys.cell(c).in_recovery();
+  return sys.CellReachable(c) && !sys.cell(c).in_recovery();
 }
 
 bool SystemWhole(HiveSystem& sys) {
@@ -260,83 +259,6 @@ void OverloadBurst(const std::shared_ptr<SoakState>& state, int burst_index) {
 }
 
 // ---------------------------------------------------------------------------
-// Health plane: heartbeats + intercell probe traffic (the serve analogue of
-// the campaign's drivers; detection of silent/garbling/dead peers runs on
-// top of these).
-// ---------------------------------------------------------------------------
-
-void DriveHeartbeats(const std::shared_ptr<SoakState>& state) {
-  HiveSystem& sys = *state->sys;
-  for (CellId c = 0; c < sys.num_cells(); ++c) {
-    if (!sys.CellReachable(c) || sys.cell(c).in_recovery()) {
-      continue;
-    }
-    Cell& cell = sys.cell(c);
-    for (CellId peer = 0; peer < sys.num_cells(); ++peer) {
-      if (peer == c || !sys.CellReachable(peer) || sys.cell(peer).in_recovery()) {
-        continue;
-      }
-      Ctx ctx = cell.MakeCtx();
-      hive::RpcArgs args;
-      hive::RpcReply reply;
-      const base::Status status =
-          cell.rpc().Call(ctx, peer, hive::MsgType::kNull, args, &reply);
-      if (!status.ok()) {
-        continue;  // The timeout path raised its own kRpcTimeout hint.
-      }
-      bool garbage = false;
-      for (uint64_t word : reply.w) {
-        garbage = garbage || word != 0;
-      }
-      if (garbage) {
-        // A null reply with payload: the peer is scribbling replies (rogue).
-        hive::HintEvidence evidence;
-        evidence.structure = hive::EvidenceStructure::kRpcReply;
-        cell.detector().RaiseHintWithEvidence(
-            ctx, peer, hive::HintReason::kInvariantMismatch, evidence);
-      }
-    }
-  }
-  if (sys.machine().Now() + 20 * kMillisecond <= state->opts->duration_ns +
-                                                    state->opts->drain_ns) {
-    sys.machine().events().ScheduleAfter(20 * kMillisecond,
-                                         [state] { DriveHeartbeats(state); });
-  }
-}
-
-// Steady non-idempotent intercell traffic (borrow/return one frame) so
-// message-fault windows always have RPC mutations in flight and recovery has
-// live loan state to reclaim.
-void ProbeIntercellRpc(const std::shared_ptr<SoakState>& state) {
-  HiveSystem& sys = *state->sys;
-  for (CellId c = 0; c < sys.num_cells(); ++c) {
-    const CellId peer = static_cast<CellId>((c + 1) % sys.num_cells());
-    if (peer == c || !CellUsable(sys, c) || !CellUsable(sys, peer)) {
-      continue;
-    }
-    Cell& cell = sys.cell(c);
-    Ctx ctx = cell.MakeCtx();
-    hive::RpcArgs borrow;
-    borrow.w[0] = static_cast<uint64_t>(c);
-    borrow.w[1] = 1;
-    hive::RpcReply frames;
-    const base::Status status =
-        cell.rpc().Call(ctx, peer, hive::MsgType::kBorrowFrames, borrow, &frames);
-    if (status.ok() && frames.w[0] >= 1) {
-      hive::RpcArgs give_back;
-      give_back.w[0] = static_cast<uint64_t>(c);
-      give_back.w[1] = frames.w[1];
-      hive::RpcReply ignored;
-      (void)cell.rpc().Call(ctx, peer, hive::MsgType::kReturnFrame, give_back, &ignored);
-    }
-  }
-  if (sys.machine().Now() + 25 * kMillisecond <= state->opts->duration_ns) {
-    sys.machine().events().ScheduleAfter(25 * kMillisecond,
-                                         [state] { ProbeIntercellRpc(state); });
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Background fault plan: one episode at a time, rotating through the seven
 // families, waiting for the system to become whole between episodes.
 // ---------------------------------------------------------------------------
@@ -387,121 +309,28 @@ void PlantAddrMapDecoy(const std::shared_ptr<SoakState>& state, CellId victim) {
   (void)sys.Fork(ctx, victim, std::move(decoy));
 }
 
-// Address-map corruption lands only once a victim process has built a
-// multi-region map; retry until then or until the give-up time.
-void TryAddrMapCorruption(const std::shared_ptr<SoakState>& state, CellId victim,
-                          Time give_up) {
-  HiveSystem& sys = *state->sys;
-  if (!sys.CellReachable(victim)) {
-    return;
-  }
-  Cell& cell = sys.cell(victim);
-  for (const auto& [pid, proc] : cell.sched().live_processes()) {
-    Ctx ctx = cell.MakeCtx();
-    auto regions = proc->address_space().ListRegions(ctx);
-    if (regions.size() < 2) {
-      continue;
-    }
-    flash::FaultInjector injector(&sys.machine(),
-                                  state->opts->seed ^ state->episodes.size());
-    Cell& other = sys.cell(static_cast<CellId>((victim + 1) % sys.num_cells()));
-    injector.CorruptPointer(
-        regions[0].entry_addr + hive::AddrMapEntryLayout::kNext,
-        flash::PointerCorruptionMode::kRandomOtherCell, cell.mem_base(),
-        cell.mem_size(), other.mem_base(), other.mem_size());
-    state->episodes.back().landed = true;
-    return;
-  }
-  if (sys.machine().Now() < give_up) {
-    sys.machine().events().ScheduleAfter(10 * kMillisecond, [state, victim, give_up] {
-      TryAddrMapCorruption(state, victim, give_up);
-    });
-  }
-}
-
 // A wild write from `victim` into the tenant file page cache of the next cell
 // over. The firewall denies the store and the writer kernel panics -- damage
 // contained to the writer, which recovery then excises and reboots.
-void InjectWildWrite(const std::shared_ptr<SoakState>& state, CellId victim) {
-  HiveSystem& sys = *state->sys;
+void InjectWildWrite(SoakState& state, CellId victim) {
+  HiveSystem& sys = *state.sys;
   const CellId target = static_cast<CellId>((victim + 1) % sys.num_cells());
   if (!sys.CellReachable(victim) || !sys.CellReachable(target)) {
     return;
   }
-  Cell& writer = sys.cell(victim);
-  Cell& owner = sys.cell(target);
   // The tenant homed on the target cell (tenants are assigned round-robin, so
   // tenant id == cell id is always such a tenant).
-  const TenantState& tenant = state->tenants[static_cast<size_t>(target)];
-  Ctx tctx = owner.MakeCtx();
-  auto handle = owner.fs().Open(tctx, tenant.data_path);
-  if (!handle.ok()) {
-    return;
-  }
-  auto page = owner.fs().GetPage(tctx, *handle, 0, /*want_write=*/false,
-                                 hive::FileSystem::AccessPath::kSyscall);
-  if (!page.ok()) {
+  const std::optional<hive::PhysAddr> frame = campaign::CachedFrame(
+      sys.cell(target), state.tenants[static_cast<size_t>(target)].data_path, 0);
+  if (!frame.has_value()) {
     return;
   }
   std::vector<uint8_t> garbage(64);
   for (uint8_t& byte : garbage) {
-    byte = static_cast<uint8_t>(state->rng.Next());
+    byte = static_cast<uint8_t>(state.rng.Next());
   }
-  const int writer_cpu = sys.machine().FirstCpuOfNode(writer.first_node());
-  state->episodes.back().landed = true;
-  try {
-    sys.machine().mem().Write(writer_cpu, (*page)->frame + 256, garbage);
-    // hive-lint: allow(R3): injected wild write from the soak harness; the firewall trap becomes the writer kernel's panic, as section 4.1 prescribes.
-  } catch (const flash::BusError&) {
-    std::ostringstream reason;
-    reason << "wild write into cell " << target << " denied by firewall";
-    writer.Panic(reason.str());
-  }
-}
-
-// Seed-driven kill/rejoin cycles (the reboot-storm family, compressed): kill
-// the victim, wait for auto-reintegration to restore it, kill the next.
-void DriveRebootStorm(const std::shared_ptr<SoakState>& state, int cycle,
-                      CellId victim, Time until);
-
-void WaitForStormRejoin(const std::shared_ptr<SoakState>& state, int cycle,
-                        CellId victim, Time until) {
-  HiveSystem& sys = *state->sys;
-  if (sys.machine().Now() >= until) {
-    return;
-  }
-  if (!sys.CellReachable(victim) || sys.CellConfirmedFailed(victim) ||
-      sys.cell(victim).in_recovery()) {
-    sys.machine().events().ScheduleAfter(2 * kMillisecond, [state, cycle, victim, until] {
-      WaitForStormRejoin(state, cycle, victim, until);
-    });
-    return;
-  }
-  const CellId next = static_cast<CellId>((victim + 1) % sys.num_cells());
-  const Time gap = state->rng.OneIn(3)
-                       ? 1 * kMillisecond
-                       : static_cast<Time>(10 + state->rng.Below(40)) * kMillisecond;
-  sys.machine().events().ScheduleAfter(gap, [state, cycle, next, until] {
-    DriveRebootStorm(state, cycle + 1, next, until);
-  });
-}
-
-void DriveRebootStorm(const std::shared_ptr<SoakState>& state, int cycle,
-                      CellId victim, Time until) {
-  HiveSystem& sys = *state->sys;
-  if (cycle >= 2 || sys.machine().Now() >= until) {
-    return;
-  }
-  if (!sys.CellReachable(victim) || sys.cell(victim).in_recovery() ||
-      sys.LiveCells().size() < 3) {
-    sys.machine().events().ScheduleAfter(2 * kMillisecond, [state, cycle, victim, until] {
-      DriveRebootStorm(state, cycle, victim, until);
-    });
-    return;
-  }
-  sys.machine().FailNode(sys.cell(victim).first_node());
-  state->episodes.back().landed = true;
-  WaitForStormRejoin(state, cycle, victim, until);
+  state.episodes.back().landed = true;
+  (void)campaign::WildWrite(sys, victim, target, *frame + 256, garbage);
 }
 
 void InjectNextFault(const std::shared_ptr<SoakState>& state) {
@@ -525,36 +354,33 @@ void InjectNextFault(const std::shared_ptr<SoakState>& state) {
 
   Time settle = 50 * kMillisecond;   // Earliest resolution check.
   Time give_up = now + 4 * kSecond;  // Close the episode even if never whole.
+  const campaign::OnLanded landed = [state] { state->episodes.back().landed = true; };
   switch (kind) {
     case FaultKind::kNodeFailure:
       if (sys.CellReachable(victim) && sys.LiveCells().size() >= 3) {
-        sys.machine().FailNode(sys.cell(victim).first_node());
-        state->episodes.back().landed = true;
+        campaign::FailCellNode(sys, victim);
+        landed();
       }
       break;
     case FaultKind::kAddrMapCorruption:
       PlantAddrMapDecoy(state, victim);
-      TryAddrMapCorruption(state, victim, now + 400 * kMillisecond);
+      campaign::CorruptPointerWhenFound(
+          sys, victim, opts.seed ^ state->episodes.size(),
+          flash::PointerCorruptionMode::kRandomOtherCell, now + 400 * kMillisecond,
+          campaign::AddrMapNextPointer, landed);
       settle = 450 * kMillisecond;  // Give the corruption time to be walked.
       break;
     case FaultKind::kWildWrite:
-      InjectWildWrite(state, victim);
+      InjectWildWrite(*state, victim);
       break;
-    case FaultKind::kFalseAccusation: {
-      const CellId accused = static_cast<CellId>((victim + 1) % sys.num_cells());
-      if (sys.CellReachable(victim) && sys.CellReachable(accused)) {
-        Ctx ctx = sys.cell(victim).MakeCtx();
-        sys.HandleAlert(ctx, victim, accused, hive::HintReason::kRpcTimeout);
-        state->episodes.back().landed = true;
+    case FaultKind::kFalseAccusation:
+      if (campaign::FalseAccusation(sys, victim,
+                                    static_cast<CellId>((victim + 1) % sys.num_cells()))) {
+        landed();
       }
       settle = 20 * kMillisecond;
       break;
-    }
     case FaultKind::kMessageFaults: {
-      flash::Sips& sips = sys.machine().sips();
-      if (sips.fault_model() == nullptr) {
-        sips.EnableFaultModel(opts.seed ^ 0x6D7367666Cull);
-      }
       flash::MessageFaultPlan plan;
       plan.start = now;
       plan.end = now + 400 * kMillisecond;
@@ -562,25 +388,31 @@ void InjectNextFault(const std::shared_ptr<SoakState>& state) {
       plan.dup_pm = 15;
       plan.delay_pm = 40;
       plan.corrupt_pm = 10;
-      plan.delay_max_ns = 30 * hive::kMicrosecond;  // Under the RPC spin window.
-      sips.fault_model()->AddPlan(plan);
-      state->episodes.back().landed = true;
+      campaign::InstallMessageFaults(sys, opts.seed, plan);
+      landed();
       settle = 420 * kMillisecond;  // The window must fully pass.
       break;
     }
-    case FaultKind::kRogueCell: {
-      if (sys.CellReachable(victim)) {
-        hive::RogueBehavior behavior;
-        behavior.active = true;
-        behavior.rpc_garbage = true;  // Heartbeats surface the scribbles.
-        behavior.garbage_seed = opts.seed ^ (0x90609ull << 32) ^ state->episodes.size();
-        sys.cell(victim).SetRogueBehavior(behavior);
-        state->episodes.back().landed = true;
+    case FaultKind::kRogueCell:
+      // Garbage replies only: the heartbeats surface the scribbles.
+      if (campaign::TurnRogue(sys, victim, hive::kInvalidCell, campaign::kRogueRpcGarbage,
+                              opts.seed, state->episodes.size(), now)) {
+        landed();
       }
       break;
-    }
     case FaultKind::kRebootStorm:
-      DriveRebootStorm(state, /*cycle=*/0, victim, now + 2 * kSecond);
+      // Two kills, rotating to the next cell, 1 ms or 10-49 ms apart.
+      campaign::RunRebootStorm(
+          sys, victim, /*cycles=*/2, now + 2 * kSecond,
+          [state](uint32_t, CellId rejoined) {
+            const CellId next =
+                static_cast<CellId>((rejoined + 1) % state->sys->num_cells());
+            const Time gap = state->rng.OneIn(3)
+                                 ? 1 * kMillisecond
+                                 : static_cast<Time>(10 + state->rng.Below(40)) * kMillisecond;
+            return std::pair<CellId, Time>(next, gap);
+          },
+          landed);
       give_up = now + 6 * kSecond;
       break;
   }
@@ -767,8 +599,15 @@ ServeResult RunSoak(const ServeOptions& options) {
   // Drivers: request pump, health plane, probe traffic, overload bursts, and
   // the rotating background fault plan.
   machine.events().ScheduleAt(10 * kMillisecond, [state] { PumpRequests(state); });
-  machine.events().ScheduleAt(20 * kMillisecond, [state] { DriveHeartbeats(state); });
-  machine.events().ScheduleAt(25 * kMillisecond, [state] { ProbeIntercellRpc(state); });
+  // Heartbeats surface silent, garbling and dead peers; the borrow/return
+  // probe keeps mutating RPCs in flight through message-fault windows.
+  machine.events().ScheduleAt(20 * kMillisecond, [&sys, until = opts.duration_ns +
+                                                                opts.drain_ns] {
+    campaign::DriveHeartbeats(sys, until);
+  });
+  machine.events().ScheduleAt(25 * kMillisecond, [&sys, until = opts.duration_ns] {
+    campaign::ProbeIntercellRpc(sys, 25 * kMillisecond, until);
+  });
   machine.events().ScheduleAt(12 * kSecond, [state] { OverloadBurst(state, 0); });
   machine.events().ScheduleAt(1 * kSecond, [state] { InjectNextFault(state); });
 

@@ -3,7 +3,8 @@
 #   1. a wild-write fixture sweep (firewall checking off) must flag every
 #      scenario and print a self-contained repro line;
 #   2. rerunning the printed repro line must reproduce the violation
-#      byte-identically (same spec, same fingerprint, same report).
+#      byte-identically (same spec, same fingerprint, same report);
+#   3. plan-shape flags that conflict exit 2 instead of running.
 #
 # Usage: campaign_repro_test.sh <path-to-hive_campaign>
 set -u
@@ -49,5 +50,20 @@ grep -q "containment violation" "$TMP/run1.out" || \
   { cat "$TMP/run1.out" >&2; fail "repro run did not report the violation"; }
 grep -q "fingerprint=0x" "$TMP/run1.out" || \
   fail "repro run printed no fingerprint"
+
+# Plan-shape flags that conflict must be refused (exit 2, naming the
+# conflict), not resolved by silently dropping one: a storm run would
+# otherwise pass under a fixture that is expected to trip, and a violation
+# would print a repro line for a different scenario.
+for conflict in "--faults=reboot-storm --fixture=no_hop_bound" \
+                "--bug=no_dedup --fixture=no_dedup"; do
+  read -r -a conflict_args <<<"$conflict"
+  "$BIN" --seed=3 --scenario=0 "${conflict_args[@]}" >"$TMP/conflict.out" 2>&1
+  status=$?
+  [[ "$status" -eq 2 ]] || \
+    { cat "$TMP/conflict.out" >&2; fail "'$conflict' exited $status, expected 2"; }
+  grep -q "conflicting plan flags" "$TMP/conflict.out" || \
+    { cat "$TMP/conflict.out" >&2; fail "'$conflict' did not name the conflict"; }
+done
 
 echo "campaign_repro_test: OK (repro: $repro)"

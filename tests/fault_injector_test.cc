@@ -38,6 +38,19 @@ TEST_F(FaultInjectorTest, ScheduledNodeFailureFiresAtTime) {
   EXPECT_TRUE(machine_.cpu(machine_.FirstCpuOfNode(2)).halted);
 }
 
+// The scheduled event must not reach back into the injector: callers (the
+// examples among them) build injectors in a scope that ends long before the
+// failure fires.
+TEST(FaultInjectorLifetimeTest, ScheduledFailureOutlivesItsInjector) {
+  Machine machine(hivetest::SmallConfig(), 1);
+  {
+    FaultInjector injector(&machine, 7);
+    injector.ScheduleNodeFailure(1, 1000);
+  }
+  machine.events().RunUntil(2000);
+  EXPECT_TRUE(machine.NodeDead(1));
+}
+
 TEST_F(FaultInjectorTest, OffByOneWordMode) {
   WriteWord(0x1000, 0x2000);
   const uint64_t corrupt = injector_.CorruptPointer(

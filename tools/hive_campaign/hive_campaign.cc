@@ -10,13 +10,15 @@
 // (seed, scenario, fixture): rerunning a printed repro line produces
 // byte-identical output.
 //
-// Exit codes: 0 = all oracles passed, 1 = violation(s), 2 = usage error.
+// Exit codes: 0 = all oracles passed, 1 = violation(s), 2 = usage error
+// (including plan flags that conflict).
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/campaign/campaign.h"
@@ -114,7 +116,11 @@ void Usage() {
                "                       mutation chain to the generated scenario (the\n"
                "                       self-contained repro form of a guided mutant)\n"
                "  --no-minimize        skip minimization of violating scenarios\n"
-               "  --verbose            print a line per scenario\n");
+               "  --verbose            print a line per scenario\n"
+               "\n"
+               "Give at most one --fixture=, --faults= or --bug=salvage_unchecked flag;\n"
+               "--salvage and --bug=no_dedup add to any one of them, except\n"
+               "--bug=no_dedup to --fixture=no_dedup. A conflict exits 2.\n");
 }
 
 bool ParseU64(const char* text, uint64_t* out) {
@@ -191,6 +197,43 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     }
   }
   return true;
+}
+
+// Each plan-shape flag makes the generator draw a different kind of plan and
+// it honours only one, so a second one would be dropped without a word (and
+// the printed repro line would name a different scenario). Returns false,
+// after naming the conflict, when the flags cannot all hold.
+bool PlanFlagsCompatible(const Args& args) {
+  const std::pair<bool, const char*> shapes[] = {
+      {args.wild_write_fixture, "--fixture=wild_write"},
+      {args.no_dedup_fixture, "--fixture=no_dedup"},
+      {args.no_hop_bound_fixture, "--fixture=no_hop_bound"},
+      {args.message_faults_only, "--faults=message"},
+      {args.rogue_only, "--faults=rogue"},
+      {args.healthy_baseline, "--faults=none"},
+      {args.reboot_storm_only, "--faults=reboot-storm"},
+      {args.bug_salvage_unchecked, "--bug=salvage_unchecked"},
+  };
+  std::string given;
+  int count = 0;
+  for (const auto& [set, name] : shapes) {
+    if (set) {
+      given = given + " " + name;
+      ++count;
+    }
+  }
+  // --bug=no_dedup adds to any plan shape but the fixture that breaks
+  // duplicate suppression on every cell.
+  if (args.no_dedup_fixture && args.bug_no_dedup) {
+    given += " --bug=no_dedup";
+    ++count;
+  }
+  if (count <= 1) {
+    return true;
+  }
+  std::fprintf(stderr, "hive_campaign: conflicting plan flags (give at most one):%s\n",
+               given.c_str());
+  return false;
 }
 
 int RunSingle(const Args& args) {
@@ -322,6 +365,9 @@ int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     Usage();
+    return 2;
+  }
+  if (!PlanFlagsCompatible(args)) {
     return 2;
   }
   if (!args.mutation_chain.empty() && !args.have_scenario) {
