@@ -37,10 +37,16 @@ int main() {
 
   base::Histogram rpc_hist;
   for (int i = 0; i < kIters; ++i) {
+    bench::PaceCall(system);
     hive::Ctx ctx = reader.MakeCtx();
     hive::RpcArgs args;
     hive::RpcReply reply;
-    (void)reader.rpc().Call(ctx, target.id(), hive::MsgType::kPing, args, &reply);
+    const base::Status status =
+        reader.rpc().Call(ctx, target.id(), hive::MsgType::kPing, args, &reply);
+    if (!status.ok()) {
+      std::fprintf(stderr, "ping failed: %s\n", std::string(status.name()).c_str());
+      return 1;
+    }
     rpc_hist.Record(ctx.elapsed);
   }
 

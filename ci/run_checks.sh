@@ -30,10 +30,10 @@
 #   4d. the pinned determinism fingerprints hold: hive_campaign merged
 #       fingerprints for seeds 1-3 at 600 scenarios, the hive_serve
 #       fingerprints of the default and the 8-cell/32-tenant soak, and the
-#       sha256 of the Table 7.4 bench's output (the fault-injection
-#       library's third caller); both soaks keep one Wax scan chain per
-#       incarnation (scan count bounded by the run length plus the
-#       incarnations);
+#       stdout sha256 of each of the 14 table benches in bench/ (each must
+#       also exit 0; gb_microbench is host-timed and left out); both soaks
+#       keep one Wax scan chain per incarnation (scan count bounded by the
+#       run length plus the incarnations);
 #   4e. a 20000-scenario campaign sweep (seed 2) reaches a verdict with no
 #       violation: the uncaught-bus-error crash family stays closed;
 #   5. the full test suite builds and passes under ASan+UBSan, the four
@@ -272,6 +272,9 @@ echo "== guided campaign: budgeted coverage-guided run =="
 # must actually exercise the corpus/mutation machinery (corpus line present).
 # HIVE_CAMPAIGN_SCENARIOS scales the budget for nightly lanes.
 GUIDED_SCENARIOS="${HIVE_CAMPAIGN_SCENARIOS:-64}"
+# A zero-scenario sweep is a usage error (exit 2); 0 turns the nightly lane
+# off, not this budget.
+[[ "$GUIDED_SCENARIOS" -gt 0 ]] || GUIDED_SCENARIOS=64
 guided_log="$BUILD_DIR/guided_campaign.log"
 rm -rf "$BUILD_DIR/ci_corpus"
 "$CAMPAIGN" --seed="$MSG_SEED" --scenarios="$GUIDED_SCENARIOS" \
@@ -460,9 +463,9 @@ grep -q "recovery-time" "$slowrec_log" || {
   fail "slow_recovery run did not name the recovery-time SLO"
 }
 
-echo "== determinism gate: pinned campaign, serve and Table 7.4 outputs =="
+echo "== determinism gate: pinned campaign, serve and table-bench outputs =="
 # Simulated outcomes are a pure function of the seed. These values were
-# recorded when the campaign and serve engines and the Table 7.4 bench last
+# recorded when the campaign and serve engines and each table bench last
 # changed behaviour on purpose; a change that moves one must say why and
 # re-pin it here.
 for pin in "1 0xad852eebfcfec416" "2 0x1b550263badc770c" "3 0x34d94a8bac939bae"; do
@@ -510,20 +513,40 @@ PYEOF
   fi
 done
 
-# Table 7.4 injects through the same library as the campaign and the soak;
-# EXPERIMENTS.md's Table 7.4 rows come from this output.
-TAB74="$BUILD_DIR/bench/tab74_fault_injection"
-[[ -x "$TAB74" ]] || fail "tab74_fault_injection not built at $TAB74"
-tab74_out="$BUILD_DIR/pinned_tab74.out"
-"$TAB74" >"$tab74_out" 2>/dev/null || {
-  cat "$tab74_out"
-  fail "tab74_fault_injection exited nonzero (an injected fault was not contained)"
-}
-tab74_sha="$(sha256sum "$tab74_out" | cut -d' ' -f1)"
-[[ "$tab74_sha" == "1d19ad0e47d23c1f8cdf296504d433dcda39fd356125be60717f4f7e56259413" ]] || {
-  cat "$tab74_out"
-  fail "tab74_fault_injection output sha256 is $tab74_sha, not the pinned value"
-}
+# Every table bench in bench/ is a pure function of its source: each must
+# exit 0 (a failed call or an uncontained fault exits 1) and print exactly
+# the pinned stdout. EXPERIMENTS.md's tables come from these outputs, and
+# Table 7.4 injects through the same library as the campaign and the soak.
+# gb_microbench times the host and stays out.
+for pin in \
+  "sec6_rpc 921606980afbfa0f3f60b47949eabf47eb252c0259cc4b799e7b9f379d7ee27a" \
+  "sec41_careful_ref a3905c6142b21600f5340713b8d658dd5aaae437add6aa1f5d0effbbae9d438d" \
+  "tab52_page_fault fab15926ad6df3abd48e4989f06b7bfb70cda02c5cf0910698b17b3c0e0f367d" \
+  "tab73_kernel_ops 2558fc10e2d19e0ae95fc89fa97e589c8360a6fb27f906420ab745b850fd48f2" \
+  "tab72_workloads 18095d74c1c73a0f673a9c92482ca04aa21ff1aea112dcfaeade274bf09fbde7" \
+  "sec42_firewall_overhead f582b35438004f4fec6dcd187a0bc724adf98b3b9d8d0e5327b459f30c9f0777" \
+  "sec42_writable_pages 7f033b32916119caa90884eeb87fde3b2d975f4f6156c34b9f3b666577628398" \
+  "sec52_pmake_faults e12654c768390db871dc432dfa209b4061cd0516a3ddfc4f56bf7c724b996bc5" \
+  "tab74_fault_injection 1d19ad0e47d23c1f8cdf296504d433dcda39fd356125be60717f4f7e56259413" \
+  "abl_detection_freq eff7e88689cfae7be3dca607ec15127f937c5bf792d4548cd00d0e57909e1ae1" \
+  "abl_firewall_policy 0433a19fa2c5adda8c76632e2e0ab7576960945284dd0260f7da01a90537012d" \
+  "abl_agreement 1dc45f23e912e87421d4e94f83a81ba3581a87e3a0d678e712f9d3c95f4be9c9" \
+  "abl_rpc_level ae0cfa3cb61f7ead267115c761b0784cea828e483fd16cac4216ba1a0228cb66" \
+  "abl_numa_placement 318ec3bee09fc34de597860bee704fc21466cda586f2653da124a27094f0965a"; do
+  read -r bench_name bench_sha <<<"$pin"
+  bench_bin="$BUILD_DIR/bench/$bench_name"
+  [[ -x "$bench_bin" ]] || fail "$bench_name not built at $bench_bin"
+  bench_out="$BUILD_DIR/pinned_${bench_name}.out"
+  "$bench_bin" >"$bench_out" 2>"$bench_out.err" || {
+    cat "$bench_out" "$bench_out.err"
+    fail "$bench_name exited nonzero"
+  }
+  got_sha="$(sha256sum "$bench_out" | cut -d' ' -f1)"
+  [[ "$got_sha" == "$bench_sha" ]] || {
+    cat "$bench_out"
+    fail "$bench_name output sha256 is $got_sha, not the pinned value"
+  }
+done
 
 echo "== bus-error crash family: 20000-scenario campaign sweep =="
 # A trap taken by a kernel whose node died before its next clock tick once

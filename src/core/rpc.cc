@@ -172,10 +172,7 @@ base::Status RpcLayer::TimeoutPath(Ctx& ctx, CellId target, bool exhausted) {
   if (exhausted) {
     ++health.consecutive_exhaustions;
     if (!health.quarantined && health.consecutive_exhaustions >= kQuarantineThreshold) {
-      health.quarantined = true;
-      health.quarantine_until = ctx.VirtualNow() + kQuarantineProbationNs;
-      ++stats_.quarantines_entered;
-      cell_->Trace(TraceEvent::kPeerQuarantined, static_cast<uint64_t>(target));
+      Quarantine(health, target, ctx.VirtualNow() + kQuarantineProbationNs);
     }
   }
   if (raise) {
@@ -185,6 +182,16 @@ base::Status RpcLayer::TimeoutPath(Ctx& ctx, CellId target, bool exhausted) {
     cell_->detector().RaiseHint(ctx, target, HintReason::kRpcTimeout);
   }
   return base::Timeout();
+}
+
+void RpcLayer::Quarantine(PeerHealth& health, CellId peer, Time until) {
+  if (!health.quarantined) {
+    health.quarantined = true;
+    health.quarantine_until = until;
+    ++stats_.quarantines_entered;
+    cell_->Trace(TraceEvent::kPeerQuarantined, static_cast<uint64_t>(peer));
+  }
+  health.quarantine_until = std::max(health.quarantine_until, until);
 }
 
 void RpcLayer::Unquarantine(PeerHealth& health, CellId peer) {
@@ -216,13 +223,7 @@ void RpcLayer::OnSuspectCleared(CellId suspect) {
   // un-quarantine and allow a fresh hint. This rate-limits hint storms
   // (which would accumulate voting strikes against a healthy accuser) and
   // bounds how long a quarantine can outlive the agreement that cleared it.
-  const Time now = cell_->machine().Now();
-  if (!health.quarantined) {
-    health.quarantined = true;
-    ++stats_.quarantines_entered;
-    cell_->Trace(TraceEvent::kPeerQuarantined, static_cast<uint64_t>(suspect));
-  }
-  health.quarantine_until = std::max(health.quarantine_until, now + kQuarantineProbationNs);
+  Quarantine(health, suspect, cell_->machine().Now() + kQuarantineProbationNs);
 }
 
 bool RpcLayer::quarantined(CellId peer) const {
@@ -235,21 +236,13 @@ void RpcLayer::QuarantinePeer(Ctx& ctx, CellId peer) {
   // Suppress the redundant rpc-timeout hint: the caller (babble throttle)
   // raises its own, more specific hint.
   health.hint_outstanding = true;
-  health.quarantine_until =
-      std::max(health.quarantine_until, ctx.VirtualNow() + kQuarantineProbationNs);
-  if (!health.quarantined) {
-    health.quarantined = true;
-    ++stats_.quarantines_entered;
-    cell_->Trace(TraceEvent::kPeerQuarantined, static_cast<uint64_t>(peer));
-  }
+  Quarantine(health, peer, ctx.VirtualNow() + kQuarantineProbationNs);
 }
 
 base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs& args,
                             RpcReply* reply, const CallOptions& options) {
   base::SimProfileScope profile_scope(base::SimSubsystem::kCarefulRpc);
   ++stats_.calls;
-  const flash::LatencyParams& lat = cell_->machine().config().latency;
-  const Time sips_hop = lat.ipi_ns + lat.sips_payload_ns;
 
   // Client stub marshals the request.
   ctx.Charge(costs_.rpc_client_stub_ns);
@@ -266,7 +259,37 @@ base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs
     // Intracell shortcut: dispatch directly (no SIPS, no transport).
     return Serve(ctx, type, args, reply);
   }
+  const flash::LatencyParams& lat = cell_->machine().config().latency;
+  return Transport(ctx, target, type, args, reply,
+                   Wire{.hop_ns = lat.ipi_ns + lat.sips_payload_ns,
+                        .server_entry_ns = costs_.rpc_dispatch_ns + costs_.rpc_server_stub_ns,
+                        .screened = true});
+}
 
+base::Status RpcLayer::CallFault(Ctx& ctx, CellId target, MsgType type, const RpcArgs& args,
+                                 RpcReply* reply) {
+  base::SimProfileScope profile_scope(base::SimSubsystem::kCarefulRpc);
+  ++stats_.calls;
+
+  // Table 5.2 RPC components, charged on the client side (the client spins
+  // for the whole exchange).
+  ctx.Charge(costs_.fault_rpc_stub_ns);
+  ctx.Charge(costs_.fault_rpc_hw_ns);
+  ctx.Charge(costs_.fault_rpc_copy_ns);
+  ctx.Charge(costs_.fault_rpc_alloc_ns);
+  if (ctx.fault_bd != nullptr) {
+    ctx.fault_bd->rpc_stub += costs_.fault_rpc_stub_ns;
+    ctx.fault_bd->rpc_hw += costs_.fault_rpc_hw_ns;
+    ctx.fault_bd->rpc_copy += costs_.fault_rpc_copy_ns;
+    ctx.fault_bd->rpc_alloc += costs_.fault_rpc_alloc_ns;
+  }
+  // fault_rpc_hw_ns already covers the hops and the server's dispatch.
+  return Transport(ctx, target, type, args, reply,
+                   Wire{.hop_ns = 0, .server_entry_ns = 0, .screened = false});
+}
+
+base::Status RpcLayer::Transport(Ctx& ctx, CellId target, MsgType type, const RpcArgs& args,
+                                 RpcReply* reply, const Wire& wire) {
   // Quarantine fail-fast. Agreement probes (kPing) bypass the gate so the
   // voting protocol always measures the real path.
   if (type != MsgType::kPing) {
@@ -331,9 +354,9 @@ base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs
     }
 
     // Request message delivery (plus any detour the fault model imposed).
-    ctx.Charge(sips_hop + request.extra_delay);
+    ctx.Charge(wire.hop_ns + request.extra_delay);
 
-    if (tcell.rogue().rpc_silent) {
+    if (wire.screened && tcell.rogue().rpc_silent) {
       // Rogue silence: the request is delivered, but the Byzantine kernel
       // drops it on the floor -- no handler runs and no reply is sent. Every
       // attempt spins out, so the call exhausts its retries and the timeout
@@ -348,16 +371,14 @@ base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs
     server_ctx.start = ctx.VirtualNow();
     server_ctx.fault_bd = ctx.fault_bd;
 
-    server_ctx.Charge(costs_.rpc_dispatch_ns + costs_.rpc_server_stub_ns);
-    base::Status status = base::OkStatus();
-    if (!tcell.detector().RecordIncomingRequest(server_ctx, cell_->id())) {
-      // Babble throttle: the server rejects the request at the dispatch
-      // boundary -- O(1) for the victim, a full round trip for the babbler.
-      status = base::Unavailable();
-    } else {
+    server_ctx.Charge(wire.server_entry_ns);
+    base::Status status = base::Unavailable();
+    if (!wire.screened || tcell.detector().RecordIncomingRequest(server_ctx, cell_->id())) {
       status = tcell.rpc().ServeSequenced(server_ctx, cell_->id(), seq, type, args, reply,
                                           cell_->incarnation());
     }
+    // Otherwise the babble throttle rejected the request at the dispatch
+    // boundary -- O(1) for the victim, a full round trip for the babbler.
 
     if (tcell.rogue().rpc_garbage && status.ok() &&
         (type == MsgType::kNull || type == MsgType::kBorrowFrames)) {
@@ -373,15 +394,15 @@ base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs
     Time extra_occupancy = 0;
     if (request.duplicate && tcell.alive()) {
       // The duplicated request line arrives right behind the original; the
-      // server pays the interrupt + stub again and the replay cache absorbs
-      // it (or, with suppression disabled, re-executes -- the at-most-once
+      // server pays the entry cost again and the replay cache absorbs it
+      // (or, with suppression disabled, re-executes -- the at-most-once
       // violation the campaign fixture exists to demonstrate). The client
       // already has its reply and does not wait for this.
       Ctx dup_ctx;
       dup_ctx.cell = &tcell;
       dup_ctx.cpu = server_cpu;
       dup_ctx.start = server_ctx.VirtualNow();
-      dup_ctx.Charge(costs_.rpc_dispatch_ns + costs_.rpc_server_stub_ns);
+      dup_ctx.Charge(wire.server_entry_ns);
       RpcReply scratch;
       // The duplicate's status is deliberately dropped: the client already
       // answered from the original; only the occupancy cost matters here.
@@ -413,7 +434,7 @@ base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs
       continue;
     }
     // A duplicated reply is trivially ignored by the spinning client.
-    ctx.Charge(sips_hop + reply_hop.extra_delay);
+    ctx.Charge(wire.hop_ns + reply_hop.extra_delay);
 
     auto health_it = health_.find(static_cast<int>(target));
     if (health_it != health_.end()) {
@@ -427,131 +448,6 @@ base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs
 
   // Every attempt lost a hop: the peer may be unreachable in a way the
   // node-death check cannot see, or the path is too lossy to use.
-  return TimeoutPath(ctx, target, /*exhausted=*/true);
-}
-
-base::Status RpcLayer::CallFault(Ctx& ctx, CellId target, MsgType type, const RpcArgs& args,
-                                 RpcReply* reply) {
-  base::SimProfileScope profile_scope(base::SimSubsystem::kCarefulRpc);
-  ++stats_.calls;
-
-  // Table 5.2 RPC components, charged on the client side (the client spins
-  // for the whole exchange).
-  ctx.Charge(costs_.fault_rpc_stub_ns);
-  ctx.Charge(costs_.fault_rpc_hw_ns);
-  ctx.Charge(costs_.fault_rpc_copy_ns);
-  ctx.Charge(costs_.fault_rpc_alloc_ns);
-  if (ctx.fault_bd != nullptr) {
-    ctx.fault_bd->rpc_stub += costs_.fault_rpc_stub_ns;
-    ctx.fault_bd->rpc_hw += costs_.fault_rpc_hw_ns;
-    ctx.fault_bd->rpc_copy += costs_.fault_rpc_copy_ns;
-    ctx.fault_bd->rpc_alloc += costs_.fault_rpc_alloc_ns;
-  }
-
-  {
-    auto hit = health_.find(static_cast<int>(target));
-    if (hit != health_.end() && hit->second.quarantined) {
-      if (ctx.VirtualNow() >= hit->second.quarantine_until) {
-        Unquarantine(hit->second, target);
-      } else {
-        ++stats_.quarantine_fail_fast;
-        return base::Unavailable();
-      }
-    }
-  }
-
-  Cell& tcell = system_->cell(target);
-  if (!system_->CellReachable(target)) {
-    return TimeoutPath(ctx, target, /*exhausted=*/false);
-  }
-  if (tcell.in_recovery()) {
-    return base::Unavailable();
-  }
-
-  flash::MessageFaultModel* model = cell_->machine().sips().fault_model();
-  const flash::Interconnect& mesh = cell_->machine().interconnect();
-  const int cpus_per_node = cell_->machine().config().cpus_per_node;
-  const int src_node = ctx.cpu >= 0 ? ctx.cpu / cpus_per_node : cell_->first_node();
-  const uint64_t seq = ++next_seq_[static_cast<int>(target)];
-
-  for (int attempt = 0; attempt < kMaxRpcAttempts; ++attempt) {
-    if (attempt > 0) {
-      ++stats_.retries;
-      cell_->Trace(TraceEvent::kRpcRetry, static_cast<uint64_t>(target));
-      Time backoff = std::min<Time>(kRpcBackoffBaseNs << (attempt - 1), kRpcBackoffCapNs);
-      if (model != nullptr) {
-        backoff += static_cast<Time>(
-            model->rng().Below(static_cast<uint64_t>(kRpcBackoffJitterNs)));
-      }
-      ctx.Charge(backoff);
-    }
-
-    const auto& tcpus = tcell.cpus();
-    const int server_cpu = tcpus[static_cast<size_t>(next_server_cpu_++) % tcpus.size()];
-    const int dst_node = server_cpu / cpus_per_node;
-
-    const HopFate request = SampleHop(model, mesh, ctx.VirtualNow(), src_node, dst_node);
-    if (request.lost) {
-      if (request.corrupt) {
-        ++stats_.corrupt_lost;
-      }
-      ctx.Charge(costs_.rpc_client_spin_poll_ns + costs_.rpc_context_switch_ns);
-      continue;
-    }
-    ctx.Charge(request.extra_delay);
-
-    Ctx server_ctx;
-    server_ctx.cell = &tcell;
-    server_ctx.cpu = server_cpu;
-    server_ctx.start = ctx.VirtualNow();
-    server_ctx.fault_bd = ctx.fault_bd;
-
-    const base::Status status = tcell.rpc().ServeSequenced(server_ctx, cell_->id(), seq, type,
-                                                           args, reply, cell_->incarnation());
-
-    Time extra_occupancy = 0;
-    if (request.duplicate && tcell.alive()) {
-      Ctx dup_ctx;
-      dup_ctx.cell = &tcell;
-      dup_ctx.cpu = server_cpu;
-      dup_ctx.start = server_ctx.VirtualNow();
-      RpcReply scratch;
-      // The duplicate's status is deliberately dropped: the client already
-      // answered from the original; only the occupancy cost matters here.
-      (void)tcell.rpc().ServeSequenced(dup_ctx, cell_->id(), seq, type, args, &scratch,
-                                       cell_->incarnation());
-      extra_occupancy = dup_ctx.elapsed;
-    }
-
-    if (!system_->CellReachable(target)) {
-      return TimeoutPath(ctx, target, /*exhausted=*/false);
-    }
-
-    flash::Cpu& scpu = cell_->machine().cpu(server_cpu);
-    scpu.free_at = std::max(scpu.free_at, server_ctx.start) + server_ctx.elapsed +
-                   extra_occupancy;
-    ctx.Charge(server_ctx.elapsed);
-
-    const HopFate reply_hop = SampleHop(model, mesh, ctx.VirtualNow(), dst_node, src_node);
-    if (reply_hop.lost) {
-      if (reply_hop.corrupt) {
-        ++stats_.corrupt_lost;
-      }
-      ctx.Charge(costs_.rpc_client_spin_poll_ns + costs_.rpc_context_switch_ns);
-      continue;
-    }
-    ctx.Charge(reply_hop.extra_delay);
-
-    auto health_it = health_.find(static_cast<int>(target));
-    if (health_it != health_.end()) {
-      health_it->second.consecutive_exhaustions = 0;
-    }
-    if (status.ok() && tcell.rpc().IsAtMostOnce(type)) {
-      ++stats_.acked_mutations;
-    }
-    return status;
-  }
-
   return TimeoutPath(ctx, target, /*exhausted=*/true);
 }
 

@@ -40,6 +40,14 @@
 // memory (and read with the careful reference protocol where trust demands
 // it).
 //
+// One transport loop carries every intercell call. Call and CallFault differ
+// only in their client-side charges and in the charge-and-screen profile
+// (Wire) they hand the loop: Call's adds SIPS hops and server dispatch,
+// CallFault's nothing beyond table 5.2. Only Call is screened: a rogue-silent
+// server drops its requests and the babble throttle counts them. So a silent
+// rogue data home still serves remote page faults, and page faults never
+// trip the throttle.
+//
 // Simulation note: calls execute synchronously in the caller's event, with
 // latencies charged to the client context and occupancy charged to the
 // serving CPU. Failure semantics are preserved: calls to dead or panicked
@@ -244,12 +252,28 @@ class RpcLayer {
     RpcReply reply;
   };
 
+  // The charge-and-screen profile of one client of the transport loop.
+  struct Wire {
+    Time hop_ns = 0;           // Charged per delivered SIPS message.
+    Time server_entry_ns = 0;  // Charged to the serving and duplicate contexts.
+    bool screened = false;     // Rogue silence and the babble throttle apply.
+  };
+
+  // The transport loop behind Call and CallFault: quarantine gate,
+  // reachability and recovery hold, sequence number, retries with backoff,
+  // hop sampling, duplicate delivery, server occupancy and reply loss.
+  base::Status Transport(Ctx& ctx, CellId target, MsgType type, const RpcArgs& args,
+                         RpcReply* reply, const Wire& wire);
+
   // Dead-peer / exhausted-retries epilogue: charges the spin + context
   // switch, counts the timeout, traces, and raises at most one hint per
   // agreement window. `exhausted` marks retry exhaustion (vs. a vanished
   // node), which also feeds the quarantine escalation.
   base::Status TimeoutPath(Ctx& ctx, CellId target, bool exhausted);
 
+  // Puts `peer` in quarantine until at least `until`; entering it is
+  // counted and traced once, and a later call only extends it.
+  void Quarantine(PeerHealth& health, CellId peer, Time until);
   void Unquarantine(PeerHealth& health, CellId peer);
 
   Cell* cell_;

@@ -4,7 +4,8 @@
 #      scenario and print a self-contained repro line;
 #   2. rerunning the printed repro line must reproduce the violation
 #      byte-identically (same spec, same fingerprint, same report);
-#   3. plan-shape flags that conflict exit 2 instead of running.
+#   3. plan-shape flags that conflict exit 2 instead of running;
+#   4. a sweep of zero scenarios exits 2 instead of passing over nothing.
 #
 # Usage: campaign_repro_test.sh <path-to-hive_campaign>
 set -u
@@ -65,5 +66,13 @@ for conflict in "--faults=reboot-storm --fixture=no_hop_bound" \
   grep -q "conflicting plan flags" "$TMP/conflict.out" || \
     { cat "$TMP/conflict.out" >&2; fail "'$conflict' did not name the conflict"; }
 done
+
+# A sweep of zero scenarios is a verdict over nothing: refused, not passed.
+"$BIN" --seed=1 --scenarios=0 >"$TMP/empty.out" 2>&1
+status=$?
+[[ "$status" -eq 2 ]] || \
+  { cat "$TMP/empty.out" >&2; fail "--scenarios=0 exited $status, expected 2"; }
+grep -q "scenarios=0 sweeps nothing" "$TMP/empty.out" || \
+  { cat "$TMP/empty.out" >&2; fail "--scenarios=0 did not say why it was refused"; }
 
 echo "campaign_repro_test: OK (repro: $repro)"

@@ -301,5 +301,82 @@ TEST_F(RpcTest, PingBypassesQuarantineAndProbationExpiryClearsIt) {
   EXPECT_FALSE(client.rpc().quarantined(1));
 }
 
+TEST_F(RpcTest, CallFaultChargesOnlyTheTable52Components) {
+  // The page-fault profile of the transport loop charges the four client-side
+  // components of paper table 5.2 (4.9 + 4.7 + 4.0 + 3.7 us) and nothing
+  // else: their hardware term already holds the hops and the server's
+  // dispatch. The standard profile charges stubs, two hops and dispatch.
+  Cell& client = ts_.cell(0);
+  RpcArgs args;
+  RpcReply reply;
+  FaultBreakdown breakdown;
+  Ctx fctx = client.MakeCtx();
+  fctx.fault_bd = &breakdown;
+  ASSERT_TRUE(client.rpc().CallFault(fctx, 1, MsgType::kNull, args, &reply).ok());
+  EXPECT_EQ(fctx.elapsed, 17300);
+  EXPECT_EQ(breakdown.rpc_stub + breakdown.rpc_hw + breakdown.rpc_copy + breakdown.rpc_alloc,
+            17300);
+
+  Ctx ctx = client.MakeCtx();
+  ASSERT_TRUE(client.rpc().Call(ctx, 1, MsgType::kNull, args, &reply).ok());
+  EXPECT_EQ(ctx.elapsed, 7200);
+}
+
+TEST_F(RpcTest, CallFaultExhaustsRetriesQuarantinesAndFailsFast) {
+  // Page-fault RPCs ride the same retry, hint and quarantine path as Call.
+  InstallPlan(/*drop_pm=*/1000, /*dup_pm=*/0, /*corrupt_pm=*/0,
+              /*end=*/ts_.machine->Now() + 10 * kSecond);
+  Cell& client = ts_.cell(0);
+  RpcArgs args;
+  RpcReply reply;
+
+  Ctx ctx = client.MakeCtx();
+  EXPECT_EQ(client.rpc().CallFault(ctx, 1, MsgType::kNull, args, &reply).code(),
+            base::StatusCode::kTimeout);
+  EXPECT_EQ(client.rpc().stats().retries, static_cast<uint64_t>(kMaxRpcAttempts - 1));
+  EXPECT_EQ(client.detector().hints_raised(), 1u);
+  EXPECT_TRUE(ts_.cell(1).alive());
+  EXPECT_TRUE(client.rpc().quarantined(1));
+
+  Ctx ctx2 = client.MakeCtx();
+  EXPECT_EQ(client.rpc().CallFault(ctx2, 1, MsgType::kNull, args, &reply).code(),
+            base::StatusCode::kUnavailable);
+  EXPECT_EQ(client.rpc().stats().quarantine_fail_fast, 1u);
+  EXPECT_EQ(client.rpc().stats().retries, static_cast<uint64_t>(kMaxRpcAttempts - 1));
+}
+
+TEST_F(RpcTest, OnlyCallIsScreenedAgainstByzantinePeers) {
+  // Pins the screening split: Call requests count toward the server's
+  // babble window and a rogue-silent server drops them, while page-fault
+  // RPCs are neither counted nor silenced. Screening page faults too would
+  // move outcomes, so it must flip these expectations on purpose.
+  Cell& client = ts_.cell(0);
+  Cell& server = ts_.cell(1);
+  RpcArgs args;
+  RpcReply reply;
+  constexpr int kCalls = 5;
+  const int before = server.detector().IncomingCount(0);
+  for (int i = 0; i < kCalls; ++i) {
+    Ctx ctx = client.MakeCtx();
+    ASSERT_TRUE(client.rpc().Call(ctx, 1, MsgType::kNull, args, &reply).ok());
+  }
+  EXPECT_EQ(server.detector().IncomingCount(0), before + kCalls);
+  for (int i = 0; i < kCalls; ++i) {
+    Ctx ctx = client.MakeCtx();
+    ASSERT_TRUE(client.rpc().CallFault(ctx, 1, MsgType::kNull, args, &reply).ok());
+  }
+  EXPECT_EQ(server.detector().IncomingCount(0), before + kCalls);
+
+  RogueBehavior rogue;
+  rogue.active = true;
+  rogue.rpc_silent = true;
+  server.SetRogueBehavior(rogue);
+  Ctx fctx = client.MakeCtx();
+  EXPECT_TRUE(client.rpc().CallFault(fctx, 1, MsgType::kNull, args, &reply).ok());
+  Ctx ctx = client.MakeCtx();
+  EXPECT_EQ(client.rpc().Call(ctx, 1, MsgType::kNull, args, &reply).code(),
+            base::StatusCode::kTimeout);
+}
+
 }  // namespace
 }  // namespace hive

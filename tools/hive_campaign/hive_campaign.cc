@@ -65,7 +65,8 @@ void Usage() {
                "                     [--no-minimize] [--verbose]\n"
                "\n"
                "  --seed=N             campaign master seed (default: $HIVE_TEST_SEED or 1)\n"
-               "  --scenarios=N        number of scenarios to sweep (default 200)\n"
+               "  --scenarios=N        number of scenarios to sweep (default 200);\n"
+               "                       0 is a usage error in sweep mode\n"
                "  --workers=N          worker threads (default 4)\n"
                "  --scenario=K         run only scenario K and print its outcome\n"
                "  --fixture=wild_write generate landing wild writes (firewall checking\n"
@@ -378,7 +379,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "hive_campaign: --replay-corpus requires --corpus=DIR\n");
     return 2;
   }
-  // A replay of nothing must not report "all containment oracles passed".
+  // A sweep or a replay of nothing must not report "all containment oracles
+  // passed".
+  if (!args.have_scenario && !args.replay_corpus && args.scenarios == 0) {
+    std::fprintf(stderr, "hive_campaign: --scenarios=0 sweeps nothing (give N >= 1)\n");
+    return 2;
+  }
   if (args.replay_corpus && campaign::LoadCorpusDir(args.corpus_dir).empty()) {
     std::fprintf(stderr,
                  "hive_campaign: --replay-corpus: no readable *.corpus entries in %s\n",
