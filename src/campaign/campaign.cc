@@ -44,29 +44,17 @@ std::string CampaignFailure::Report() const {
 
 CampaignReport RunCampaign(const CampaignOptions& options) {
   CampaignReport report;
-  GeneratorOptions gen_options;
-  gen_options.wild_write_fixture = options.wild_write_fixture;
-  gen_options.no_dedup_fixture = options.no_dedup_fixture;
-  gen_options.message_faults_only = options.message_faults_only;
-  gen_options.rogue_only = options.rogue_only;
-  gen_options.healthy_baseline = options.healthy_baseline;
-  gen_options.no_hop_bound_fixture = options.no_hop_bound_fixture;
-  gen_options.bug_no_dedup = options.bug_no_dedup;
-  gen_options.salvage = options.salvage;
-  gen_options.reboot_storm_only = options.reboot_storm_only;
-  gen_options.bug_salvage_unchecked = options.bug_salvage_unchecked;
 
-  // Corpus pool: specs plus the recipe that regenerates each (parallel
-  // vectors). Loaded entries become mutation bases; they are not re-run.
+  // Corpus pool: the specs guided slots mutate. Loaded entries become
+  // mutation bases; they are not re-run.
   std::vector<ScenarioSpec> pool;
-  std::vector<CorpusEntry> pool_entries;
   if (!options.corpus_dir.empty()) {
-    pool_entries = LoadCorpusDir(options.corpus_dir);
-    pool.reserve(pool_entries.size());
-    for (const CorpusEntry& entry : pool_entries) {
+    const std::vector<CorpusEntry> loaded = LoadCorpusDir(options.corpus_dir);
+    pool.reserve(loaded.size());
+    for (const CorpusEntry& entry : loaded) {
       pool.push_back(RegenerateScenario(entry));
     }
-    report.corpus_loaded = pool_entries.size();
+    report.corpus_loaded = loaded.size();
   }
   const bool replay = options.corpus_replay_only;
   // Admit coverage-novel scenarios into the pool when guiding, or when the
@@ -119,17 +107,10 @@ CampaignReport RunCampaign(const CampaignOptions& options) {
       report.merged_fingerprint =
           FnvMix(report.merged_fingerprint, result.fingerprint);
       const size_t novel = coverage.Merge(result.coverage);
-      if (admit && novel > 0) {
-        CorpusEntry entry;
-        entry.master_seed = result.spec.master_seed;
-        entry.index = result.spec.index;
-        entry.options = OptionsFromSpec(result.spec);
-        entry.mutation_chain = result.spec.mutation_chain;
-        if (options.corpus_dir.empty() ||
-            SaveCorpusEntry(options.corpus_dir, entry)) {
-          pool.push_back(result.spec);
-          pool_entries.push_back(entry);
-        }
+      if (admit && novel > 0 &&
+          (options.corpus_dir.empty() ||
+           SaveCorpusEntry(options.corpus_dir, CorpusEntryFromSpec(result.spec)))) {
+        pool.push_back(result.spec);
       }
       if (options.on_result) {
         options.on_result(result);
@@ -155,7 +136,7 @@ CampaignReport RunCampaign(const CampaignOptions& options) {
     std::vector<ScenarioSpec> batch;
     batch.reserve(options.num_scenarios);
     for (uint64_t index = 0; index < options.num_scenarios; ++index) {
-      batch.push_back(GenerateScenario(options.master_seed, index, gen_options));
+      batch.push_back(GenerateScenario(options.master_seed, index, options.mode));
     }
     report.fresh_run = batch.size();
     std::vector<ScenarioResult> results = run_batch(batch);
@@ -174,7 +155,7 @@ CampaignReport RunCampaign(const CampaignOptions& options) {
       for (uint64_t slot = 0; slot < want; ++slot) {
         if (!options.guided || pool.empty()) {
           batch.push_back(
-              GenerateScenario(options.master_seed, fresh_index++, gen_options));
+              GenerateScenario(options.master_seed, fresh_index++, options.mode));
           ++report.fresh_run;
           continue;
         }
@@ -186,7 +167,7 @@ CampaignReport RunCampaign(const CampaignOptions& options) {
         if (slot_rng.Below(1000) <
             static_cast<uint64_t>(std::max(0, options.guided_fresh_pm))) {
           batch.push_back(
-              GenerateScenario(options.master_seed, fresh_index++, gen_options));
+              GenerateScenario(options.master_seed, fresh_index++, options.mode));
           ++report.fresh_run;
         } else {
           const ScenarioSpec& base = pool[slot_rng.Below(pool.size())];

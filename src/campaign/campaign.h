@@ -31,39 +31,9 @@ struct CampaignOptions {
   uint64_t master_seed = 1;
   uint64_t num_scenarios = 200;
   int workers = 4;
-  // Generate wild-write fixture scenarios (firewall checking disabled):
-  // every scenario is expected to violate; used to prove the oracles fire.
-  bool wild_write_fixture = false;
-  // Generate no-dedup fixture scenarios (RPC duplicate suppression off under
-  // a duplication-heavy message-fault plan): every scenario is expected to
-  // trip the at-most-once oracle.
-  bool no_dedup_fixture = false;
-  // Restrict generated fault plans to message faults (the CI message-fault
-  // sweep: loss + duplication + reordering + corruption).
-  bool message_faults_only = false;
-  // Restrict generated fault plans to one rogue-cell fault each (the CI rogue
-  // sweep: a live Byzantine cell the survivors must detect and excise).
-  bool rogue_only = false;
-  // Rogue-sweep geometry with zero faults: the sensitivity baseline; every
-  // excision is a false positive the no-false-excision oracle must flag.
-  bool healthy_baseline = false;
-  // Rogue fixture with the survivors' chain-chase hop bound removed: every
-  // scenario is expected to trip the no-survivor-hang oracle.
-  bool no_hop_bound_fixture = false;
-  // Seeded-bug discovery mode: duplicate suppression silently broken on one
-  // cell under default fault plans with thinned duplication. The target of
-  // the guided-vs-random sensitivity check (see ScenarioSpec::bug_no_dedup).
-  bool bug_no_dedup = false;
-  // Default fault plans with page salvage enabled on every cell (the CI
-  // salvage sweep; wild-write plans also pre-stage a writable canary import
-  // so recovery has a salvage candidate to adopt).
-  bool salvage = false;
-  // Restrict generated fault plans to one reboot-storm fault each (rotating
-  // kill/rejoin cycles with live rejoin and salvage enabled).
-  bool reboot_storm_only = false;
-  // Seeded-bug sensitivity mode: salvage with both adoption proofs disabled
-  // (blind adoption); every scenario must trip the salvage oracles.
-  bool bug_salvage_unchecked = false;
+  // The plan mode every generated scenario is drawn from (corpus entries
+  // carry their own).
+  GeneratorMode mode = GeneratorMode::kDefault;
 
   // Coverage-guided mode: batch the run, mutate coverage-novel corpus entries
   // instead of always drawing fresh scenarios.

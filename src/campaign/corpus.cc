@@ -30,121 +30,17 @@ bool ParseU64(std::string_view text, uint64_t* out) {
 
 }  // namespace
 
-const char* GeneratorModeName(const GeneratorOptions& options) {
-  if (options.bug_salvage_unchecked) {
-    return "bug_salvage_unchecked";
-  }
-  if (options.wild_write_fixture) {
-    return "wild_write";
-  }
-  if (options.reboot_storm_only) {
-    return "reboot_storm";
-  }
-  if (options.salvage) {
-    return "salvage";
-  }
-  if (options.no_dedup_fixture) {
-    return "no_dedup";
-  }
-  if (options.bug_no_dedup) {
-    return "bug_no_dedup";
-  }
-  if (options.no_hop_bound_fixture) {
-    return "no_hop_bound";
-  }
-  if (options.rogue_only) {
-    return "rogue";
-  }
-  if (options.healthy_baseline) {
-    return "none";
-  }
-  if (options.message_faults_only) {
-    return "message";
-  }
-  return "default";
-}
-
-bool GeneratorModeFromName(std::string_view name, GeneratorOptions* out) {
-  *out = GeneratorOptions{};
-  if (name == "default") {
-    return true;
-  }
-  if (name == "wild_write") {
-    out->wild_write_fixture = true;
-    return true;
-  }
-  if (name == "no_dedup") {
-    out->no_dedup_fixture = true;
-    return true;
-  }
-  if (name == "bug_no_dedup") {
-    out->bug_no_dedup = true;
-    return true;
-  }
-  if (name == "no_hop_bound") {
-    out->no_hop_bound_fixture = true;
-    return true;
-  }
-  if (name == "rogue") {
-    out->rogue_only = true;
-    return true;
-  }
-  if (name == "none") {
-    out->healthy_baseline = true;
-    return true;
-  }
-  if (name == "message") {
-    out->message_faults_only = true;
-    return true;
-  }
-  if (name == "reboot_storm") {
-    out->reboot_storm_only = true;
-    return true;
-  }
-  if (name == "salvage") {
-    out->salvage = true;
-    return true;
-  }
-  if (name == "bug_salvage_unchecked") {
-    out->bug_salvage_unchecked = true;
-    return true;
-  }
-  return false;
-}
-
-GeneratorOptions OptionsFromSpec(const ScenarioSpec& spec) {
-  GeneratorOptions options;
-  if (spec.bug_salvage_unchecked) {
-    // Before disable_firewall: the seeded salvage bug also turns checking off.
-    options.bug_salvage_unchecked = true;
-  } else if (spec.disable_firewall) {
-    options.wild_write_fixture = true;
-  } else if (spec.reboot_storm_only) {
-    options.reboot_storm_only = true;
-  } else if (spec.bug_no_dedup) {
-    options.bug_no_dedup = true;
-  } else if (spec.message_faults_only && spec.disable_rpc_dedup) {
-    options.no_dedup_fixture = true;
-  } else if (spec.disable_hop_bound) {
-    options.no_hop_bound_fixture = true;
-  } else if (spec.rogue_only) {
-    options.rogue_only = true;
-  } else if (spec.healthy_baseline) {
-    options.healthy_baseline = true;
-  } else if (spec.message_faults_only) {
-    options.message_faults_only = true;
-  }
-  // Orthogonal to the plan distribution: the salvage sweep runs default
-  // plans with salvage on. Storm and seeded-bug modes imply it themselves.
-  if (spec.salvage && !options.reboot_storm_only && !options.bug_salvage_unchecked) {
-    options.salvage = true;
-  }
-  return options;
+CorpusEntry CorpusEntryFromSpec(const ScenarioSpec& spec) {
+  CorpusEntry entry;
+  entry.master_seed = spec.master_seed;
+  entry.index = spec.index;
+  entry.mode = spec.mode;
+  entry.mutation_chain = spec.mutation_chain;
+  return entry;
 }
 
 ScenarioSpec RegenerateScenario(const CorpusEntry& entry) {
-  const ScenarioSpec root =
-      GenerateScenario(entry.master_seed, entry.index, entry.options);
+  const ScenarioSpec root = GenerateScenario(entry.master_seed, entry.index, entry.mode);
   return ApplyMutationChain(root, entry.mutation_chain);
 }
 
@@ -153,7 +49,7 @@ std::string SerializeCorpusEntry(const CorpusEntry& entry) {
   out << kHeader << "\n";
   out << "master_seed=" << entry.master_seed << "\n";
   out << "index=" << entry.index << "\n";
-  out << "mode=" << GeneratorModeName(entry.options) << "\n";
+  out << "mode=" << GeneratorModeName(entry.mode) << "\n";
   if (!entry.mutation_chain.empty()) {
     out << "mutations=" << FormatMutationChain(entry.mutation_chain) << "\n";
   }
@@ -201,7 +97,7 @@ bool ParseCorpusEntry(std::string_view text, CorpusEntry* out) {
         return false;
       }
     } else if (key == "mode") {
-      saw_mode = GeneratorModeFromName(value, &out->options);
+      saw_mode = GeneratorModeFromName(value, &out->mode);
       if (!saw_mode) {
         return false;
       }

@@ -1,7 +1,7 @@
 // Persisted corpus of coverage-novel scenarios.
 //
 // A corpus entry does not store the scenario itself -- it stores the recipe:
-// (master_seed, index, generator mode, mutation chain). Regeneration is
+// (master_seed, index, plan mode, mutation chain). Regeneration is
 // deterministic (DeriveScenarioSeed + MutateScenario are pinned), so an entry
 // written by one campaign replays byte-identically in another, on any worker
 // count, with no reference to the run that discovered it.
@@ -10,7 +10,10 @@
 //   hive-corpus-v1
 //   master_seed=7
 //   index=12
-//   mode=default
+//   mode=default           <- one GeneratorModeName: default, wild_write,
+//                             no_dedup, no_hop_bound, message, rogue, none,
+//                             reboot_storm, salvage, bug_no_dedup or
+//                             bug_salvage_unchecked
 //   mutations=123,456      <- omitted when the chain is empty
 // Unknown keys are tolerated (forward compatibility); a file missing
 // master_seed/index/mode or with a bad value is skipped by LoadCorpusDir.
@@ -30,19 +33,13 @@ namespace campaign {
 struct CorpusEntry {
   uint64_t master_seed = 0;
   uint64_t index = 0;
-  GeneratorOptions options;
+  GeneratorMode mode = GeneratorMode::kDefault;
   std::vector<uint64_t> mutation_chain;
 };
 
-// Stable names for the generator modes ("default", "wild_write", "no_dedup",
-// "message", "rogue", "none", "no_hop_bound", "bug_no_dedup") and the
-// inverse. These appear in corpus files on disk, so they are append-only.
-const char* GeneratorModeName(const GeneratorOptions& options);
-bool GeneratorModeFromName(std::string_view name, GeneratorOptions* out);
-
-// Reconstructs the generator options a spec was produced under, from its mode
-// flags. Used when admitting a scenario the driver generated itself.
-GeneratorOptions OptionsFromSpec(const ScenarioSpec& spec);
+// The recipe of a generated (or mutated) scenario, read off the fields the
+// generator recorded on it. Used when admitting a scenario into the corpus.
+CorpusEntry CorpusEntryFromSpec(const ScenarioSpec& spec);
 
 // Deterministically rebuilds the scenario an entry describes.
 ScenarioSpec RegenerateScenario(const CorpusEntry& entry);

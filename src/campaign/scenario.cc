@@ -29,6 +29,37 @@ constexpr RogueAxisEntry kRogueAxisNames[] = {
     {kRogueVoteAccuse, "vote-accuse"},
 };
 
+// One row per plan mode: its corpus name (on disk, so never renamed) and its
+// hive_campaign flag. The repro line, the corpus and the CLI all read this
+// table, so a mode cannot be saved or printed as a different one.
+struct GeneratorModeEntry {
+  GeneratorMode mode;
+  const char* name;
+  const char* flag;
+};
+constexpr GeneratorModeEntry kGeneratorModes[] = {
+    {GeneratorMode::kDefault, "default", ""},
+    {GeneratorMode::kWildWrite, "wild_write", "--fixture=wild_write"},
+    {GeneratorMode::kNoDedup, "no_dedup", "--fixture=no_dedup"},
+    {GeneratorMode::kNoHopBound, "no_hop_bound", "--fixture=no_hop_bound"},
+    {GeneratorMode::kMessage, "message", "--faults=message"},
+    {GeneratorMode::kRogue, "rogue", "--faults=rogue"},
+    {GeneratorMode::kNone, "none", "--faults=none"},
+    {GeneratorMode::kRebootStorm, "reboot_storm", "--faults=reboot-storm"},
+    {GeneratorMode::kSalvage, "salvage", "--salvage"},
+    {GeneratorMode::kBugNoDedup, "bug_no_dedup", "--bug=no_dedup"},
+    {GeneratorMode::kBugSalvageUnchecked, "bug_salvage_unchecked", "--bug=salvage_unchecked"},
+};
+
+const GeneratorModeEntry& ModeEntry(GeneratorMode mode) {
+  for (const GeneratorModeEntry& entry : kGeneratorModes) {
+    if (entry.mode == mode) {
+      return entry;
+    }
+  }
+  std::abort();  // Every enumerator has a row.
+}
+
 const char* CorruptionModeName(flash::PointerCorruptionMode mode) {
   switch (mode) {
     case flash::PointerCorruptionMode::kRandomSameCell:
@@ -193,6 +224,30 @@ bool FaultKindFromName(std::string_view name, FaultKind* out) {
   return false;
 }
 
+const char* GeneratorModeName(GeneratorMode mode) { return ModeEntry(mode).name; }
+
+const char* GeneratorModeFlag(GeneratorMode mode) { return ModeEntry(mode).flag; }
+
+bool GeneratorModeFromName(std::string_view name, GeneratorMode* out) {
+  for (const GeneratorModeEntry& entry : kGeneratorModes) {
+    if (name == entry.name) {
+      *out = entry.mode;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool GeneratorModeFromFlag(std::string_view flag, GeneratorMode* out) {
+  for (const GeneratorModeEntry& entry : kGeneratorModes) {
+    if (entry.mode != GeneratorMode::kDefault && flag == entry.flag) {
+      *out = entry.mode;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string RogueAxesToString(uint32_t axes) {
   std::string out;
   for (const RogueAxisEntry& entry : kRogueAxisNames) {
@@ -304,29 +359,8 @@ std::string ScenarioSpec::ToString() const {
 std::string ScenarioSpec::ReproLine() const {
   std::ostringstream out;
   out << "hive_campaign --seed=" << master_seed << " --scenario=" << index;
-  if (disable_firewall && !bug_salvage_unchecked) {
-    out << " --fixture=wild_write";
-  }
-  if (disable_rpc_dedup && !bug_no_dedup) {
-    out << " --fixture=no_dedup";
-  } else if (disable_hop_bound) {
-    out << " --fixture=no_hop_bound";
-  } else if (message_faults_only) {
-    out << " --faults=message";
-  } else if (rogue_only) {
-    out << " --faults=rogue";
-  } else if (reboot_storm_only) {
-    out << " --faults=reboot-storm";
-  } else if (healthy_baseline) {
-    out << " --faults=none";
-  }
-  if (bug_no_dedup) {
-    out << " --bug=no_dedup";
-  }
-  if (bug_salvage_unchecked) {
-    out << " --bug=salvage_unchecked";
-  } else if (salvage && !reboot_storm_only) {
-    out << " --salvage";
+  if (mode != GeneratorMode::kDefault) {
+    out << " " << GeneratorModeFlag(mode);
   }
   if (!mutation_chain.empty()) {
     out << " --mutate=" << FormatMutationChain(mutation_chain);
@@ -348,11 +382,11 @@ uint64_t DeriveScenarioSeed(uint64_t master_seed, uint64_t index) {
   return z != 0 ? z : 1;  // Rng(0) is fine, but a zero seed reads badly in repro lines.
 }
 
-ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
-                              const GeneratorOptions& options) {
+ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index, GeneratorMode mode) {
   ScenarioSpec spec;
   spec.master_seed = master_seed;
   spec.index = index;
+  spec.mode = mode;
   spec.seed = DeriveScenarioSeed(master_seed, index);
   base::Rng rng(spec.seed);
 
@@ -373,7 +407,7 @@ ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
   }
   spec.workload_scale = 1 + static_cast<int>(rng.Below(2));
 
-  if (options.bug_no_dedup) {
+  if (mode == GeneratorMode::kBugNoDedup) {
     // Seeded-bug discovery mode: one cell's duplicate suppression is silently
     // broken, but the fault plan still comes from the default distribution
     // (with duplication thinned below, after the plan is drawn). Only a
@@ -386,14 +420,14 @@ ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
     spec.auto_reintegrate = false;
   }
 
-  if (options.salvage) {
+  if (mode == GeneratorMode::kSalvage) {
     // Salvage sweep: the default fault distribution, but recoveries salvage
     // provably-clean pages instead of discarding them. No extra RNG draws, so
     // the plan is identical to the plain sweep's scenario at the same index.
     spec.salvage = true;
   }
 
-  if (options.reboot_storm_only) {
+  if (mode == GeneratorMode::kRebootStorm) {
     // Reboot-storm family: four cells, ground-truth agreement (the family
     // stresses salvage and live rejoin, not Byzantine voting), automatic
     // reintegration with live rejoin and salvage on, and exactly one storm.
@@ -412,7 +446,7 @@ ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
     return spec;
   }
 
-  if (options.bug_salvage_unchecked) {
+  if (mode == GeneratorMode::kBugSalvageUnchecked) {
     // Sensitivity fixture: salvage runs blind (no checksum re-verification).
     // The plan write-exports the target's canary page to the victim, lands a
     // wild write on it (firewall checking off so the scribble sticks), then
@@ -439,7 +473,7 @@ ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
     return spec;
   }
 
-  if (options.wild_write_fixture) {
+  if (mode == GeneratorMode::kWildWrite) {
     // Fixture: exactly one wild write that actually lands (firewall checking
     // off). Everything else stays deterministic from the seed.
     spec.disable_firewall = true;
@@ -454,7 +488,7 @@ ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
     return spec;
   }
 
-  if (options.no_dedup_fixture) {
+  if (mode == GeneratorMode::kNoDedup) {
     // Fixture: duplicate suppression off, plus one long, duplication-heavy
     // plan over all routes. The intercell traffic the runner drives through
     // the at-most-once handlers then re-executes, and the at-most-once
@@ -462,7 +496,6 @@ ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
     // recreates the victim's RPC layer and would wipe the violation counters
     // the oracle reads.
     spec.disable_rpc_dedup = true;
-    spec.message_faults_only = true;
     spec.auto_reintegrate = false;
     FaultSpec fault = MakeMessageFaultPlan(rng, spec.num_cells);
     fault.victim = -1;
@@ -476,10 +509,9 @@ ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
     return spec;
   }
 
-  if (options.message_faults_only) {
+  if (mode == GeneratorMode::kMessage) {
     // CI sweep mode: one or two message-fault windows, nothing else. The
     // transport must keep every cell alive and every mutation at-most-once.
-    spec.message_faults_only = true;
     const int num_plans = 1 + static_cast<int>(rng.Below(2));
     for (int i = 0; i < num_plans; ++i) {
       FaultSpec fault = MakeMessageFaultPlan(rng, spec.num_cells);
@@ -493,7 +525,8 @@ ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
     return spec;
   }
 
-  if (options.rogue_only || options.healthy_baseline || options.no_hop_bound_fixture) {
+  if (mode == GeneratorMode::kRogue || mode == GeneratorMode::kNone ||
+      mode == GeneratorMode::kNoHopBound) {
     // Rogue-family geometry: four cells so three honest voters always outvote
     // the rogue, real voting (an oracle consulting ground truth would
     // trivialise Byzantine detection), and no reintegration (the excision
@@ -501,7 +534,7 @@ ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
     spec.num_cells = 4;
     spec.agreement_mode = hive::AgreementMode::kVoting;
     spec.auto_reintegrate = false;
-    if (options.healthy_baseline) {
+    if (mode == GeneratorMode::kNone) {
       // Sensitivity baseline: identical geometry and workload, zero faults.
       // The hardened detectors must raise no excision at all.
       spec.healthy_baseline = true;
@@ -509,7 +542,7 @@ ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
     }
     spec.rogue_only = true;
     uint32_t forced_axes = 0;
-    if (options.no_hop_bound_fixture) {
+    if (mode == GeneratorMode::kNoHopBound) {
       // Fixture: a cyclic chain with the survivors' hop bound removed is
       // exactly the hang the bound exists to prevent; the no-survivor-hang
       // oracle must flag it.

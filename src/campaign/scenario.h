@@ -3,9 +3,10 @@
 // A campaign is driven by one master seed. Scenario k's seed is derived
 // deterministically (SplitMix64 over the master seed and the index), and
 // everything in the scenario -- cell geometry, workload mix, fault plan,
-// injection times -- is generated from that seed alone. Any scenario is
-// therefore reproducible from the pair (master_seed, index), which is what
-// the repro line `hive_campaign --seed=N --scenario=K` encodes.
+// injection times -- is generated from that seed and the run's plan mode
+// alone. Any scenario is therefore reproducible from (master_seed, index,
+// mode), which is what the repro line `hive_campaign --seed=N --scenario=K`
+// plus the mode's flag encodes.
 
 #ifndef HIVE_SRC_CAMPAIGN_SCENARIO_H_
 #define HIVE_SRC_CAMPAIGN_SCENARIO_H_
@@ -101,6 +102,33 @@ enum RogueAxis : uint32_t {
 // "clock-freeze+rpc-babble" style rendering of an axis mask.
 std::string RogueAxesToString(uint32_t axes);
 
+// A plan mode: the fault-plan distribution GenerateScenario draws from, plus
+// the seeded fixture or bug that goes with it. A run takes exactly one. One
+// table in scenario.cc gives each mode its corpus name and its hive_campaign
+// flag; a mode that combines two of these is a new row, never two flags.
+enum class GeneratorMode {
+  kDefault,              // One to three mixed faults (no flag).
+  kWildWrite,            // One landing wild write, firewall checking off.
+  kNoDedup,              // Duplication-heavy message plan, dedup off.
+  kNoHopBound,           // Cyclic-chain rogue, survivors' hop bound off.
+  kMessage,              // One or two message-fault windows only.
+  kRogue,                // One rogue cell in the four-cell voting geometry.
+  kNone,                 // Rogue geometry, zero faults (healthy baseline).
+  kRebootStorm,          // One reboot storm, live rejoin and salvage on.
+  kSalvage,              // Default plans with page salvage on.
+  kBugNoDedup,           // See ScenarioSpec::bug_no_dedup.
+  kBugSalvageUnchecked,  // See ScenarioSpec::bug_salvage_unchecked.
+};
+
+// The mode's corpus name ("default", "wild_write", ...), which corpus files
+// carry on disk and so never changes, and its hive_campaign flag ("" for
+// kDefault, "--fixture=wild_write", ...). The inverses return false for an
+// unknown string.
+const char* GeneratorModeName(GeneratorMode mode);
+bool GeneratorModeFromName(std::string_view name, GeneratorMode* out);
+const char* GeneratorModeFlag(GeneratorMode mode);
+bool GeneratorModeFromFlag(std::string_view flag, GeneratorMode* out);
+
 struct FaultSpec {
   FaultKind kind = FaultKind::kNodeFailure;
   CellId victim = 0;  // For kFalseAccusation: the accuser.
@@ -132,6 +160,9 @@ struct ScenarioSpec {
   uint64_t master_seed = 0;
   uint64_t index = 0;
   uint64_t seed = 0;  // DeriveScenarioSeed(master_seed, index).
+  // The plan mode GenerateScenario drew this scenario from. The repro line
+  // and the corpus read it; the behaviour fields below are what it set.
+  GeneratorMode mode = GeneratorMode::kDefault;
 
   int num_cells = 4;  // One node per cell.
   WorkloadKind workload = WorkloadKind::kPmake;
@@ -145,9 +176,6 @@ struct ScenarioSpec {
   // cell, so substrate duplicates re-execute non-idempotent handlers and the
   // at-most-once oracle must flag the scenario.
   bool disable_rpc_dedup = false;
-  // Generated by the message-fault-only sweep (--faults=message): the fault
-  // plan contains only kMessageFaults entries.
-  bool message_faults_only = false;
   // Generated by the rogue-cell sweep (--faults=rogue): exactly one
   // kRogueCell fault, four cells, real voting, no reintegration.
   bool rogue_only = false;
@@ -184,9 +212,9 @@ struct ScenarioSpec {
   bool bug_salvage_unchecked = false;
 
   // Mutation lineage: this scenario was derived from
-  // GenerateScenario(master_seed, index) by applying MutateScenario once per
-  // entry, in order. ReproLine() encodes the chain (--mutate=...), so replay
-  // is self-contained -- no corpus directory needed.
+  // GenerateScenario(master_seed, index, mode) by applying MutateScenario
+  // once per entry, in order. ReproLine() encodes the chain (--mutate=...),
+  // so replay is self-contained -- no corpus directory needed.
   std::vector<uint64_t> mutation_chain;
 
   std::vector<FaultSpec> faults;  // Sorted by inject_at.
@@ -209,42 +237,10 @@ struct ScenarioSpec {
 // in old CI logs must keep meaning the same scenario.
 uint64_t DeriveScenarioSeed(uint64_t master_seed, uint64_t index);
 
-struct GeneratorOptions {
-  // Generate exactly one wild write with firewall checking disabled, so the
-  // write lands and the containment oracles must flag the scenario.
-  bool wild_write_fixture = false;
-  // Generate one heavy-duplication message-fault plan with RPC duplicate
-  // suppression disabled, so non-idempotent handlers re-execute and the
-  // at-most-once oracle must flag the scenario.
-  bool no_dedup_fixture = false;
-  // Restrict the fault plan to kMessageFaults (the CI message-fault sweep:
-  // loss + duplication + reordering + corruption with the transport intact).
-  bool message_faults_only = false;
-  // Restrict the fault plan to exactly one kRogueCell fault (the CI rogue
-  // sweep: a live Byzantine cell the survivors must detect and excise).
-  bool rogue_only = false;
-  // Rogue-sweep geometry with zero faults: the sensitivity baseline proving
-  // the hardened detectors never excise a healthy cell.
-  bool healthy_baseline = false;
-  // Rogue fixture: force a cyclic-chain rogue and disable the survivors' hop
-  // bound, so the no-survivor-hang oracle must flag the scenario.
-  bool no_hop_bound_fixture = false;
-  // Seeded-bug discovery mode: see ScenarioSpec::bug_no_dedup.
-  bool bug_no_dedup = false;
-  // Default-distribution plans with page salvage enabled (the CI salvage
-  // sweep: firewall-contained wild writes and node failures whose recoveries
-  // must salvage provably-clean pages instead of discarding them).
-  bool salvage = false;
-  // Restrict the fault plan to exactly one kRebootStorm fault (the CI
-  // reboot-storm sweep: rotating kill/rejoin cycles under load).
-  bool reboot_storm_only = false;
-  // Seeded-bug sensitivity mode: see ScenarioSpec::bug_salvage_unchecked.
-  bool bug_salvage_unchecked = false;
-};
-
-// Generates scenario `index` of the campaign rooted at `master_seed`.
+// Generates scenario `index` of the campaign rooted at `master_seed`, drawn
+// from the plan distribution of `mode`.
 ScenarioSpec GenerateScenario(uint64_t master_seed, uint64_t index,
-                              const GeneratorOptions& options = {});
+                              GeneratorMode mode = GeneratorMode::kDefault);
 
 // The cell whose duplicate suppression is broken in bug_no_dedup mode. Cell 1
 // exists in both 2- and 4-cell geometries, and is never the file-root home,
@@ -255,7 +251,7 @@ inline constexpr CellId kBugNoDedupCell = 1;
 // one structure-preserving operator chosen from `mutation_seed` -- injection
 // time jitter, victim/target retargeting, fault duplication or removal,
 // workload kind/scale changes, message-rate redraws, corruption-mode changes,
-// or a 2<->4 cell geometry flip. The mutant keeps the base's mode flags and
+// or a 2<->4 cell geometry flip. The mutant keeps the base's mode and
 // appends `mutation_seed` to its mutation_chain; its scenario seed is derived
 // from the base seed and the mutation seed, so the mutant is fully determined
 // by (master_seed, index, mutation_chain).

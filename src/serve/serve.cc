@@ -547,9 +547,10 @@ std::string RenderSloSummary(const ServeResult& result) {
 ServeResult RunSoak(const ServeOptions& options) {
   ServeResult result;
   result.options = options;
+  // Every cell homes at least one tenant; the result reports the count that ran.
+  result.options.tenants = std::max(options.tenants, options.num_cells);
 
-  ServeOptions opts = options;
-  opts.tenants = std::max(opts.tenants, opts.num_cells);
+  ServeOptions opts = result.options;
   if (opts.bug == "no_shed") {
     opts.admit_runq_watermark = 0;
     opts.admit_heap_watermark_bytes = 0;

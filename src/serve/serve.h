@@ -80,7 +80,7 @@ struct ServeCellSummary {
 };
 
 struct ServeResult {
-  ServeOptions options;
+  ServeOptions options;  // As run: tenants raised to at least num_cells.
   hive::Time end_time = 0;
 
   // Requests.

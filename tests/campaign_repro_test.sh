@@ -4,8 +4,10 @@
 #      scenario and print a self-contained repro line;
 #   2. rerunning the printed repro line must reproduce the violation
 #      byte-identically (same spec, same fingerprint, same report);
-#   3. plan-shape flags that conflict exit 2 instead of running;
-#   4. a sweep of zero scenarios exits 2 instead of passing over nothing.
+#   3. plan flags that conflict exit 2 instead of running, and so do
+#      run-mode flags (--scenario=K, --replay-corpus, --guided) that conflict;
+#   4. a sweep of zero scenarios exits 2 instead of passing over nothing;
+#   5. a corpus saved by a guided run replays the scenarios it admitted.
 #
 # Usage: campaign_repro_test.sh <path-to-hive_campaign>
 set -u
@@ -52,12 +54,14 @@ grep -q "containment violation" "$TMP/run1.out" || \
 grep -q "fingerprint=0x" "$TMP/run1.out" || \
   fail "repro run printed no fingerprint"
 
-# Plan-shape flags that conflict must be refused (exit 2, naming the
-# conflict), not resolved by silently dropping one: a storm run would
-# otherwise pass under a fixture that is expected to trip, and a violation
-# would print a repro line for a different scenario.
+# A run takes one plan flag. Two different ones must be refused (exit 2,
+# naming the conflict), not resolved by silently dropping one: a storm run
+# would otherwise pass under a fixture that is expected to trip, and a
+# violation would print a repro line for a different scenario.
 for conflict in "--faults=reboot-storm --fixture=no_hop_bound" \
-                "--bug=no_dedup --fixture=no_dedup"; do
+                "--bug=no_dedup --fixture=no_dedup" \
+                "--faults=message --salvage" \
+                "--salvage --bug=no_dedup"; do
   read -r -a conflict_args <<<"$conflict"
   "$BIN" --seed=3 --scenario=0 "${conflict_args[@]}" >"$TMP/conflict.out" 2>&1
   status=$?
@@ -74,5 +78,46 @@ status=$?
   { cat "$TMP/empty.out" >&2; fail "--scenarios=0 exited $status, expected 2"; }
 grep -q "scenarios=0 sweeps nothing" "$TMP/empty.out" || \
   { cat "$TMP/empty.out" >&2; fail "--scenarios=0 did not say why it was refused"; }
+
+# A guided run saves each coverage-novel scenario (mutants included) to the
+# corpus under its plan mode; replaying the corpus must rerun exactly those
+# scenarios, so every replayed summary line appears verbatim in the guided
+# run's output.
+"$BIN" --seed=3 --scenarios=32 --workers=2 --guided --faults=message \
+    --corpus="$TMP/corpus" --verbose >"$TMP/guided.out" 2>&1
+status=$?
+[[ "$status" -le 1 ]] || \
+  { cat "$TMP/guided.out" >&2; fail "guided corpus run exited $status"; }
+grep -q "^mutations=" "$TMP"/corpus/*.corpus || \
+  fail "the guided run saved no mutant to replay"
+"$BIN" --replay-corpus --corpus="$TMP/corpus" --workers=2 --verbose \
+    >"$TMP/replay.out" 2>&1
+status=$?
+[[ "$status" -le 1 ]] || \
+  { cat "$TMP/replay.out" >&2; fail "corpus replay exited $status"; }
+replayed=0
+while IFS= read -r line; do
+  grep -qxF -- "$line" "$TMP/guided.out" || \
+    fail "replay ran a scenario the guided run did not: $line"
+  replayed=$((replayed + 1))
+done < <(grep -E '^(ok|VIOLATION) ' "$TMP/replay.out")
+[[ "$replayed" -gt 1 ]] || \
+  { cat "$TMP/replay.out" >&2; fail "replay ran $replayed scenario(s), expected several"; }
+
+# Run-mode flags that conflict are refused too: --scenario=K runs one
+# generated scenario, so a corpus replay, a guided run or a corpus directory
+# beside it would be ignored without a word.
+for conflict in "--scenario=3 --replay-corpus --corpus=$TMP/corpus" \
+                "--scenario=3 --guided --corpus=$TMP/unused" \
+                "--replay-corpus --guided --corpus=$TMP/corpus"; do
+  read -r -a conflict_args <<<"$conflict"
+  "$BIN" --seed=1 "${conflict_args[@]}" >"$TMP/conflict.out" 2>&1
+  status=$?
+  [[ "$status" -eq 2 ]] || \
+    { cat "$TMP/conflict.out" >&2; fail "'$conflict' exited $status, expected 2"; }
+  grep -q "conflicting run-mode flags" "$TMP/conflict.out" || \
+    { cat "$TMP/conflict.out" >&2; fail "'$conflict' did not name the conflict"; }
+done
+[[ ! -e "$TMP/unused" ]] || fail "a refused --scenario=K run created its --corpus= directory"
 
 echo "campaign_repro_test: OK (repro: $repro)"

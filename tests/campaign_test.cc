@@ -121,10 +121,8 @@ TEST(ScenarioGeneratorTest, SweepIsWellFormed) {
 }
 
 TEST(ScenarioGeneratorTest, FixtureModeGeneratesOneLandingWildWrite) {
-  GeneratorOptions options;
-  options.wild_write_fixture = true;
   for (uint64_t index = 0; index < 50; ++index) {
-    const ScenarioSpec spec = GenerateScenario(7, index, options);
+    const ScenarioSpec spec = GenerateScenario(7, index, GeneratorMode::kWildWrite);
     EXPECT_TRUE(spec.disable_firewall);
     ASSERT_EQ(spec.faults.size(), 1u);
     EXPECT_EQ(spec.faults[0].kind, FaultKind::kWildWrite);
@@ -134,11 +132,9 @@ TEST(ScenarioGeneratorTest, FixtureModeGeneratesOneLandingWildWrite) {
 }
 
 TEST(ScenarioGeneratorTest, MessageFaultSweepModeGeneratesOnlyMessagePlans) {
-  GeneratorOptions options;
-  options.message_faults_only = true;
   for (uint64_t index = 0; index < 50; ++index) {
-    const ScenarioSpec spec = GenerateScenario(13, index, options);
-    EXPECT_TRUE(spec.message_faults_only);
+    const ScenarioSpec spec = GenerateScenario(13, index, GeneratorMode::kMessage);
+    EXPECT_EQ(spec.mode, GeneratorMode::kMessage);
     EXPECT_FALSE(spec.disable_rpc_dedup);
     ASSERT_GE(spec.faults.size(), 1u);
     ASSERT_LE(spec.faults.size(), 2u);
@@ -150,10 +146,8 @@ TEST(ScenarioGeneratorTest, MessageFaultSweepModeGeneratesOnlyMessagePlans) {
 }
 
 TEST(ScenarioGeneratorTest, NoDedupFixtureGeneratesDuplicationHeavyPlan) {
-  GeneratorOptions options;
-  options.no_dedup_fixture = true;
   for (uint64_t index = 0; index < 50; ++index) {
-    const ScenarioSpec spec = GenerateScenario(13, index, options);
+    const ScenarioSpec spec = GenerateScenario(13, index, GeneratorMode::kNoDedup);
     EXPECT_TRUE(spec.disable_rpc_dedup);
     EXPECT_FALSE(spec.auto_reintegrate);  // A reboot would wipe the counters.
     ASSERT_EQ(spec.faults.size(), 1u);
@@ -198,30 +192,26 @@ TEST(ScenarioRunnerTest, GoldenFingerprintsAreStable) {
   struct Mode {
     const char* name;
     uint64_t index;
-    bool GeneratorOptions::*flag;  // Null for the default generator.
-    int num_cells;                 // 0 keeps the generated geometry.
+    GeneratorMode generator;
+    int num_cells;  // 0 keeps the generated geometry.
     uint64_t last_seed;
     uint64_t digest;
   };
   const Mode kModes[] = {
-      {"default/0", 0, nullptr, 0, 12, 0x171e7e3d37a43d98ull},
-      {"default/1", 1, nullptr, 0, 12, 0x1a2718a96a6baa43ull},
-      {"message", 0, &GeneratorOptions::message_faults_only, 0, 12, 0x8c179d0bd30dd7e1ull},
-      {"rogue", 0, &GeneratorOptions::rogue_only, 0, 12, 0x468ce12c11656709ull},
-      {"reboot-storm", 0, &GeneratorOptions::reboot_storm_only, 0, 12, 0xcd7db3e8866a431cull},
-      {"wild-write", 0, &GeneratorOptions::wild_write_fixture, 0, 12, 0x3073d08f87a3a988ull},
-      {"16-cell", 0, nullptr, 16, 3, 0x97fc75a787179ca1ull},
+      {"default/0", 0, GeneratorMode::kDefault, 0, 12, 0x171e7e3d37a43d98ull},
+      {"default/1", 1, GeneratorMode::kDefault, 0, 12, 0x1a2718a96a6baa43ull},
+      {"message", 0, GeneratorMode::kMessage, 0, 12, 0x8c179d0bd30dd7e1ull},
+      {"rogue", 0, GeneratorMode::kRogue, 0, 12, 0x468ce12c11656709ull},
+      {"reboot-storm", 0, GeneratorMode::kRebootStorm, 0, 12, 0xcd7db3e8866a431cull},
+      {"wild-write", 0, GeneratorMode::kWildWrite, 0, 12, 0x3073d08f87a3a988ull},
+      {"16-cell", 0, GeneratorMode::kDefault, 16, 3, 0x97fc75a787179ca1ull},
   };
   std::set<FaultKind> seen;
   for (const Mode& mode : kModes) {
     SCOPED_TRACE(mode.name);
-    GeneratorOptions options;
-    if (mode.flag != nullptr) {
-      options.*mode.flag = true;
-    }
     uint64_t digest = kFnvOffsetBasis;
     for (uint64_t seed = 1; seed <= mode.last_seed; ++seed) {
-      ScenarioSpec spec = GenerateScenario(seed, mode.index, options);
+      ScenarioSpec spec = GenerateScenario(seed, mode.index, mode.generator);
       if (mode.num_cells != 0) {
         spec.num_cells = mode.num_cells;
       }
@@ -270,11 +260,10 @@ TEST(ScenarioRunnerTest, HealthyScenariosPassAllOracles) {
 // --- Oracle sensitivity: the wild-write fixture must be caught. ---
 
 TEST(ScenarioRunnerTest, WildWriteFixtureIsFlaggedAndReproducible) {
-  GeneratorOptions options;
-  options.wild_write_fixture = true;
+  const GeneratorMode mode = GeneratorMode::kWildWrite;
   const uint64_t master = hivetest::TestSeed(7);
   SCOPED_TRACE(hivetest::SeedTrace(master));
-  const ScenarioSpec spec = GenerateScenario(master, 0, options);
+  const ScenarioSpec spec = GenerateScenario(master, 0, mode);
   const ScenarioResult result = RunScenario(spec);
   ASSERT_TRUE(result.violated()) << "landed wild write went undetected";
   ASSERT_TRUE(result.injected[0]);
@@ -286,7 +275,7 @@ TEST(ScenarioRunnerTest, WildWriteFixtureIsFlaggedAndReproducible) {
 
   // Reproduction: regenerating from (master_seed, index) -- what the printed
   // repro line encodes -- yields the identical spec and outcome.
-  const ScenarioSpec again = GenerateScenario(spec.master_seed, spec.index, options);
+  const ScenarioSpec again = GenerateScenario(spec.master_seed, spec.index, mode);
   EXPECT_EQ(again.ToString(), spec.ToString());
   const ScenarioResult rerun = RunScenario(again);
   EXPECT_EQ(rerun.fingerprint, result.fingerprint);
@@ -295,12 +284,10 @@ TEST(ScenarioRunnerTest, WildWriteFixtureIsFlaggedAndReproducible) {
 TEST(ScenarioRunnerTest, MessageFaultSweepPassesAllOracles) {
   // Loss + duplication + reordering + corruption with the reliable transport
   // intact: every cell survives and every mutation is at-most-once.
-  GeneratorOptions options;
-  options.message_faults_only = true;
   const uint64_t master = hivetest::TestSeed(13);
   SCOPED_TRACE(hivetest::SeedTrace(master));
   for (uint64_t index = 0; index < 8; ++index) {
-    const ScenarioSpec spec = GenerateScenario(master, index, options);
+    const ScenarioSpec spec = GenerateScenario(master, index, GeneratorMode::kMessage);
     SCOPED_TRACE(spec.ToString());
     const ScenarioResult result = RunScenario(spec);
     EXPECT_FALSE(result.violated()) << result.ViolationReport();
@@ -310,11 +297,10 @@ TEST(ScenarioRunnerTest, MessageFaultSweepPassesAllOracles) {
 // --- Oracle sensitivity: the no-dedup fixture must trip at-most-once. ---
 
 TEST(ScenarioRunnerTest, NoDedupFixtureTripsAtMostOnceOracleReproducibly) {
-  GeneratorOptions options;
-  options.no_dedup_fixture = true;
+  const GeneratorMode mode = GeneratorMode::kNoDedup;
   const uint64_t master = hivetest::TestSeed(13);
   SCOPED_TRACE(hivetest::SeedTrace(master));
-  const ScenarioSpec spec = GenerateScenario(master, 0, options);
+  const ScenarioSpec spec = GenerateScenario(master, 0, mode);
   const ScenarioResult result = RunScenario(spec);
   ASSERT_TRUE(result.violated()) << "re-executed duplicates went undetected";
   ASSERT_TRUE(result.injected[0]);
@@ -328,7 +314,7 @@ TEST(ScenarioRunnerTest, NoDedupFixtureTripsAtMostOnceOracleReproducibly) {
   // Reproduction: regenerating from (master_seed, index) -- the printed
   // `--seed=N --scenario=K --fixture=no_dedup` line -- yields the identical
   // spec and a byte-identical outcome.
-  const ScenarioSpec again = GenerateScenario(spec.master_seed, spec.index, options);
+  const ScenarioSpec again = GenerateScenario(spec.master_seed, spec.index, mode);
   EXPECT_EQ(again.ToString(), spec.ToString());
   const ScenarioResult rerun = RunScenario(again);
   EXPECT_EQ(rerun.fingerprint, result.fingerprint);
@@ -339,9 +325,7 @@ TEST(ScenarioRunnerTest, NoDedupFixtureTripsAtMostOnceOracleReproducibly) {
 }
 
 TEST(ScenarioRunnerTest, SuppressionOnRidesOutTheSameDuplication) {
-  GeneratorOptions options;
-  options.no_dedup_fixture = true;
-  ScenarioSpec spec = GenerateScenario(13, 0, options);
+  ScenarioSpec spec = GenerateScenario(13, 0, GeneratorMode::kNoDedup);
   // Same duplication-heavy plan, replay cache back on: every duplicate is
   // suppressed and every oracle must pass.
   spec.disable_rpc_dedup = false;
@@ -350,9 +334,7 @@ TEST(ScenarioRunnerTest, SuppressionOnRidesOutTheSameDuplication) {
 }
 
 TEST(ScenarioRunnerTest, FirewallOnStopsTheSameWildWrite) {
-  GeneratorOptions options;
-  options.wild_write_fixture = true;
-  ScenarioSpec spec = GenerateScenario(7, 0, options);
+  ScenarioSpec spec = GenerateScenario(7, 0, GeneratorMode::kWildWrite);
   // Same fault plan, firewall checking back on: the writer must panic and
   // every oracle must pass (containment held).
   spec.disable_firewall = false;
@@ -374,11 +356,9 @@ TEST(FaultKindNameTest, RoundTripsEveryKind) {
 }
 
 TEST(ScenarioGeneratorTest, RogueSweepModeGeneratesOneRoguePlan) {
-  GeneratorOptions options;
-  options.rogue_only = true;
   std::set<uint32_t> axes_seen;
   for (uint64_t index = 0; index < 60; ++index) {
-    const ScenarioSpec spec = GenerateScenario(19, index, options);
+    const ScenarioSpec spec = GenerateScenario(19, index, GeneratorMode::kRogue);
     SCOPED_TRACE(spec.ToString());
     EXPECT_TRUE(spec.rogue_only);
     EXPECT_EQ(spec.num_cells, 4);  // Three honest cells outvote one rogue.
@@ -405,10 +385,8 @@ TEST(ScenarioGeneratorTest, RogueSweepModeGeneratesOneRoguePlan) {
 }
 
 TEST(ScenarioGeneratorTest, HealthyBaselineGeneratesZeroFaults) {
-  GeneratorOptions options;
-  options.healthy_baseline = true;
   for (uint64_t index = 0; index < 20; ++index) {
-    const ScenarioSpec spec = GenerateScenario(19, index, options);
+    const ScenarioSpec spec = GenerateScenario(19, index, GeneratorMode::kNone);
     EXPECT_TRUE(spec.healthy_baseline);
     EXPECT_EQ(spec.num_cells, 4);
     EXPECT_EQ(spec.agreement_mode, hive::AgreementMode::kVoting);
@@ -418,10 +396,8 @@ TEST(ScenarioGeneratorTest, HealthyBaselineGeneratesZeroFaults) {
 }
 
 TEST(ScenarioGeneratorTest, NoHopBoundFixtureForcesCyclicChain) {
-  GeneratorOptions options;
-  options.no_hop_bound_fixture = true;
   for (uint64_t index = 0; index < 20; ++index) {
-    const ScenarioSpec spec = GenerateScenario(19, index, options);
+    const ScenarioSpec spec = GenerateScenario(19, index, GeneratorMode::kNoHopBound);
     EXPECT_TRUE(spec.disable_hop_bound);
     ASSERT_EQ(spec.faults.size(), 1u);
     EXPECT_EQ(spec.faults[0].kind, FaultKind::kRogueCell);
@@ -431,12 +407,10 @@ TEST(ScenarioGeneratorTest, NoHopBoundFixtureForcesCyclicChain) {
 }
 
 TEST(ScenarioRunnerTest, RogueScenariosExciseTheRogueAndNobodyElse) {
-  GeneratorOptions options;
-  options.rogue_only = true;
   const uint64_t master = hivetest::TestSeed(19);
   SCOPED_TRACE(hivetest::SeedTrace(master));
   for (uint64_t index = 0; index < 8; ++index) {
-    const ScenarioSpec spec = GenerateScenario(master, index, options);
+    const ScenarioSpec spec = GenerateScenario(master, index, GeneratorMode::kRogue);
     SCOPED_TRACE(spec.ToString());
     const ScenarioResult result = RunScenario(spec);
     EXPECT_FALSE(result.violated()) << result.ViolationReport();
@@ -447,12 +421,10 @@ TEST(ScenarioRunnerTest, RogueScenariosExciseTheRogueAndNobodyElse) {
 }
 
 TEST(ScenarioRunnerTest, RogueScenarioRunsAreByteDeterministic) {
-  GeneratorOptions options;
-  options.rogue_only = true;
   const uint64_t master = hivetest::TestSeed(23);
   SCOPED_TRACE(hivetest::SeedTrace(master));
   for (uint64_t index = 0; index < 4; ++index) {
-    const ScenarioSpec spec = GenerateScenario(master, index, options);
+    const ScenarioSpec spec = GenerateScenario(master, index, GeneratorMode::kRogue);
     SCOPED_TRACE(spec.ToString());
     const ScenarioResult first = RunScenario(spec);
     const ScenarioResult second = RunScenario(spec);
@@ -466,12 +438,10 @@ TEST(ScenarioRunnerTest, RogueScenarioRunsAreByteDeterministic) {
 TEST(ScenarioRunnerTest, HealthyBaselineSeesZeroExcisions) {
   // The sensitivity baseline: identical geometry and probe drivers, zero
   // faults. Any excision is a detector false positive.
-  GeneratorOptions options;
-  options.healthy_baseline = true;
   const uint64_t master = hivetest::TestSeed(29);
   SCOPED_TRACE(hivetest::SeedTrace(master));
   for (uint64_t index = 0; index < 6; ++index) {
-    const ScenarioSpec spec = GenerateScenario(master, index, options);
+    const ScenarioSpec spec = GenerateScenario(master, index, GeneratorMode::kNone);
     SCOPED_TRACE(spec.ToString());
     const ScenarioResult result = RunScenario(spec);
     EXPECT_FALSE(result.violated()) << result.ViolationReport();
@@ -480,11 +450,10 @@ TEST(ScenarioRunnerTest, HealthyBaselineSeesZeroExcisions) {
 }
 
 TEST(ScenarioRunnerTest, NoHopBoundFixtureTripsNoSurvivorHangOracleReproducibly) {
-  GeneratorOptions options;
-  options.no_hop_bound_fixture = true;
+  const GeneratorMode mode = GeneratorMode::kNoHopBound;
   const uint64_t master = hivetest::TestSeed(19);
   SCOPED_TRACE(hivetest::SeedTrace(master));
-  const ScenarioSpec spec = GenerateScenario(master, 0, options);
+  const ScenarioSpec spec = GenerateScenario(master, 0, mode);
   const ScenarioResult result = RunScenario(spec);
   ASSERT_TRUE(result.violated()) << "unbounded chain walk went undetected";
   bool hang_flagged = false;
@@ -495,7 +464,7 @@ TEST(ScenarioRunnerTest, NoHopBoundFixtureTripsNoSurvivorHangOracleReproducibly)
 
   // The printed `--seed=N --scenario=K --fixture=no_hop_bound` line must
   // reproduce byte-identically.
-  const ScenarioSpec again = GenerateScenario(spec.master_seed, spec.index, options);
+  const ScenarioSpec again = GenerateScenario(spec.master_seed, spec.index, mode);
   EXPECT_EQ(again.ToString(), spec.ToString());
   const ScenarioResult rerun = RunScenario(again);
   EXPECT_EQ(rerun.fingerprint, result.fingerprint);
@@ -506,9 +475,7 @@ TEST(ScenarioRunnerTest, NoHopBoundFixtureTripsNoSurvivorHangOracleReproducibly)
 }
 
 TEST(ScenarioRunnerTest, HopBoundOnRidesOutTheSameCyclicChain) {
-  GeneratorOptions options;
-  options.no_hop_bound_fixture = true;
-  ScenarioSpec spec = GenerateScenario(19, 0, options);
+  ScenarioSpec spec = GenerateScenario(19, 0, GeneratorMode::kNoHopBound);
   // Same rogue cyclic-chain plan, hop bound restored: the walk fails fast,
   // the rogue is still excised, and every oracle passes.
   spec.disable_hop_bound = false;
@@ -520,9 +487,7 @@ TEST(ScenarioRunnerTest, HopBoundOnRidesOutTheSameCyclicChain) {
 // --- Minimization. ---
 
 TEST(MinimizerTest, DropsFaultsIrrelevantToTheViolation) {
-  GeneratorOptions options;
-  options.wild_write_fixture = true;
-  ScenarioSpec spec = GenerateScenario(7, 0, options);
+  ScenarioSpec spec = GenerateScenario(7, 0, GeneratorMode::kWildWrite);
   // Pad the landing wild write with two faults that cannot cause the canary
   // corruption: a false accusation and a second, never-landing wild write
   // against the accuser.
@@ -573,7 +538,7 @@ TEST(CampaignDriverTest, FixtureSweepReportsEveryViolationInOrder) {
   options.master_seed = 7;
   options.num_scenarios = 4;
   options.workers = 4;
-  options.wild_write_fixture = true;
+  options.mode = GeneratorMode::kWildWrite;
   options.minimize = false;
   const CampaignReport report = RunCampaign(options);
   ASSERT_EQ(report.failures.size(), 4u);
@@ -710,14 +675,14 @@ TEST(CorpusTest, EntriesRoundTripThroughTextAndDisk) {
   CorpusEntry entry;
   entry.master_seed = 7;
   entry.index = 3;
-  entry.options.message_faults_only = true;
+  entry.mode = GeneratorMode::kMessage;
   entry.mutation_chain = {11, 22};
 
   CorpusEntry parsed;
   ASSERT_TRUE(ParseCorpusEntry(SerializeCorpusEntry(entry), &parsed));
   EXPECT_EQ(parsed.master_seed, entry.master_seed);
   EXPECT_EQ(parsed.index, entry.index);
-  EXPECT_STREQ(GeneratorModeName(parsed.options), GeneratorModeName(entry.options));
+  EXPECT_EQ(parsed.mode, entry.mode);
   EXPECT_EQ(parsed.mutation_chain, entry.mutation_chain);
 
   const std::string dir = testing::TempDir() + "hive_corpus_roundtrip";
@@ -728,25 +693,90 @@ TEST(CorpusTest, EntriesRoundTripThroughTextAndDisk) {
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded[0].master_seed, entry.master_seed);
   EXPECT_EQ(loaded[0].index, entry.index);
+  EXPECT_EQ(loaded[0].mode, entry.mode);
   EXPECT_EQ(loaded[0].mutation_chain, entry.mutation_chain);
 
   // Regeneration rebuilds exactly the scenario the recipe describes.
-  GeneratorOptions options;
-  options.message_faults_only = true;
-  const ScenarioSpec expected =
-      ApplyMutationChain(GenerateScenario(7, 3, options), entry.mutation_chain);
+  const ScenarioSpec expected = ApplyMutationChain(
+      GenerateScenario(7, 3, GeneratorMode::kMessage), entry.mutation_chain);
   EXPECT_EQ(RegenerateScenario(loaded[0]).ToString(), expected.ToString());
 }
 
+// Every plan mode with its on-disk corpus name and its hive_campaign flag,
+// spelled out: corpus files carry the names and CI logs the flags, so the
+// table in scenario.cc must never rename either.
+struct ModeSpelling {
+  GeneratorMode mode;
+  const char* name;
+  const char* flag;
+};
+constexpr ModeSpelling kModeSpellings[] = {
+    {GeneratorMode::kDefault, "default", ""},
+    {GeneratorMode::kWildWrite, "wild_write", "--fixture=wild_write"},
+    {GeneratorMode::kNoDedup, "no_dedup", "--fixture=no_dedup"},
+    {GeneratorMode::kNoHopBound, "no_hop_bound", "--fixture=no_hop_bound"},
+    {GeneratorMode::kMessage, "message", "--faults=message"},
+    {GeneratorMode::kRogue, "rogue", "--faults=rogue"},
+    {GeneratorMode::kNone, "none", "--faults=none"},
+    {GeneratorMode::kRebootStorm, "reboot_storm", "--faults=reboot-storm"},
+    {GeneratorMode::kSalvage, "salvage", "--salvage"},
+    {GeneratorMode::kBugNoDedup, "bug_no_dedup", "--bug=no_dedup"},
+    {GeneratorMode::kBugSalvageUnchecked, "bug_salvage_unchecked", "--bug=salvage_unchecked"},
+};
+
 TEST(CorpusTest, ModeNamesRoundTripEveryGeneratorMode) {
-  for (const char* name : {"default", "wild_write", "no_dedup", "message",
-                           "rogue", "none", "no_hop_bound", "bug_no_dedup"}) {
-    GeneratorOptions options;
-    ASSERT_TRUE(GeneratorModeFromName(name, &options)) << name;
-    EXPECT_STREQ(GeneratorModeName(options), name);
+  std::set<GeneratorMode> modes;
+  for (const ModeSpelling& spelling : kModeSpellings) {
+    SCOPED_TRACE(spelling.name);
+    EXPECT_TRUE(modes.insert(spelling.mode).second);
+    EXPECT_STREQ(GeneratorModeName(spelling.mode), spelling.name);
+    EXPECT_STREQ(GeneratorModeFlag(spelling.mode), spelling.flag);
+    GeneratorMode parsed = GeneratorMode::kDefault;
+    ASSERT_TRUE(GeneratorModeFromName(spelling.name, &parsed));
+    EXPECT_EQ(parsed, spelling.mode);
+    if (spelling.mode == GeneratorMode::kDefault) {
+      // The default mode has no flag, and the empty string selects nothing.
+      EXPECT_FALSE(GeneratorModeFromFlag(spelling.flag, &parsed));
+      continue;
+    }
+    parsed = GeneratorMode::kDefault;
+    ASSERT_TRUE(GeneratorModeFromFlag(spelling.flag, &parsed));
+    EXPECT_EQ(parsed, spelling.mode);
   }
-  GeneratorOptions options;
-  EXPECT_FALSE(GeneratorModeFromName("bogus", &options));
+  EXPECT_EQ(modes.size(), 11u);
+  GeneratorMode parsed = GeneratorMode::kDefault;
+  for (const char* bogus : {"bogus", "", "reboot-storm", "Default", "--faults=message "}) {
+    EXPECT_FALSE(GeneratorModeFromName(bogus, &parsed)) << bogus;
+  }
+  for (const char* bogus : {"bogus", "--faults=reboot_storm", "--fixture=", "faults=message",
+                            "--bug=salvage", "--salvage=1"}) {
+    EXPECT_FALSE(GeneratorModeFromFlag(bogus, &parsed)) << bogus;
+  }
+  EXPECT_EQ(parsed, GeneratorMode::kDefault);  // A rejected string writes nothing.
+}
+
+// A corpus entry must regenerate the scenario it was admitted from, in every
+// mode: the spec records its mode, admission copies it, and the text format
+// round-trips it, so replay runs the same plan and prints the same repro line.
+TEST(CorpusTest, EveryModeReplaysTheScenarioItRecorded) {
+  for (const ModeSpelling& spelling : kModeSpellings) {
+    SCOPED_TRACE(spelling.name);
+    for (uint64_t index = 0; index < 6; ++index) {
+      ScenarioSpec spec = GenerateScenario(3, index, spelling.mode);
+      EXPECT_EQ(spec.mode, spelling.mode);
+      if (index % 2 == 1) {
+        spec = MutateScenario(spec, 100 + index);  // Mutants keep the mode.
+        EXPECT_EQ(spec.mode, spelling.mode);
+      }
+      CorpusEntry parsed;
+      ASSERT_TRUE(ParseCorpusEntry(SerializeCorpusEntry(CorpusEntryFromSpec(spec)), &parsed));
+      EXPECT_EQ(parsed.mode, spelling.mode);
+      const ScenarioSpec replayed = RegenerateScenario(parsed);
+      EXPECT_EQ(replayed.ToString(), spec.ToString());
+      EXPECT_EQ(replayed.ReproLine(), spec.ReproLine());
+      EXPECT_EQ(replayed.mode, spelling.mode);
+    }
+  }
 }
 
 // --- Guided mode. ---
@@ -799,7 +829,7 @@ TEST(CampaignDriverTest, TriageBucketsPartitionTheFailures) {
   options.master_seed = 7;
   options.num_scenarios = 4;
   options.workers = 4;
-  options.wild_write_fixture = true;
+  options.mode = GeneratorMode::kWildWrite;
   options.minimize = false;
   const CampaignReport report = RunCampaign(options);
   ASSERT_EQ(report.failures.size(), 4u);

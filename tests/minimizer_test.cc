@@ -134,9 +134,7 @@ TEST(MinimizerTest, AlwaysTruePredicateCollapsesEverything) {
 // The wild-write fixture reliably trips the canary (generation-consistency)
 // oracle, and the minimized spec must keep tripping that same oracle.
 TEST(MinimizerTest, TargetOracleIsPreservedEndToEnd) {
-  GeneratorOptions options;
-  options.wild_write_fixture = true;
-  const ScenarioSpec spec = GenerateScenario(7, 0, options);
+  const ScenarioSpec spec = GenerateScenario(7, 0, GeneratorMode::kWildWrite);
   const ScenarioResult before = RunScenario(spec);
   ASSERT_TRUE(before.violated());
   const std::string oracle = before.violations[0].oracle;

@@ -89,6 +89,17 @@ TEST(ServeTest, DifferentSeedsDiverge) {
   EXPECT_NE(RunSoak(one).fingerprint, RunSoak(two).fingerprint);
 }
 
+// The soak raises the tenant count to the cell count so every cell homes a
+// tenant; the result (and so the CLI header and BENCH_serve.json) must report
+// the count that ran, not the one asked for.
+TEST(ServeTest, ResultReportsTheTenantCountThatRan) {
+  ServeOptions options = SmokeOptions(2 * hive::kSecond);
+  options.tenants = 1;
+  EXPECT_EQ(RunSoak(options).options.tenants, 4);
+  options.tenants = 5;
+  EXPECT_EQ(RunSoak(options).options.tenants, 5);
+}
+
 TEST(ServeTest, TinyWatermarkShedsInsteadOfQueueing) {
   ServeOptions options = SmokeOptions(20 * hive::kSecond);
   options.admit_runq_watermark = 2;

@@ -7,18 +7,18 @@
 //
 // Repro mode (`--scenario=K`): run exactly scenario K of the campaign rooted
 // at `--seed` and print its full outcome. All output is a pure function of
-// (seed, scenario, fixture): rerunning a printed repro line produces
+// (seed, scenario, plan mode): rerunning a printed repro line produces
 // byte-identical output.
 //
 // Exit codes: 0 = all oracles passed, 1 = violation(s), 2 = usage error
-// (including plan flags that conflict).
+// (including plan or run-mode flags that conflict).
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/campaign/campaign.h"
@@ -33,16 +33,9 @@ struct Args {
   int workers = 4;
   bool have_scenario = false;
   uint64_t scenario = 0;
-  bool wild_write_fixture = false;
-  bool no_dedup_fixture = false;
-  bool no_hop_bound_fixture = false;
-  bool message_faults_only = false;
-  bool rogue_only = false;
-  bool healthy_baseline = false;
-  bool bug_no_dedup = false;
-  bool salvage = false;
-  bool reboot_storm_only = false;
-  bool bug_salvage_unchecked = false;
+  campaign::GeneratorMode mode = campaign::GeneratorMode::kDefault;
+  // Every distinct plan flag given, in order; a run takes at most one.
+  std::vector<std::string> plan_flags;
   bool guided = false;
   int batch_size = 16;
   std::string corpus_dir;
@@ -119,9 +112,9 @@ void Usage() {
                "  --no-minimize        skip minimization of violating scenarios\n"
                "  --verbose            print a line per scenario\n"
                "\n"
-               "Give at most one --fixture=, --faults= or --bug=salvage_unchecked flag;\n"
-               "--salvage and --bug=no_dedup add to any one of them, except\n"
-               "--bug=no_dedup to --fixture=no_dedup. A conflict exits 2.\n");
+               "Give at most one --fixture=, --faults=, --bug= or --salvage flag, and\n"
+               "at most one of --scenario=K, --replay-corpus and --guided\n"
+               "(--scenario=K takes no --corpus= either). A conflict exits 2.\n");
 }
 
 bool ParseU64(const char* text, uint64_t* out) {
@@ -154,26 +147,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (std::strncmp(arg, "--scenario=", 11) == 0 && ParseU64(arg + 11, &value)) {
       args->have_scenario = true;
       args->scenario = value;
-    } else if (std::strcmp(arg, "--fixture=wild_write") == 0) {
-      args->wild_write_fixture = true;
-    } else if (std::strcmp(arg, "--fixture=no_dedup") == 0) {
-      args->no_dedup_fixture = true;
-    } else if (std::strcmp(arg, "--fixture=no_hop_bound") == 0) {
-      args->no_hop_bound_fixture = true;
-    } else if (std::strcmp(arg, "--faults=message") == 0) {
-      args->message_faults_only = true;
-    } else if (std::strcmp(arg, "--faults=rogue") == 0) {
-      args->rogue_only = true;
-    } else if (std::strcmp(arg, "--faults=none") == 0) {
-      args->healthy_baseline = true;
-    } else if (std::strcmp(arg, "--faults=reboot-storm") == 0) {
-      args->reboot_storm_only = true;
-    } else if (std::strcmp(arg, "--salvage") == 0) {
-      args->salvage = true;
-    } else if (std::strcmp(arg, "--bug=no_dedup") == 0) {
-      args->bug_no_dedup = true;
-    } else if (std::strcmp(arg, "--bug=salvage_unchecked") == 0) {
-      args->bug_salvage_unchecked = true;
+    } else if (campaign::GeneratorModeFromFlag(arg, &args->mode)) {
+      if (std::find(args->plan_flags.begin(), args->plan_flags.end(), arg) ==
+          args->plan_flags.end()) {
+        args->plan_flags.push_back(arg);
+      }
     } else if (std::strcmp(arg, "--guided") == 0) {
       args->guided = true;
     } else if (std::strncmp(arg, "--batch=", 8) == 0 && ParseU64(arg + 8, &value) &&
@@ -200,57 +178,45 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   return true;
 }
 
-// Each plan-shape flag makes the generator draw a different kind of plan and
-// it honours only one, so a second one would be dropped without a word (and
-// the printed repro line would name a different scenario). Returns false,
-// after naming the conflict, when the flags cannot all hold.
-bool PlanFlagsCompatible(const Args& args) {
-  const std::pair<bool, const char*> shapes[] = {
-      {args.wild_write_fixture, "--fixture=wild_write"},
-      {args.no_dedup_fixture, "--fixture=no_dedup"},
-      {args.no_hop_bound_fixture, "--fixture=no_hop_bound"},
-      {args.message_faults_only, "--faults=message"},
-      {args.rogue_only, "--faults=rogue"},
-      {args.healthy_baseline, "--faults=none"},
-      {args.reboot_storm_only, "--faults=reboot-storm"},
-      {args.bug_salvage_unchecked, "--bug=salvage_unchecked"},
-  };
-  std::string given;
-  int count = 0;
-  for (const auto& [set, name] : shapes) {
-    if (set) {
-      given = given + " " + name;
-      ++count;
+// A run honours one plan mode and one run mode (a sweep, --scenario=K,
+// --replay-corpus or --guided). A second flag of either kind would be
+// dropped without a word, and a printed repro line would name a different
+// scenario. Returns false, after naming the flags, when either kind holds
+// more than one.
+bool FlagsCompatible(const Args& args) {
+  std::vector<std::string> run_flags;
+  if (args.have_scenario) {
+    run_flags.push_back("--scenario=" + std::to_string(args.scenario));
+  }
+  if (args.replay_corpus) {
+    run_flags.push_back("--replay-corpus");
+  }
+  if (args.guided) {
+    run_flags.push_back("--guided");
+  }
+  // On its own --corpus=DIR makes a sweep persist what it admits; a single
+  // scenario admits nothing.
+  if (args.have_scenario && run_flags.size() == 1 && !args.corpus_dir.empty()) {
+    run_flags.push_back("--corpus=" + args.corpus_dir);
+  }
+  auto at_most_one = [](const char* kind, const std::vector<std::string>& flags) {
+    if (flags.size() <= 1) {
+      return true;
     }
-  }
-  // --bug=no_dedup adds to any plan shape but the fixture that breaks
-  // duplicate suppression on every cell.
-  if (args.no_dedup_fixture && args.bug_no_dedup) {
-    given += " --bug=no_dedup";
-    ++count;
-  }
-  if (count <= 1) {
-    return true;
-  }
-  std::fprintf(stderr, "hive_campaign: conflicting plan flags (give at most one):%s\n",
-               given.c_str());
-  return false;
+    std::string given;
+    for (const std::string& flag : flags) {
+      given += " " + flag;
+    }
+    std::fprintf(stderr, "hive_campaign: conflicting %s flags (give at most one):%s\n", kind,
+                 given.c_str());
+    return false;
+  };
+  return at_most_one("plan", args.plan_flags) && at_most_one("run-mode", run_flags);
 }
 
 int RunSingle(const Args& args) {
-  campaign::GeneratorOptions gen_options;
-  gen_options.wild_write_fixture = args.wild_write_fixture;
-  gen_options.no_dedup_fixture = args.no_dedup_fixture;
-  gen_options.no_hop_bound_fixture = args.no_hop_bound_fixture;
-  gen_options.message_faults_only = args.message_faults_only;
-  gen_options.rogue_only = args.rogue_only;
-  gen_options.healthy_baseline = args.healthy_baseline;
-  gen_options.bug_no_dedup = args.bug_no_dedup;
-  gen_options.salvage = args.salvage;
-  gen_options.reboot_storm_only = args.reboot_storm_only;
-  gen_options.bug_salvage_unchecked = args.bug_salvage_unchecked;
   const campaign::ScenarioSpec root =
-      campaign::GenerateScenario(args.seed, args.scenario, gen_options);
+      campaign::GenerateScenario(args.seed, args.scenario, args.mode);
   const campaign::ScenarioSpec spec =
       campaign::ApplyMutationChain(root, args.mutation_chain);
   std::printf("%s\n", spec.ToString().c_str());
@@ -279,16 +245,7 @@ int RunSweep(const Args& args) {
   options.master_seed = args.seed;
   options.num_scenarios = args.scenarios;
   options.workers = args.workers;
-  options.wild_write_fixture = args.wild_write_fixture;
-  options.no_dedup_fixture = args.no_dedup_fixture;
-  options.no_hop_bound_fixture = args.no_hop_bound_fixture;
-  options.message_faults_only = args.message_faults_only;
-  options.rogue_only = args.rogue_only;
-  options.healthy_baseline = args.healthy_baseline;
-  options.bug_no_dedup = args.bug_no_dedup;
-  options.salvage = args.salvage;
-  options.reboot_storm_only = args.reboot_storm_only;
-  options.bug_salvage_unchecked = args.bug_salvage_unchecked;
+  options.mode = args.mode;
   options.guided = args.guided;
   options.batch_size = args.batch_size;
   options.corpus_dir = args.corpus_dir;
@@ -300,19 +257,12 @@ int RunSweep(const Args& args) {
       std::printf("%s\n", result.Summary().c_str());
     };
   }
-  std::printf("campaign: seed=%" PRIu64 " scenarios=%" PRIu64
-              " workers=%d%s%s%s%s%s%s%s%s%s%s%s\n",
-              args.seed, args.scenarios, args.workers,
-              args.wild_write_fixture ? " fixture=wild_write" : "",
-              args.no_dedup_fixture ? " fixture=no_dedup" : "",
-              args.no_hop_bound_fixture ? " fixture=no_hop_bound" : "",
-              args.message_faults_only ? " faults=message" : "",
-              args.rogue_only ? " faults=rogue" : "",
-              args.reboot_storm_only ? " faults=reboot-storm" : "",
-              args.healthy_baseline ? " faults=none" : "",
-              args.salvage ? " salvage" : "",
-              args.bug_no_dedup ? " bug=no_dedup" : "",
-              args.bug_salvage_unchecked ? " bug=salvage_unchecked" : "",
+  std::string plan = campaign::GeneratorModeFlag(args.mode);
+  if (!plan.empty()) {
+    plan = " " + plan.substr(2);  // The flag without its leading "--".
+  }
+  std::printf("campaign: seed=%" PRIu64 " scenarios=%" PRIu64 " workers=%d%s%s\n",
+              args.seed, args.scenarios, args.workers, plan.c_str(),
               args.guided ? " guided" : args.replay_corpus ? " replay" : "");
   const campaign::CampaignReport report = campaign::RunCampaign(options);
   std::printf("ran %" PRIu64 " scenarios, %" PRIu64 " faults landed, %" PRIu64
@@ -368,7 +318,7 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  if (!PlanFlagsCompatible(args)) {
+  if (!FlagsCompatible(args)) {
     return 2;
   }
   if (!args.mutation_chain.empty() && !args.have_scenario) {

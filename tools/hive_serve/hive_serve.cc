@@ -46,7 +46,8 @@ void Usage() {
                "  --seed=N        soak master seed (default 1); the summary\n"
                "                  fingerprint is a function of the seed alone\n"
                "  --cells=N       cells in the machine, 2..16 (default 4)\n"
-               "  --tenants=N     tenant request streams (default 8)\n"
+               "  --tenants=N     tenant request streams (default 8); raised to\n"
+               "                  --cells so every cell homes one\n"
                "  --duration-s=N  simulated submission window in seconds (default 60)\n"
                "  --bug=NAME      seeded sensitivity bug: no_shed | slow_recovery;\n"
                "                  each must trip an SLO oracle (exit 3)\n"
@@ -223,12 +224,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("hive_serve: seed=%" PRIu64 " cells=%d tenants=%d "
-              "duration=%" PRIu64 "s%s%s%s\n",
-              args.seed, args.cells, args.tenants, args.duration_s,
-              args.smoke ? " (smoke)" : "", args.bug.empty() ? "" : " bug=",
-              args.bug.c_str());
-
   serve::ServeOptions options;
   options.seed = args.seed;
   options.num_cells = args.cells;
@@ -240,6 +235,11 @@ int main(int argc, char** argv) {
   const serve::ServeResult result = serve::RunSoak(options);
   const uint64_t peak_rss = PeakRssBytes();
 
+  std::printf("hive_serve: seed=%" PRIu64 " cells=%d tenants=%d "
+              "duration=%" PRIu64 "s%s%s%s\n",
+              args.seed, args.cells, result.options.tenants, args.duration_s,
+              args.smoke ? " (smoke)" : "", args.bug.empty() ? "" : " bug=",
+              args.bug.c_str());
   std::printf("%s", result.report.c_str());
   std::printf("fingerprint: %016" PRIx64 "   peak_rss: %" PRIu64 " bytes\n",
               result.fingerprint, peak_rss);
