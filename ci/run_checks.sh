@@ -468,7 +468,7 @@ echo "== determinism gate: pinned campaign, serve and table-bench outputs =="
 # recorded when the campaign and serve engines and each table bench last
 # changed behaviour on purpose; a change that moves one must say why and
 # re-pin it here.
-for pin in "1 0xad852eebfcfec416" "2 0x1b550263badc770c" "3 0x34d94a8bac939bae"; do
+for pin in "1 0xdb04285cabc443e6" "2 0xc2a675449ec784e7" "3 0xb17333af28bb2253"; do
   read -r pin_seed pin_fp <<<"$pin"
   pin_log="$BUILD_DIR/pinned_campaign_${pin_seed}.log"
   "$CAMPAIGN" --seed="$pin_seed" --scenarios=600 --workers="$JOBS" \
@@ -481,7 +481,7 @@ for pin in "1 0xad852eebfcfec416" "2 0x1b550263badc770c" "3 0x34d94a8bac939bae";
     fail "campaign --seed=$pin_seed --scenarios=600 merged fingerprint is not $pin_fp"
   }
 done
-for pin in "f0660c1d2b830351" "af3c0712f30c2a4e --cells=8 --tenants=32"; do
+for pin in "262a6b60560067f2" "29263da4a636b1d8 --cells=8 --tenants=32"; do
   read -r pin_fp pin_args <<<"$pin"
   pin_log="$BUILD_DIR/pinned_serve_${pin_fp}.log"
   serve_status=0

@@ -71,6 +71,18 @@ uint64_t FnvMixString(uint64_t hash, const std::string& text) {
   return hash;
 }
 
+uint64_t FnvMixCellStates(uint64_t hash, HiveSystem& sys) {
+  for (CellId c = 0; c < sys.num_cells(); ++c) {
+    Cell& cell = sys.cell(c);
+    uint64_t state = cell.alive() ? 1u : 0u;
+    state |= cell.in_recovery() ? 2u : 0u;
+    state |= sys.CellConfirmedFailed(c) ? 4u : 0u;
+    hash = FnvMix(hash, state);
+    hash = FnvMixString(hash, cell.panic_reason());
+  }
+  return hash;
+}
+
 std::vector<uint64_t> ExtractCoverage(HiveSystem& sys,
                                       const std::vector<OracleViolation>& violations) {
   std::set<uint64_t> features;

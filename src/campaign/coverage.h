@@ -37,6 +37,10 @@ inline constexpr uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ull;
 
 uint64_t FnvMix(uint64_t hash, uint64_t value);
 uint64_t FnvMixString(uint64_t hash, const std::string& text);
+// Folds every cell's final state into `hash`, in cell order: its alive,
+// in-recovery and confirmed-failed bits, then its panic reason. Scenario and
+// soak fingerprints both hash the cells this way.
+uint64_t FnvMixCellStates(uint64_t hash, hive::HiveSystem& sys);
 
 // Extracts the coverage feature set from a finished scenario's simulator
 // state plus the oracle verdicts. Returns a sorted, deduplicated vector.

@@ -21,6 +21,15 @@
 #include "src/workloads/workload.h"
 
 namespace campaign {
+
+flash::MachineConfig CampaignConfig(int num_cells) {
+  flash::MachineConfig config;
+  config.num_nodes = num_cells;
+  config.cpus_per_node = 1;
+  config.memory_per_node = 16ull * 1024 * 1024;
+  return config;
+}
+
 namespace {
 
 using hive::Cell;
@@ -31,16 +40,6 @@ using hive::HiveSystem;
 using hive::kMillisecond;
 using hive::kSecond;
 using hive::ProcId;
-
-// Scenario machines are deliberately small: detection and containment do not
-// depend on memory size, and a campaign runs hundreds of these.
-flash::MachineConfig CampaignConfig(int num_cells) {
-  flash::MachineConfig config;
-  config.num_nodes = num_cells;
-  config.cpus_per_node = 1;
-  config.memory_per_node = 16ull * 1024 * 1024;
-  return config;
-}
 
 // Tiny workload parameterizations: enough traffic to populate page sharing,
 // address maps and the COW tree, small enough that a scenario simulates in
@@ -252,14 +251,7 @@ uint64_t ComputeFingerprint(const ScenarioResult& result, HiveSystem& sys) {
   uint64_t hash = kFnvOffsetBasis;
   hash = FnvMix(hash, result.spec.seed);
   hash = FnvMix(hash, static_cast<uint64_t>(result.end_time));
-  for (CellId c = 0; c < sys.num_cells(); ++c) {
-    Cell& cell = sys.cell(c);
-    uint64_t state = cell.alive() ? 1u : 0u;
-    state |= cell.in_recovery() ? 2u : 0u;
-    state |= sys.CellConfirmedFailed(c) ? 4u : 0u;
-    hash = FnvMix(hash, state);
-    hash = FnvMixString(hash, cell.panic_reason());
-  }
+  hash = FnvMixCellStates(hash, sys);
   for (bool landed : result.injected) {
     hash = FnvMix(hash, landed ? 1u : 0u);
   }
@@ -297,10 +289,6 @@ ScenarioResult RunScenario(const ScenarioSpec& spec) {
   result.spec = spec;
 
   flash::Machine machine(CampaignConfig(spec.num_cells), spec.seed);
-  // Slice dispatch snaps to a 1 ms grid, one tenth of the 10 ms clock tick
-  // (the "minor tick" real kernels dispatch on), and lone compute-bound
-  // processes run pinned slices. Every golden is captured with both on.
-  machine.EnableParallelSim(1, hive::KernelCosts{}.clock_tick_period_ns / 10);
   HiveOptions options;
   options.num_cells = spec.num_cells;
   options.agreement_mode = spec.agreement_mode;

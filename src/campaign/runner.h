@@ -13,8 +13,14 @@
 
 #include "src/campaign/oracles.h"
 #include "src/campaign/scenario.h"
+#include "src/flash/config.h"
 
 namespace campaign {
+
+// The machine every scenario and every serve soak runs on: one single-CPU
+// node per cell with 16 MiB each. Detection and containment do not depend on
+// memory size, and a campaign builds hundreds of these machines.
+flash::MachineConfig CampaignConfig(int num_cells);
 
 struct ScenarioResult {
   ScenarioSpec spec;

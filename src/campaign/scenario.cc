@@ -312,15 +312,6 @@ int ScenarioSpec::NodeFailureCount() const {
   return count;
 }
 
-bool ScenarioSpec::IsNodeFailureVictim(CellId cell) const {
-  for (const FaultSpec& fault : faults) {
-    if (fault.kind == FaultKind::kNodeFailure && fault.victim == cell) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string ScenarioSpec::ToString() const {
   std::ostringstream out;
   out << "scenario " << index << " seed=0x" << std::hex << seed << std::dec

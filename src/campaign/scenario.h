@@ -225,7 +225,6 @@ struct ScenarioSpec {
 
   // Number of victims of fail-stop node failures (distinct cells).
   int NodeFailureCount() const;
-  bool IsNodeFailureVictim(CellId cell) const;
 
   std::string ToString() const;
   // Self-contained repro line for this scenario.

@@ -798,21 +798,6 @@ void FileSystem::NoteDirtyPageLost(VnodeId vnode_id) {
   }
 }
 
-int FileSystem::DropImportsFrom(Ctx& ctx, CellId failed_cell) {
-  (void)ctx;
-  std::vector<Pfdat*> to_drop;
-  cell_->pfdats().ForEach([&](Pfdat* pfdat) {
-    if (pfdat->extended && pfdat->imported_from == failed_cell &&
-        pfdat->borrowed_from == kInvalidCell) {
-      to_drop.push_back(pfdat);
-    }
-  });
-  for (Pfdat* pfdat : to_drop) {
-    cell_->pfdats().RemoveExtended(pfdat);
-  }
-  return static_cast<int>(to_drop.size());
-}
-
 int FileSystem::DropAllImports(Ctx& ctx) {
   (void)ctx;
   std::vector<Pfdat*> to_drop;

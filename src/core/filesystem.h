@@ -104,10 +104,6 @@ class FileSystem {
   // opened before the failure observe an error (paper section 4.2).
   void NoteDirtyPageLost(VnodeId vnode_id);
 
-  // Drops every cached page imported from `failed_cell` and every shadow
-  // binding to it. Returns the number of pages dropped.
-  int DropImportsFrom(Ctx& ctx, CellId failed_cell);
-
   // Recovery: drops every import regardless of home. After the first global
   // barrier no remote mapping is valid anywhere, so bindings are rebuilt by
   // fresh faults (paper section 4.3).

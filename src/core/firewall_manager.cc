@@ -208,19 +208,6 @@ bool FirewallManager::HasGrant(Pfn pfn, CellId client_cell) const {
          cell_it->second > 0;
 }
 
-std::vector<CellId> FirewallManager::GrantedCells(Pfn pfn) const {
-  std::vector<CellId> cells;
-  auto page_it = grants_by_page_.find(pfn);
-  if (page_it != grants_by_page_.end()) {
-    for (const auto& [client, count] : page_it->second) {
-      if (count > 0) {
-        cells.push_back(client);
-      }
-    }
-  }
-  return cells;
-}
-
 uint64_t FirewallManager::GrantedCpuMask(Pfn pfn) const {
   uint64_t mask = 0;
   auto page_it = grants_by_page_.find(pfn);

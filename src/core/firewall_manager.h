@@ -67,7 +67,6 @@ class FirewallManager {
 
   // Invariant auditing: grant bookkeeping snapshots (see invariant_checker.h).
   bool HasGrant(Pfn pfn, CellId client_cell) const;
-  std::vector<CellId> GrantedCells(Pfn pfn) const;
   // Union of the CPU masks of every cell granted on `pfn`.
   uint64_t GrantedCpuMask(Pfn pfn) const;
   // Every page with an outstanding grant, ascending: the audit merges its

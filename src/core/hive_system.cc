@@ -407,12 +407,4 @@ void HiveSystem::WakeOrphanedWaiters() {
   }
 }
 
-Time HiveSystem::TotalCpuBusy() const {
-  Time total = 0;
-  for (const auto& cell : cells_) {
-    total += cell->sched().cpu_busy_ns();
-  }
-  return total;
-}
-
 }  // namespace hive

@@ -56,9 +56,6 @@ struct HiveOptions {
   // under load -- null-pings every survivor under its new incarnation epoch
   // and re-borrows/returns a frame batch -- before it counts as converged.
   bool live_rejoin = false;
-  // Debug-mode audit: after every recovery round, cross-check firewall
-  // vectors against kernel bookkeeping (see invariant_checker.h).
-  bool audit_invariants = true;
   // Admission-control watermarks (graceful degradation, 0 = unlimited): a
   // cell sheds new requests -- traced as kAdmissionShed and counted against
   // availability by the SLO recorder -- once its ready queue or kernel heap
@@ -189,17 +186,10 @@ class HiveSystem {
   // paths; safe to call redundantly.
   void HandleAlert(Ctx& ctx, CellId accuser, CellId suspect, HintReason reason);
 
-  // True while an agreement/recovery episode is processing `suspect`; used
-  // to de-duplicate hints from many cells.
-  bool AlertInProgress() const { return alert_in_progress_; }
-
   // --- Experiment support. ---
   // Runs the event loop until all of `pids` have finished or `deadline` hits.
   // Returns true if all finished.
   bool RunUntilDone(const std::vector<ProcId>& pids, Time deadline);
-
-  // Total CPU-seconds of user work, summed over cells.
-  Time TotalCpuBusy() const;
 
  private:
   flash::Machine* machine_;

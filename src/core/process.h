@@ -38,14 +38,6 @@ class Behavior {
   // are reached through proc.cell().
   virtual StepOutcome Step(Ctx& ctx, Process& proc) = 0;
 
-  // True when the NEXT Step is cell-local pure compute: it only charges time
-  // and touches this cell's scheduler state -- no page faults, file system,
-  // RPC, SIPS, barriers, forks or process completion. With the dispatch grid
-  // on, the scheduler runs such steps as pinned slices that keep the CPU
-  // between quanta; a misdeclared step trips RunPinnedSlice's CHECK.
-  // Conservative default: nothing is local.
-  virtual bool NextStepLocal() const { return false; }
-
   // Human-readable tag for logs and stats.
   virtual std::string name() const = 0;
 };

@@ -341,15 +341,13 @@ RecoveryStats RecoveryManager::Run(Ctx& ctx, const std::vector<CellId>& failed_c
     }
   }
 
-  // Debug-mode audit: recovery just rewrote grant, export and loan state on
-  // every live cell; verify the firewall vectors agree with the new
-  // bookkeeping. Raised hints are absorbed by the in-progress alert episode.
-  if (system_->options().audit_invariants) {
-    InvariantChecker checker(system_);
-    const InvariantReport audit = checker.AuditAll(/*raise_hints=*/true);
-    for (const InvariantMismatch& mismatch : audit.mismatches) {
-      LOG(kWarn) << "post-recovery invariant audit: " << mismatch.ToString();
-    }
+  // Audit: recovery just rewrote grant, export and loan state on every live
+  // cell; verify the firewall vectors agree with the new bookkeeping. Raised
+  // hints are absorbed by the in-progress alert episode.
+  InvariantChecker checker(system_);
+  const InvariantReport audit = checker.AuditAll(/*raise_hints=*/true);
+  for (const InvariantMismatch& mismatch : audit.mismatches) {
+    LOG(kWarn) << "post-recovery invariant audit: " << mismatch.ToString();
   }
 
   LOG(kInfo) << "recovery complete: " << stats.pages_discarded << " pages discarded, "

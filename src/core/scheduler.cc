@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/base/log.h"
 #include "src/base/sim_profile.h"
 #include "src/core/cell.h"
 #include "src/core/cow_tree.h"
@@ -55,16 +54,6 @@ void Scheduler::KickAll() {
   }
 }
 
-Time Scheduler::AlignDispatch(Time when) const {
-  const Time grid = cell_->machine().slice_grid_ns();
-  if (grid == 0) {
-    return when;
-  }
-  // Strictly-next grid point, even when `when` is already aligned; every
-  // golden fingerprint is captured with this rounding.
-  return (when / grid + 1) * grid;
-}
-
 void Scheduler::KickCpu(int cpu_index) {
   if (!cell_->alive() || cpu_has_event_[static_cast<size_t>(cpu_index)] || ready_.empty()) {
     return;
@@ -74,8 +63,8 @@ void Scheduler::KickCpu(int cpu_index) {
   if (machine.cpu(cpu_id).halted) {
     return;
   }
-  const Time when = AlignDispatch(std::max({machine.Now(), machine.cpu(cpu_id).free_at,
-                                            cell_->user_suspended_until()}));
+  const Time when = std::max({machine.Now(), machine.cpu(cpu_id).free_at,
+                             cell_->user_suspended_until()});
   cpu_has_event_[static_cast<size_t>(cpu_index)] = true;
   cpu_event_id_[static_cast<size_t>(cpu_index)] =
       machine.events().ScheduleAt(when, [this, cpu_index] { RunSlice(cpu_index); });
@@ -151,7 +140,7 @@ void Scheduler::RunSlice(int cpu_index) {
         // The slice occupies the CPU until now + elapsed; the process is not
         // runnable (anywhere) before then, or it could execute on two CPUs
         // in the same simulated instant.
-        ScheduleResume(cpu_index, proc, now + ctx.elapsed);
+        ScheduleResume(proc, now + ctx.elapsed);
       }
       break;
     case StepOutcome::kBlocked:
@@ -169,24 +158,14 @@ void Scheduler::RunSlice(int cpu_index) {
   KickCpu(cpu_index);
 }
 
-void Scheduler::ScheduleResume(int cpu_index, Process* proc, Time resume) {
-  flash::Machine& machine = cell_->machine();
-  if (machine.slice_grid_ns() > 0 && ready_.empty() &&
-      proc->state() == ProcState::kRunning && proc->behavior()->NextStepLocal()) {
-    // Sole runnable process with pure-compute steps ahead: keep it pinned to
-    // this CPU at `resume`, off the grid, with no ready-queue round trip.
-    cpu_has_event_[static_cast<size_t>(cpu_index)] = true;
-    cpu_event_id_[static_cast<size_t>(cpu_index)] = machine.events().ScheduleAt(
-        resume, [this, cpu_index, proc] { RunPinnedSlice(cpu_index, proc); });
-    return;
-  }
+void Scheduler::ScheduleResume(Process* proc, Time resume) {
   // Captures (cell, pid), not (this, proc): a reboot-storm kill/rejoin cycle
   // replaces the scheduler and frees every process while wake events are
   // still in flight. Pids are system-global and never reused, so resolving
   // through the current scheduler either finds the same process or nothing.
   Cell* cell = cell_;
   const ProcId pid = proc->pid();
-  machine.events().ScheduleAt(resume, [cell, pid] {
+  cell_->machine().events().ScheduleAt(resume, [cell, pid] {
     if (!cell->alive()) {
       return;
     }
@@ -197,56 +176,6 @@ void Scheduler::ScheduleResume(int cpu_index, Process* proc, Time resume) {
       sched.MakeRunnable(woken);
     }
   });
-}
-
-void Scheduler::RunPinnedSlice(int cpu_index, Process* proc) {
-  base::SimProfileScope profile_scope(base::SimSubsystem::kScheduler);
-  cpu_has_event_[static_cast<size_t>(cpu_index)] = false;
-  cpu_event_id_[static_cast<size_t>(cpu_index)] = 0;
-  if (!cell_->alive()) {
-    return;
-  }
-  flash::Machine& machine = cell_->machine();
-  const int cpu_id = cell_->cpus()[static_cast<size_t>(cpu_index)];
-  if (machine.cpu(cpu_id).halted) {
-    return;
-  }
-  if (proc->finished() || proc->state() != ProcState::kRunning) {
-    // Killed or woken elsewhere between slices (recovery sweep): free the CPU
-    // for whoever is ready.
-    KickCpu(cpu_index);
-    return;
-  }
-  const Time now = machine.Now();
-  if (now < cell_->user_suspended_until() || now < machine.cpu(cpu_id).free_at) {
-    // A suspension landed between slices; go back through the normal
-    // (grid-aligned) dispatch path.
-    MakeRunnable(proc);
-    return;
-  }
-
-  ++context_switches_;
-  Ctx ctx;
-  ctx.cell = cell_;
-  ctx.cpu = cpu_id;
-  ctx.start = now;
-  StepOutcome outcome = StepOutcome::kContinue;
-  while (ctx.elapsed < kQuantum && proc->behavior()->NextStepLocal()) {
-    const Time before = ctx.elapsed;
-    outcome = proc->behavior()->Step(ctx, *proc);
-    // This loop has no block, exit or panic path (RunSlice does): a "local"
-    // step that blocks, exits, fails, or kills the cell broke the
-    // NextStepLocal contract. Fail loudly.
-    CHECK(outcome == StepOutcome::kContinue && !proc->finished() && cell_->alive())
-        << "step declared cell-local by " << proc->behavior()->name()
-        << " had non-local effects";
-    if (ctx.elapsed == before) {
-      ctx.Charge(1000);  // Same zero-cost backstop as RunSlice.
-    }
-  }
-  machine.cpu(cpu_id).free_at = now + ctx.elapsed;
-  cpu_busy_ns_ += ctx.elapsed;
-  ScheduleResume(cpu_index, proc, now + ctx.elapsed);
 }
 
 void Scheduler::ExitProcess(Ctx& ctx, Process* proc, StepOutcome outcome) {

@@ -61,16 +61,9 @@ class Scheduler {
 
  private:
   void RunSlice(int cpu);
-  // Pinned continuation slice (grid on): re-runs `proc` on the same CPU
-  // while its next steps are declared cell-local, bypassing the ready queue.
-  void RunPinnedSlice(int cpu, Process* proc);
-  // Schedules proc's next dispatch after a slice left it runnable at
-  // `resume`: a pinned slice when it is the sole runnable process with local
-  // steps ahead, else the ready-queue wake event.
-  void ScheduleResume(int cpu, Process* proc, Time resume);
-  // Snaps a dispatch time up to the slice grid (identity when the grid is
-  // off). Real kernels dispatch on timer ticks.
-  Time AlignDispatch(Time when) const;
+  // Requeues `proc` at `resume`, when the slice that left it runnable frees
+  // its CPU.
+  void ScheduleResume(Process* proc, Time resume);
 
   Cell* cell_;
   std::deque<Process*> ready_;

@@ -55,28 +55,6 @@ base::Status SpanningTask::MapFileAll(Ctx& ctx, const std::string& path, VirtAdd
   return base::OkStatus();
 }
 
-base::Status SpanningTask::MapAnonAll(Ctx& ctx, VirtAddr va, uint64_t length,
-                                      bool writable) {
-  for (size_t i = 0; i < pids_.size(); ++i) {
-    Cell& cell = system_->cell(cells_[i]);
-    if (!cell.alive()) {
-      return base::CellFailed();
-    }
-    Process* proc = cell.sched().FindProcess(pids_[i]);
-    if (proc == nullptr || proc->finished()) {
-      return base::NotFound();
-    }
-    Ctx mctx = cell.MakeCtx();
-    mctx.start = ctx.VirtualNow();
-    RETURN_IF_ERROR(proc->address_space().MapAnon(mctx, va, length, writable));
-    if (cells_[i] != ctx.cell->id()) {
-      ctx.Charge(ctx.cell->costs().NullRpcNs(ctx.cell->machine().config().latency));
-    }
-    ctx.Charge(mctx.elapsed);
-  }
-  return base::OkStatus();
-}
-
 void SpanningTask::KillAll(Ctx& ctx) {
   for (size_t i = 0; i < pids_.size(); ++i) {
     Cell& cell = system_->cell(cells_[i]);

@@ -43,9 +43,6 @@ class SpanningTask {
   base::Status MapFileAll(Ctx& ctx, const std::string& path, VirtAddr va, uint64_t length,
                           bool writable);
 
-  // Maps an anonymous region into every component.
-  base::Status MapAnonAll(Ctx& ctx, VirtAddr va, uint64_t length, bool writable);
-
   // Signals every component (cross-cell kKillProc RPCs).
   void KillAll(Ctx& ctx);
 

@@ -4,7 +4,6 @@
 // firewall measurement needs.
 //
 // Classes:
-//  - L2 hit: first-level miss that hits the 1 MB secondary cache (50 ns).
 //  - local miss: secondary miss satisfied by node-local memory.
 //  - remote read miss: secondary read miss to another node's memory.
 //  - remote write miss: cache-line ownership request to another node. This is
@@ -25,11 +24,6 @@ class CacheModel {
  public:
   explicit CacheModel(const LatencyParams& latency) : latency_(latency) {}
 
-  Time L2Hit() {
-    ++l2_hits_;
-    return latency_.l2_hit_ns;
-  }
-
   Time LocalMiss() {
     ++local_misses_;
     return latency_.memory_miss_ns;
@@ -45,7 +39,6 @@ class CacheModel {
   Time RemoteWriteMiss(bool firewall_checking, Time base_miss_ns = 0) {
     ++remote_write_misses_;
     Time lat = base_miss_ns > 0 ? base_miss_ns : latency_.memory_miss_ns;
-    remote_write_base_total_ += lat;
     if (firewall_checking) {
       ++firewall_checked_misses_;
       lat += latency_.firewall_check_ns;
@@ -55,44 +48,35 @@ class CacheModel {
   }
 
   // Counters.
-  uint64_t l2_hits() const { return l2_hits_; }
   uint64_t local_misses() const { return local_misses_; }
   uint64_t remote_read_misses() const { return remote_read_misses_; }
   uint64_t remote_write_misses() const { return remote_write_misses_; }
   uint64_t firewall_checked_misses() const { return firewall_checked_misses_; }
 
-  // Average remote write miss latency with and without the firewall check,
-  // used by bench/sec42_firewall_overhead.
+  // Average remote write miss latency, firewall check included; used by
+  // bench/sec42_firewall_overhead.
   double AvgRemoteWriteMissNs() const {
     return remote_write_misses_ == 0
                ? 0.0
                : static_cast<double>(remote_write_total_) /
                      static_cast<double>(remote_write_misses_);
   }
-  double AvgRemoteWriteMissBaseNs() const {
-    return remote_write_misses_ == 0
-               ? 0.0
-               : static_cast<double>(remote_write_base_total_) /
-                     static_cast<double>(remote_write_misses_);
-  }
 
   void ResetCounters() {
-    l2_hits_ = local_misses_ = remote_read_misses_ = remote_write_misses_ = 0;
+    local_misses_ = remote_read_misses_ = remote_write_misses_ = 0;
     firewall_checked_misses_ = 0;
-    remote_write_total_ = remote_write_base_total_ = 0;
+    remote_write_total_ = 0;
   }
 
   const LatencyParams& latency() const { return latency_; }
 
  private:
   LatencyParams latency_;
-  uint64_t l2_hits_ = 0;
   uint64_t local_misses_ = 0;
   uint64_t remote_read_misses_ = 0;
   uint64_t remote_write_misses_ = 0;
   uint64_t firewall_checked_misses_ = 0;
   int64_t remote_write_total_ = 0;
-  int64_t remote_write_base_total_ = 0;
 };
 
 }  // namespace flash

@@ -23,9 +23,6 @@ struct LatencyParams {
   // 200 MHz processor: 5 ns per instruction when not stalled.
   Time cycle_ns = 5;
 
-  // First-level miss that hits in the 1 MB secondary cache.
-  Time l2_hit_ns = 50;
-
   // Secondary cache miss: fixed at the FLASH average miss latency.
   Time memory_miss_ns = 700;
 

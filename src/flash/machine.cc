@@ -23,13 +23,6 @@ Machine::Machine(const MachineConfig& config, uint64_t seed)
   }
 }
 
-void Machine::EnableParallelSim(int /*threads*/, Time grid_ns) {
-  CHECK_EQ(events_.total_run(), 0u)
-      << "EnableParallelSim must run before the first event";
-  CHECK_GT(grid_ns, 0);
-  slice_grid_ns_ = grid_ns;
-}
-
 void Machine::FailNode(int node) {
   LOG(kInfo) << "hardware fault: node " << node << " failed at t=" << Now() << "ns";
   node_dead_[static_cast<size_t>(node)] = true;

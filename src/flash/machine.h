@@ -40,20 +40,7 @@ class Machine {
   EventQueue& events() { return events_; }
   Time Now() const { return events_.Now(); }
 
-  // Turns on the 1 ms dispatch grid and pinned compute slices (DESIGN.md
-  // section 8): slice dispatch snaps to the strictly-next `grid_ns` boundary,
-  // and a sole runnable process with cell-local compute ahead keeps its CPU
-  // between quanta. Both are simulated-timing policy, so they change outcomes
-  // deterministically; the campaign and serve runners turn them on and every
-  // golden is captured with them. Must be called before any event executes.
-  // `threads` is ignored: the name and signature stay because benchmark
-  // harnesses probe for this call to mirror RunScenario's set-up.
-  void EnableParallelSim(int threads, Time grid_ns);
-
   size_t RunUntil(Time deadline) { return events_.RunUntil(deadline); }
-
-  // Slice-dispatch grid in ns; 0 when the grid is off.
-  Time slice_grid_ns() const { return slice_grid_ns_; }
 
   const Interconnect& interconnect() const { return interconnect_; }
   PhysMem& mem() { return mem_; }
@@ -100,7 +87,6 @@ class Machine {
   std::vector<Cpu> cpus_;
   std::vector<std::unique_ptr<Disk>> disks_;
   std::vector<bool> node_dead_;
-  Time slice_grid_ns_ = 0;
 };
 
 }  // namespace flash

@@ -13,6 +13,7 @@
 #include "src/base/table.h"
 #include "src/campaign/coverage.h"
 #include "src/campaign/injectors.h"
+#include "src/campaign/runner.h"
 #include "src/core/cell.h"
 #include "src/core/hive_system.h"
 #include "src/core/process.h"
@@ -31,6 +32,7 @@ namespace {
 
 using campaign::FaultKind;
 using campaign::FnvMix;
+using campaign::FnvMixCellStates;
 using campaign::FnvMixString;
 using hive::Cell;
 using hive::CellId;
@@ -41,17 +43,6 @@ using hive::kMillisecond;
 using hive::kSecond;
 using hive::ProcId;
 using hive::Time;
-
-// Soak machines match the campaign geometry: one single-CPU node per cell,
-// small memory, so recovery scans and fault episodes stay fast while every
-// containment path is exercised.
-flash::MachineConfig SoakConfig(int num_cells) {
-  flash::MachineConfig config;
-  config.num_nodes = num_cells;
-  config.cpus_per_node = 1;
-  config.memory_per_node = 16ull * 1024 * 1024;
-  return config;
-}
 
 // The rotation the background fault plan cycles through. Ordered so
 // heavyweight episodes (storm, rogue) interleave with cheap ones.
@@ -462,14 +453,7 @@ uint64_t ComputeFingerprint(const ServeResult& result, HiveSystem& sys) {
   }
   hash = FnvMix(hash, static_cast<uint64_t>(result.recoveries_run));
   hash = FnvMix(hash, static_cast<uint64_t>(result.reintegrations));
-  for (CellId c = 0; c < sys.num_cells(); ++c) {
-    Cell& cell = sys.cell(c);
-    uint64_t cell_state = cell.alive() ? 1u : 0u;
-    cell_state |= cell.in_recovery() ? 2u : 0u;
-    cell_state |= sys.CellConfirmedFailed(c) ? 4u : 0u;
-    hash = FnvMix(hash, cell_state);
-    hash = FnvMixString(hash, cell.panic_reason());
-  }
+  hash = FnvMixCellStates(hash, sys);
   for (const std::string& violation : result.violations) {
     hash = FnvMixString(hash, violation);
   }
@@ -556,9 +540,7 @@ ServeResult RunSoak(const ServeOptions& options) {
     opts.admit_heap_watermark_bytes = 0;
   }
 
-  flash::Machine machine(SoakConfig(opts.num_cells), opts.seed);
-  // Same 1 ms dispatch grid and pinned slices as the campaign (RunScenario).
-  machine.EnableParallelSim(1, hive::KernelCosts{}.clock_tick_period_ns / 10);
+  flash::Machine machine(campaign::CampaignConfig(opts.num_cells), opts.seed);
   HiveOptions hive_options;
   hive_options.num_cells = opts.num_cells;
   hive_options.auto_reintegrate = true;

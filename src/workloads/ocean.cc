@@ -47,7 +47,7 @@ std::unique_ptr<hive::Behavior> OceanWorkload::MakeThread(int thread, int num_th
   behavior->Add(OpFaultRange(kGridVa + part_start * page_size, part_pages, /*write=*/true));
 
   for (int step = 0; step < params_.timesteps; ++step) {
-    behavior->AddLocal(OpCompute(params_.compute_per_step));
+    behavior->Add(OpCompute(params_.compute_per_step));
     // Relaxation sweep over the partition plus a halo of neighbour pages.
     const uint64_t touch_start =
         part_start * page_size +

@@ -117,7 +117,7 @@ std::unique_ptr<hive::Behavior> PmakeWorkload::MakeJob(int job, hive::CellId cel
   }
 
   // Compile.
-  behavior->AddLocal(OpCompute(params_.compute_per_job));
+  behavior->Add(OpCompute(params_.compute_per_job));
 
   // Write the object file to /tmp.
   behavior->Add(OpOpen(OutputPath(job), out_fd));

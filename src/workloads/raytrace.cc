@@ -41,7 +41,7 @@ std::unique_ptr<hive::Behavior> RaytraceWorkload::MakeWorker(int worker, hive::C
     if (count > 0) {
       behavior->Add(OpFaultRange(kSceneVa + first * page_size2, count, /*write=*/false));
     }
-    behavior->AddLocal(OpCompute(params_.compute_per_block));
+    behavior->Add(OpCompute(params_.compute_per_block));
     // Re-read already-mapped scene pages while tracing (user-mode reads).
     behavior->Add(OpTouchMapped(kSceneVa + first * page_size2, std::max<uint64_t>(count / 2, 1),
                                 /*write=*/false, /*misses_per_page=*/1));
@@ -76,7 +76,7 @@ std::vector<hive::ProcId> RaytraceWorkload::Start() {
   // COW leaf).
   parent->Add(OpMapAnon(kSceneVa, params_.scene_pages * page_size, /*writable=*/true));
   parent->Add(OpFaultRange(kSceneVa, params_.scene_pages, /*write=*/true));
-  parent->AddLocal(OpCompute(200 * hive::kMillisecond));  // Scene preprocessing.
+  parent->Add(OpCompute(200 * hive::kMillisecond));  // Scene preprocessing.
 
   // Fork one worker per CPU, spread across cells; fork_from_self gives the
   // workers COW access to the scene.

@@ -46,31 +46,14 @@ class ScriptedBehavior : public hive::Behavior {
  public:
   explicit ScriptedBehavior(std::string name) : name_(std::move(name)) {}
 
-  void Add(OpFn op) {
-    ops_.push_back(std::move(op));
-    local_.push_back(false);
-  }
-
-  // Adds an op declared cell-local pure compute, which the scheduler may run
-  // in a pinned slice (see Behavior::NextStepLocal for the contract);
-  // currently only OpCompute qualifies.
-  void AddLocal(OpFn op) {
-    ops_.push_back(std::move(op));
-    local_.push_back(true);
-  }
+  void Add(OpFn op) { ops_.push_back(std::move(op)); }
 
   StepOutcome Step(Ctx& ctx, Process& proc) override;
-  // The last op never claims locality: its completion ends the process
-  // (exit notification, file close), which a pinned slice cannot do.
-  bool NextStepLocal() const override {
-    return next_ + 1 < ops_.size() && local_[next_];
-  }
   std::string name() const override { return name_; }
 
  private:
   std::string name_;
   std::vector<OpFn> ops_;
-  std::vector<bool> local_;
   size_t next_ = 0;
 };
 

@@ -7,7 +7,9 @@
 #   3. plan flags that conflict exit 2 instead of running, and so do
 #      run-mode flags (--scenario=K, --replay-corpus, --guided) that conflict;
 #   4. a sweep of zero scenarios exits 2 instead of passing over nothing;
-#   5. a corpus saved by a guided run replays the scenarios it admitted.
+#   5. a corpus saved by a guided run replays the scenarios it admitted;
+#   6. flags the run mode never reads, and a value flag given twice with
+#      different values, exit 2 instead of being dropped.
 #
 # Usage: campaign_repro_test.sh <path-to-hive_campaign>
 set -u
@@ -119,5 +121,21 @@ for conflict in "--scenario=3 --replay-corpus --corpus=$TMP/corpus" \
     { cat "$TMP/conflict.out" >&2; fail "'$conflict' did not name the conflict"; }
 done
 [[ ! -e "$TMP/unused" ]] || fail "a refused --scenario=K run created its --corpus= directory"
+
+# Flags a run mode never reads are refused too, and so is a value flag given
+# twice with different values: --scenario=K reads no sweep flag, a corpus
+# replay runs every entry whatever the sweep size, and the second
+# --scenario= would win without a word.
+for dropped in "--seed=1 --scenario=3 --scenarios=50 --workers=8 --batch=4 --stop-on-violation --verbose|ignores these flags" \
+               "--scenario=3 --scenario=5|given twice with different values" \
+               "--replay-corpus --corpus=$TMP/corpus --stop-on-violation --batch=2 --scenarios=5|ignores these flags"; do
+  read -r -a dropped_args <<<"${dropped%%|*}"
+  "$BIN" "${dropped_args[@]}" >"$TMP/dropped.out" 2>&1
+  status=$?
+  [[ "$status" -eq 2 ]] || \
+    { cat "$TMP/dropped.out" >&2; fail "'${dropped%%|*}' exited $status, expected 2"; }
+  grep -q "${dropped#*|}" "$TMP/dropped.out" || \
+    { cat "$TMP/dropped.out" >&2; fail "'${dropped%%|*}' did not name the dropped flags"; }
+done
 
 echo "campaign_repro_test: OK (repro: $repro)"

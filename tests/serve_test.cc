@@ -79,7 +79,7 @@ TEST(ServeTest, RecoveryEpisodesAndAvailabilityAccounted) {
 // request mix or the fault rotation moves this fingerprint.
 TEST(ServeTest, GoldenFingerprintIsStable) {
   EXPECT_EQ(RunSoak(SmokeOptions(20 * hive::kSecond)).fingerprint,
-            0x915118a94dbae15aull);
+            0x1c26e0fbdd16d891ull);
 }
 
 TEST(ServeTest, DifferentSeedsDiverge) {

@@ -11,13 +11,15 @@
 // byte-identical output.
 //
 // Exit codes: 0 = all oracles passed, 1 = violation(s), 2 = usage error
-// (including plan or run-mode flags that conflict).
+// (including plan or run-mode flags that conflict, flags the run mode never
+// reads, and a flag given two values).
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -44,7 +46,19 @@ struct Args {
   std::vector<uint64_t> mutation_chain;
   bool minimize = true;
   bool verbose = false;
+  // Each value flag and switch given, by name, with its value ("" for a
+  // switch); FlagsCompatible names those the run mode never reads.
+  std::map<std::string, std::string> given;
+  // Value flags given twice with different values, as "--flag=A --flag=B".
+  std::vector<std::string> repeated;
 };
+
+// Flags a run mode never reads. --scenario=K runs one scenario on the calling
+// thread and always prints its full outcome; --replay-corpus runs every
+// corpus entry in one batch, whatever the sweep size.
+constexpr const char* kIgnoredByScenario[] = {"--scenarios", "--workers", "--batch",
+                                              "--stop-on-violation", "--verbose"};
+constexpr const char* kIgnoredByReplay[] = {"--scenarios", "--batch", "--stop-on-violation"};
 
 void Usage() {
   std::fprintf(stderr,
@@ -114,7 +128,11 @@ void Usage() {
                "\n"
                "Give at most one --fixture=, --faults=, --bug= or --salvage flag, and\n"
                "at most one of --scenario=K, --replay-corpus and --guided\n"
-               "(--scenario=K takes no --corpus= either). A conflict exits 2.\n");
+               "(--scenario=K takes no --corpus= either). --scenario=K takes none of\n"
+               "--scenarios, --workers, --batch, --stop-on-violation and --verbose;\n"
+               "--replay-corpus takes none of --scenarios, --batch and\n"
+               "--stop-on-violation. Give each value flag one value. A conflict\n"
+               "exits 2.\n");
 }
 
 bool ParseU64(const char* text, uint64_t* out) {
@@ -134,19 +152,31 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
+  // Records a flag as given; a second, different value is kept for
+  // FlagsCompatible to refuse rather than silently winning.
+  auto note = [args](const std::string& name, const std::string& value) {
+    const auto [it, inserted] = args->given.emplace(name, value);
+    if (!inserted && it->second != value) {
+      args->repeated.push_back(name + "=" + it->second + " " + name + "=" + value);
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     uint64_t value = 0;
     if (std::strncmp(arg, "--seed=", 7) == 0 && ParseU64(arg + 7, &value)) {
       args->seed = value;
+      note("--seed", std::to_string(value));
     } else if (std::strncmp(arg, "--scenarios=", 12) == 0 && ParseU64(arg + 12, &value)) {
       args->scenarios = value;
+      note("--scenarios", std::to_string(value));
     } else if (std::strncmp(arg, "--workers=", 10) == 0 && ParseU64(arg + 10, &value) &&
                value >= 1 && value <= 256) {
       args->workers = static_cast<int>(value);
+      note("--workers", std::to_string(value));
     } else if (std::strncmp(arg, "--scenario=", 11) == 0 && ParseU64(arg + 11, &value)) {
       args->have_scenario = true;
       args->scenario = value;
+      note("--scenario", std::to_string(value));
     } else if (campaign::GeneratorModeFromFlag(arg, &args->mode)) {
       if (std::find(args->plan_flags.begin(), args->plan_flags.end(), arg) ==
           args->plan_flags.end()) {
@@ -157,19 +187,24 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (std::strncmp(arg, "--batch=", 8) == 0 && ParseU64(arg + 8, &value) &&
                value >= 1 && value <= 1024) {
       args->batch_size = static_cast<int>(value);
+      note("--batch", std::to_string(value));
     } else if (std::strncmp(arg, "--corpus=", 9) == 0 && arg[9] != '\0') {
       args->corpus_dir = arg + 9;
+      note("--corpus", args->corpus_dir);
     } else if (std::strcmp(arg, "--replay-corpus") == 0) {
       args->replay_corpus = true;
     } else if (std::strcmp(arg, "--stop-on-violation") == 0) {
       args->stop_on_violation = true;
+      note(arg, "");
     } else if (std::strncmp(arg, "--mutate=", 9) == 0 &&
                campaign::ParseMutationChain(arg + 9, &args->mutation_chain)) {
       // Chain applied in RunSingle; requires --scenario=K.
+      note("--mutate", arg + 9);
     } else if (std::strcmp(arg, "--no-minimize") == 0) {
       args->minimize = false;
     } else if (std::strcmp(arg, "--verbose") == 0) {
       args->verbose = true;
+      note(arg, "");
     } else {
       std::fprintf(stderr, "hive_campaign: bad argument '%s'\n", arg);
       return false;
@@ -178,11 +213,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   return true;
 }
 
-// A run honours one plan mode and one run mode (a sweep, --scenario=K,
-// --replay-corpus or --guided). A second flag of either kind would be
-// dropped without a word, and a printed repro line would name a different
-// scenario. Returns false, after naming the flags, when either kind holds
-// more than one.
+// A run honours one plan mode, one run mode (a sweep, --scenario=K,
+// --replay-corpus or --guided) and one value per flag, and --scenario=K and
+// --replay-corpus read no sweep flags. Anything else would be dropped without
+// a word, and a printed command would name a run that did not happen.
+// Returns false, after naming the flags, on any of these.
 bool FlagsCompatible(const Args& args) {
   std::vector<std::string> run_flags;
   if (args.have_scenario) {
@@ -211,7 +246,33 @@ bool FlagsCompatible(const Args& args) {
                  given.c_str());
     return false;
   };
-  return at_most_one("plan", args.plan_flags) && at_most_one("run-mode", run_flags);
+  if (!at_most_one("plan", args.plan_flags) || !at_most_one("run-mode", run_flags)) {
+    return false;
+  }
+  if (!args.repeated.empty()) {
+    std::fprintf(stderr, "hive_campaign: flag given twice with different values: %s\n",
+                 args.repeated.front().c_str());
+    return false;
+  }
+  auto none_ignored = [&args](const std::string& mode, const auto& ignored) {
+    std::string given;
+    for (const char* name : ignored) {
+      const auto it = args.given.find(name);
+      if (it != args.given.end()) {
+        given += " " + it->first + (it->second.empty() ? "" : "=" + it->second);
+      }
+    }
+    if (given.empty()) {
+      return true;
+    }
+    std::fprintf(stderr, "hive_campaign: %s ignores these flags (drop them):%s\n",
+                 mode.c_str(), given.c_str());
+    return false;
+  };
+  if (args.have_scenario) {
+    return none_ignored("--scenario=" + std::to_string(args.scenario), kIgnoredByScenario);
+  }
+  return !args.replay_corpus || none_ignored("--replay-corpus", kIgnoredByReplay);
 }
 
 int RunSingle(const Args& args) {

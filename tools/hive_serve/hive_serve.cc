@@ -11,8 +11,9 @@
 // "hive-serve-v1") plus human-readable tables. The run is one serial event
 // loop, so the summary fingerprint is a function of the flags alone.
 //
-// Exit codes: 0 = SLOs met, 1 = I/O failure writing the JSON, 2 = usage
-// error, 3 = SLO violations (the --bug= sensitivity modes must exit 3).
+// Exit codes: 0 = SLOs met, 1 = the JSON report cannot be written (checked
+// before the soak starts), 2 = usage error, 3 = SLO violations (the --bug=
+// sensitivity modes must exit 3).
 
 #include <cinttypes>
 #include <cstdio>
@@ -51,7 +52,8 @@ void Usage() {
                "  --duration-s=N  simulated submission window in seconds (default 60)\n"
                "  --bug=NAME      seeded sensitivity bug: no_shed | slow_recovery;\n"
                "                  each must trip an SLO oracle (exit 3)\n"
-               "  --out=PATH      where to write the JSON report (default BENCH_serve.json)\n"
+               "  --out=PATH      where to write the JSON report (default BENCH_serve.json);\n"
+               "                  opened before the soak starts\n"
                "  --smoke         lighter request mix for CI; same 60 s window and\n"
                "                  the same full fault rotation\n");
 }
@@ -81,9 +83,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (std::strncmp(arg, "--duration-s=", 13) == 0 &&
                ParseU64(arg + 13, &value) && value >= 5 && value <= 3600) {
       args->duration_s = value;
-    } else if (std::strncmp(arg, "--bug=", 6) == 0) {
+    } else if (std::strncmp(arg, "--bug=", 6) == 0 && arg[6] != '\0') {
       args->bug = arg + 6;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
+    } else if (std::strncmp(arg, "--out=", 6) == 0 && arg[6] != '\0') {
       args->out = arg + 6;
     } else if (std::strcmp(arg, "--smoke") == 0) {
       args->smoke = true;
@@ -123,12 +125,9 @@ void WriteJsonString(std::FILE* out, const std::string& text) {
   }
 }
 
-bool WriteJson(const Args& args, const serve::ServeResult& result, uint64_t peak_rss) {
-  std::FILE* out = std::fopen(args.out.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "hive_serve: cannot write %s\n", args.out.c_str());
-    return false;
-  }
+// Writes the report into `out`, opened before the soak, and closes it.
+bool WriteJson(std::FILE* out, const Args& args, const serve::ServeResult& result,
+               uint64_t peak_rss) {
   const base::Histogram& lat = result.latency;
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"schema\": \"%s\",\n", serve::kServeSchema);
@@ -211,8 +210,8 @@ bool WriteJson(const Args& args, const serve::ServeResult& result, uint64_t peak
   std::fprintf(out, "  \"fingerprint\": \"%016" PRIx64 "\",\n", result.fingerprint);
   std::fprintf(out, "  \"peak_rss_bytes\": %" PRIu64 "\n", peak_rss);
   std::fprintf(out, "}\n");
-  const bool ok = std::fclose(out) == 0;
-  return ok;
+  const bool ok = std::ferror(out) == 0;
+  return std::fclose(out) == 0 && ok;
 }
 
 }  // namespace
@@ -222,6 +221,13 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &args)) {
     Usage();
     return 2;
+  }
+
+  // Open the report first: an unwritable path must not cost a whole soak.
+  std::FILE* json = std::fopen(args.out.c_str(), "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "hive_serve: cannot write %s\n", args.out.c_str());
+    return 1;
   }
 
   serve::ServeOptions options;
@@ -244,7 +250,8 @@ int main(int argc, char** argv) {
   std::printf("fingerprint: %016" PRIx64 "   peak_rss: %" PRIu64 " bytes\n",
               result.fingerprint, peak_rss);
 
-  if (!WriteJson(args, result, peak_rss)) {
+  if (!WriteJson(json, args, result, peak_rss)) {
+    std::fprintf(stderr, "hive_serve: cannot write %s\n", args.out.c_str());
     return 1;
   }
   std::printf("wrote %s\n", args.out.c_str());
