@@ -36,6 +36,10 @@
 #       run length plus the incarnations);
 #   4e. a 20000-scenario campaign sweep (seed 2) reaches a verdict with no
 #       violation: the uncaught-bus-error crash family stays closed;
+#   4f. a one-worker 3000-scenario campaign (seed 1) takes at most 30,000
+#       minor page faults: simulated memory comes from pooled host pages, not
+#       from a fresh kernel mapping per scenario (skipped, with a notice,
+#       when python3 is missing);
 #   5. the full test suite builds and passes under ASan+UBSan, the four
 #      examples run clean under ASan+UBSan (exit 0, no sanitizer report),
 #      and an ASan+UBSan hive_serve runs to a verdict (exit 0 or 3, never a
@@ -558,6 +562,24 @@ echo "== bus-error crash family: 20000-scenario campaign sweep =="
   tail -n 40 "$BUILD_DIR/bus_error_sweep.log"
   fail "campaign --seed=2 --scenarios=20000 did not pass every oracle"
 }
+
+echo "== host kernel: campaign minor page faults =="
+# PhysMem takes each host page on its first write from a per-thread free list
+# and hands it back when the scenario's machine goes, so a scenario costs a
+# few faults, not one per page it touches (about 855,000 for this run when
+# every machine mapped a fresh image; about 8,900 with pooled pages).
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$CAMPAIGN" <<'PYEOF' || fail "hive_campaign --seed=1 --scenarios=3000 --workers=1 took too many minor page faults"
+import resource, subprocess, sys
+subprocess.run([sys.argv[1], "--seed=1", "--scenarios=3000", "--workers=1"],
+               stdout=subprocess.DEVNULL, check=True)
+faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+print(f"minor page faults: {faults} (limit 30000)")
+assert faults <= 30000, f"{faults} minor page faults > 30000"
+PYEOF
+else
+  echo "python3 not found; skipping the page-fault check"
+fi
 
 echo "== sanitizer build: ASan+UBSan test suite =="
 ASAN_DIR="$BUILD_DIR/check-asan"

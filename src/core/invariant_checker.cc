@@ -1,6 +1,8 @@
 #include "src/core/invariant_checker.h"
 
+#include <algorithm>
 #include <bit>
+#include <span>
 #include <sstream>
 
 #include "src/base/log.h"
@@ -55,64 +57,17 @@ void InvariantChecker::AuditFirewallVectors(CellId cell_id, bool raise_hints,
                                             InvariantReport* report) {
   Cell& cell = system_->cell(cell_id);
   flash::PhysMem& mem = system_->machine().mem();
-  flash::Firewall& firewall = system_->machine().firewall();
+  const std::span<const uint64_t> vectors = system_->machine().firewall().vectors();
   const Pfn first = mem.PfnOfAddr(cell.mem_base());
   const Pfn end = first + cell.mem_size() / mem.page_size();
   const uint64_t own_mask = cell.CpuMask();
+  report->pages_audited += end - first;
 
-  // Every page's hardware vector is checked, but only a page with a pfdat or
-  // a grant can expect more than the owner's CPUs: an untouched frame's pfdat
-  // is unbound and unloaned. Both lists are in pfn order and are merged with
-  // the sweep, so no page costs a table probe.
-  std::vector<Pfdat*> local;
-  cell.pfdats().ForEach([&](Pfdat* pfdat) {
-    if (cell.OwnsAddr(pfdat->frame)) {
-      local.push_back(pfdat);
-    }
-  });
-  const std::vector<Pfn> granted = cell.firewall_manager().GrantedPages();
-  auto next_pfdat = local.begin();
-  auto next_grant = granted.begin();
-
-  for (Pfn pfn = first; pfn < end; ++pfn) {
-    ++report->pages_audited;
-    const PhysAddr addr = mem.AddrOfPfn(pfn);
-    while (next_pfdat != local.end() && (*next_pfdat)->frame < addr) {
-      ++next_pfdat;
-    }
-    while (next_grant != granted.end() && *next_grant < pfn) {
-      ++next_grant;
-    }
-    Pfdat* pfdat =
-        next_pfdat != local.end() && (*next_pfdat)->frame == addr ? *next_pfdat : nullptr;
-    uint64_t expected = own_mask;
-
-    if (pfdat != nullptr) {
-      const bool in_loan_set = cell.allocator().IsLoanedFrame(pfdat);
-      if (pfdat->loaned_out != in_loan_set) {
-        report->mismatches.push_back(
-            {cell_id, pfn, 0, 0,
-             pfdat->loaned_out ? "pfdat marked loaned_out but frame not in allocator loan set"
-                               : "frame in allocator loan set but pfdat not marked loaned_out"});
-      }
-      if (pfdat->loaned_out) {
-        if (pfdat->loaned_to < 0 || pfdat->loaned_to >= system_->num_cells() ||
-            pfdat->loaned_to == cell_id) {
-          report->mismatches.push_back(
-              {cell_id, pfn, 0, 0, "loaned_out frame has invalid loaned_to cell"});
-        } else {
-          // A loaned frame belongs to the borrower: only its CPUs may write.
-          expected = system_->cell(pfdat->loaned_to).CpuMask();
-        }
-      }
-    }
-    if (next_grant != granted.end() && *next_grant == pfn) {
-      expected |= cell.firewall_manager().GrantedCpuMask(pfn);
-    }
-
-    const uint64_t actual = firewall.GetVector(pfn);
+  // Compares one page's hardware vector with the one its books expect.
+  auto check = [&](Pfn pfn, uint64_t expected) {
+    const uint64_t actual = vectors[pfn];
     if (actual == expected) {
-      continue;
+      return;
     }
     InvariantMismatch mismatch{cell_id, pfn, expected, actual,
                                "firewall vector disagrees with kernel bookkeeping"};
@@ -129,6 +84,76 @@ void InvariantChecker::AuditFirewallVectors(CellId cell_id, bool raise_hints,
         cell.detector().RaiseHint(ctx, suspect, HintReason::kInvariantMismatch);
       }
     }
+  };
+
+  // Every page's hardware vector is checked, but only a page with a pfdat or
+  // a grant can expect more than the owner's CPUs: an untouched frame's pfdat
+  // is unbound and unloaned. Both lists are in pfn order. Between their pages
+  // the audit is a tight scan for a vector other than the owner mask; it reads
+  // bookkeeping only at theirs.
+  std::vector<Pfdat*> local;
+  cell.pfdats().ForEach([&](Pfdat* pfdat) {
+    if (cell.OwnsAddr(pfdat->frame)) {
+      local.push_back(pfdat);
+    }
+  });
+  const std::vector<Pfn> granted = cell.firewall_manager().GrantedPages();
+  auto next_pfdat = local.begin();
+  auto next_grant = granted.begin();
+  auto not_owner_only = [own_mask](uint64_t vector) { return vector != own_mask; };
+
+  Pfn pfn = first;
+  while (pfn < end) {
+    while (next_pfdat != local.end() && (*next_pfdat)->frame < mem.AddrOfPfn(pfn)) {
+      ++next_pfdat;
+    }
+    while (next_grant != granted.end() && *next_grant < pfn) {
+      ++next_grant;
+    }
+    Pfn booked = end;
+    if (next_pfdat != local.end()) {
+      booked = std::min(booked, mem.PfnOfAddr((*next_pfdat)->frame));
+    }
+    if (next_grant != granted.end()) {
+      booked = std::min(booked, *next_grant);
+    }
+    const uint64_t* const stop = vectors.data() + booked;
+    for (const uint64_t* v = std::find_if(vectors.data() + pfn, stop, not_owner_only);
+         v != stop; v = std::find_if(v + 1, stop, not_owner_only)) {
+      check(static_cast<Pfn>(v - vectors.data()), own_mask);
+    }
+    if (booked == end) {
+      break;
+    }
+
+    const PhysAddr addr = mem.AddrOfPfn(booked);
+    Pfdat* pfdat =
+        next_pfdat != local.end() && (*next_pfdat)->frame == addr ? *next_pfdat : nullptr;
+    uint64_t expected = own_mask;
+    if (pfdat != nullptr) {
+      const bool in_loan_set = cell.allocator().IsLoanedFrame(pfdat);
+      if (pfdat->loaned_out != in_loan_set) {
+        report->mismatches.push_back(
+            {cell_id, booked, 0, 0,
+             pfdat->loaned_out ? "pfdat marked loaned_out but frame not in allocator loan set"
+                               : "frame in allocator loan set but pfdat not marked loaned_out"});
+      }
+      if (pfdat->loaned_out) {
+        if (pfdat->loaned_to < 0 || pfdat->loaned_to >= system_->num_cells() ||
+            pfdat->loaned_to == cell_id) {
+          report->mismatches.push_back(
+              {cell_id, booked, 0, 0, "loaned_out frame has invalid loaned_to cell"});
+        } else {
+          // A loaned frame belongs to the borrower: only its CPUs may write.
+          expected = system_->cell(pfdat->loaned_to).CpuMask();
+        }
+      }
+    }
+    if (next_grant != granted.end() && *next_grant == booked) {
+      expected |= cell.firewall_manager().GrantedCpuMask(booked);
+    }
+    check(booked, expected);
+    pfn = booked + 1;
   }
 }
 

@@ -18,6 +18,7 @@
 #define HIVE_SRC_FLASH_FIREWALL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/flash/config.h"
@@ -33,6 +34,8 @@ class Firewall {
   static constexpr uint64_t kAllowAll = ~0ull;
 
   uint64_t GetVector(Pfn pfn) const { return vectors_[pfn]; }
+  // Every page's vector, indexed by pfn.
+  std::span<const uint64_t> vectors() const { return vectors_; }
 
   // Replaces the permission vector for a page. `requesting_cpu` must be local
   // to the node owning the page (hardware restriction, section 4.2).

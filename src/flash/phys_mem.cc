@@ -1,54 +1,24 @@
 #include "src/flash/phys_mem.h"
 
-#if defined(__linux__) || defined(__APPLE__)
-#include <sys/mman.h>
-#define HIVE_PHYS_MEM_MMAP 1
-#endif
+#include <algorithm>
 
 #include "src/base/log.h"
 
 namespace flash {
 
-ZeroFillImage::ZeroFillImage(uint64_t size) : size_(size) {
-#ifdef HIVE_PHYS_MEM_MMAP
-  void* mem = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (mem != MAP_FAILED) {
-    data_ = static_cast<uint8_t*>(mem);
-    mapped_ = true;
-    return;
-  }
-#endif
-  fallback_.assign(size_, 0);
-  data_ = fallback_.data();
+namespace {
+
+using Page = std::unique_ptr<uint8_t[]>;
+
+// Host pages handed back by this thread's images, ready for the next first
+// write; freed at thread exit. PhysMem's constructor touches the list, so it
+// is built before, and destroyed after, every PhysMem of its thread.
+std::vector<Page>& ThreadFreePages() {
+  thread_local std::vector<Page> free_pages;
+  return free_pages;
 }
 
-ZeroFillImage::~ZeroFillImage() {
-#ifdef HIVE_PHYS_MEM_MMAP
-  if (mapped_) {
-    ::munmap(data_, size_);
-  }
-#endif
-}
-
-void ZeroFillImage::ZeroRange(uint64_t offset, uint64_t len) {
-  CHECK(offset <= size_ && len <= size_ - offset);
-#ifdef HIVE_PHYS_MEM_MMAP
-  if (mapped_) {
-    // Drop whole host pages back to demand-zero; memset only the ragged edges.
-    const uint64_t kHostPage = 4096;
-    const uint64_t first_page = (offset + kHostPage - 1) / kHostPage * kHostPage;
-    const uint64_t last_page = (offset + len) / kHostPage * kHostPage;
-    if (first_page < last_page &&
-        ::madvise(data_ + first_page, last_page - first_page, MADV_DONTNEED) == 0) {
-      std::memset(data_ + offset, 0, first_page - offset);
-      std::memset(data_ + last_page, 0, offset + len - last_page);
-      return;
-    }
-  }
-#endif
-  std::memset(data_ + offset, 0, len);
-}
+}  // namespace
 
 PhysMem::PhysMem(const MachineConfig& config)
     : memory_per_node_(config.memory_per_node),
@@ -56,9 +26,56 @@ PhysMem::PhysMem(const MachineConfig& config)
       total_size_(config.total_memory()),
       cpus_per_node_(config.cpus_per_node),
       firewall_(config),
-      bytes_(config.total_memory()),
+      pages_(total_size_ / kHostPage),
       node_failed_(config.num_nodes, false),
-      node_cutoff_(config.num_nodes, false) {}
+      node_cutoff_(config.num_nodes, false) {
+  // RestoreNode hands back whole host pages.
+  CHECK_EQ(memory_per_node_ % kHostPage, 0u);
+  ThreadFreePages();
+}
+
+PhysMem::~PhysMem() {
+  std::vector<Page>& free_pages = ThreadFreePages();
+  for (uint64_t index : held_) {
+    free_pages.push_back(std::move(pages_[index]));
+  }
+}
+
+uint8_t* PhysMem::TakePage(uint64_t index, bool whole) {
+  std::vector<Page>& free_pages = ThreadFreePages();
+  Page& page = pages_[index];
+  if (free_pages.empty()) {
+    page = std::make_unique_for_overwrite<uint8_t[]>(kHostPage);
+  } else {
+    page = std::move(free_pages.back());
+    free_pages.pop_back();
+  }
+  if (!whole) {
+    std::memset(page.get(), 0, kHostPage);
+  }
+  held_.push_back(index);
+  return page.get();
+}
+
+void PhysMem::CopyOutPages(PhysAddr addr, uint8_t* out, uint64_t len) const {
+  while (len > 0) {
+    const uint64_t chunk = std::min(len, kHostPage - addr % kHostPage);
+    CopyOut(addr, out, chunk);
+    addr += chunk;
+    out += chunk;
+    len -= chunk;
+  }
+}
+
+void PhysMem::CopyInPages(PhysAddr addr, const uint8_t* in, uint64_t len) {
+  while (len > 0) {
+    const uint64_t chunk = std::min(len, kHostPage - addr % kHostPage);
+    CopyIn(addr, in, chunk);
+    addr += chunk;
+    in += chunk;
+    len -= chunk;
+  }
+}
 
 void PhysMem::CheckAccessible(PhysAddr addr, uint64_t len, int accessor_node) const {
   if (!ValidRange(addr, len)) {
@@ -81,7 +98,7 @@ void PhysMem::CheckAccessible(PhysAddr addr, uint64_t len, int accessor_node) co
 
 void PhysMem::Read(int cpu, PhysAddr addr, std::span<uint8_t> out) const {
   CheckAccessible(addr, out.size(), cpu / cpus_per_node_);
-  std::memcpy(out.data(), bytes_.data() + addr, out.size());
+  CopyOut(addr, out.data(), out.size());
 }
 
 void PhysMem::Write(int cpu, PhysAddr addr, std::span<const uint8_t> data) {
@@ -97,7 +114,7 @@ void PhysMem::Write(int cpu, PhysAddr addr, std::span<const uint8_t> data) {
       }
     }
   }
-  std::memcpy(bytes_.data() + addr, data.data(), data.size());
+  CopyIn(addr, data.data(), data.size());
 }
 
 void PhysMem::DmaWrite(int node, PhysAddr addr, std::span<const uint8_t> data) {
@@ -113,18 +130,30 @@ void PhysMem::DmaRead(int node, PhysAddr addr, std::span<uint8_t> out) const {
 void PhysMem::RestoreNode(int node) {
   node_failed_[node] = false;
   node_cutoff_[node] = false;
-  // Diagnostics + reboot leave the node's memory zeroed.
-  bytes_.ZeroRange(static_cast<uint64_t>(node) * memory_per_node_, memory_per_node_);
+  // Diagnostics + reboot leave the node's memory zeroed: its pages go back to
+  // the free list, and their slots read as zeros again.
+  const uint64_t first = static_cast<uint64_t>(node) * memory_per_node_ / kHostPage;
+  const uint64_t end = first + memory_per_node_ / kHostPage;
+  std::vector<Page>& free_pages = ThreadFreePages();
+  size_t kept = 0;
+  for (uint64_t index : held_) {
+    if (index >= first && index < end) {
+      free_pages.push_back(std::move(pages_[index]));
+    } else {
+      held_[kept++] = index;
+    }
+  }
+  held_.resize(kept);
 }
 
 void PhysMem::RawWrite(PhysAddr addr, std::span<const uint8_t> data) {
   CHECK(ValidRange(addr, data.size()));
-  std::memcpy(bytes_.data() + addr, data.data(), data.size());
+  CopyIn(addr, data.data(), data.size());
 }
 
 void PhysMem::RawRead(PhysAddr addr, std::span<uint8_t> out) const {
   CHECK(ValidRange(addr, out.size()));
-  std::memcpy(out.data(), bytes_.data() + addr, out.size());
+  CopyOut(addr, out.data(), out.size());
 }
 
 }  // namespace flash

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -21,39 +22,20 @@
 
 namespace flash {
 
-// Flat byte image backed by demand-zero anonymous pages. A campaign constructs
-// one Machine (16 MB of simulated memory per node) per scenario; an eagerly
-// zeroed std::vector spends more wall time in memset than the scenario spends
-// simulating, so the image leans on the host kernel instead: pages materialise
-// as zeros on first touch, and re-zeroing a node range on reintegration is a
-// page-table operation, not a 16 MB write. Falls back to a zeroed vector when
-// mmap is unavailable.
-class ZeroFillImage {
- public:
-  explicit ZeroFillImage(uint64_t size);
-  ~ZeroFillImage();
-
-  ZeroFillImage(const ZeroFillImage&) = delete;
-  ZeroFillImage& operator=(const ZeroFillImage&) = delete;
-
-  uint8_t* data() { return data_; }
-  const uint8_t* data() const { return data_; }
-  uint64_t size() const { return size_; }
-
-  // Resets [offset, offset+len) to zeros. Page-aligned spans of a mapped
-  // image are dropped back to demand-zero instead of being written.
-  void ZeroRange(uint64_t offset, uint64_t len);
-
- private:
-  uint8_t* data_ = nullptr;
-  uint64_t size_ = 0;
-  bool mapped_ = false;
-  std::vector<uint8_t> fallback_;
-};
-
+// The bytes live in 4 KB host pages, one table slot per page. A campaign
+// builds one Machine (16 MB of simulated memory per node) per scenario and
+// writes about a megabyte of it, so a page is taken only on its first write,
+// from a free list kept per host thread; an unwritten page reads as zeros.
+// Destroying the image, or zeroing a node in RestoreNode, hands its pages back
+// to that list, so a scenario costs the pages it wrote, not the memory it
+// configured, and the host kernel sees no per-scenario map, fault or unmap.
 class PhysMem {
  public:
   explicit PhysMem(const MachineConfig& config);
+  ~PhysMem();
+
+  PhysMem(const PhysMem&) = delete;
+  PhysMem& operator=(const PhysMem&) = delete;
 
   // --- Normal processor access paths (firewall- and fault-checked). ---
 
@@ -132,12 +114,54 @@ class PhysMem {
   // Throws if any byte of [addr, addr+len) is unreachable for `accessor_node`.
   void CheckAccessible(PhysAddr addr, uint64_t len, int accessor_node) const;
 
+  // --- The page store. ---
+  static constexpr uint64_t kHostPage = 4096;
+
+  // Copies between the store and a caller's buffer; [addr, addr+len) is a
+  // valid range. An access inside one host page takes the inline path.
+  void CopyOut(PhysAddr addr, uint8_t* out, uint64_t len) const {
+    const uint64_t offset = addr % kHostPage;
+    if (len == 0 || offset + len > kHostPage) {
+      CopyOutPages(addr, out, len);
+      return;
+    }
+    const uint8_t* page = pages_[addr / kHostPage].get();
+    if (page != nullptr) {
+      std::memcpy(out, page + offset, len);
+    } else {
+      std::memset(out, 0, len);
+    }
+  }
+  void CopyIn(PhysAddr addr, const uint8_t* in, uint64_t len) {
+    const uint64_t offset = addr % kHostPage;
+    if (len == 0 || offset + len > kHostPage) {
+      CopyInPages(addr, in, len);
+      return;
+    }
+    uint8_t* page = pages_[addr / kHostPage].get();
+    if (page == nullptr) {
+      page = TakePage(addr / kHostPage, /*whole=*/len == kHostPage);
+    }
+    std::memcpy(page + offset, in, len);
+  }
+  // The loops for accesses that cross a host page boundary.
+  void CopyOutPages(PhysAddr addr, uint8_t* out, uint64_t len) const;
+  void CopyInPages(PhysAddr addr, const uint8_t* in, uint64_t len);
+  // Fills slot `index` from the thread's free list; zeroes the page unless
+  // the write that takes it covers it `whole`.
+  uint8_t* TakePage(uint64_t index, bool whole);
+
   uint64_t memory_per_node_;
   uint64_t page_size_;
   uint64_t total_size_;
   int cpus_per_node_;
   Firewall firewall_;
-  ZeroFillImage bytes_;  // One flat image; node ranges are contiguous.
+  // One slot per host page of the flat address space (node ranges are
+  // contiguous); null until the page's first write. Handing a page back
+  // moves it out, which nulls its slot.
+  std::vector<std::unique_ptr<uint8_t[]>> pages_;
+  // The slots that hold a page, so handing them back walks only these.
+  std::vector<uint64_t> held_;
   std::vector<bool> node_failed_;
   std::vector<bool> node_cutoff_;
 };

@@ -73,6 +73,39 @@ void StoreWord(uint8_t* out, uint64_t x) {
   }
 }
 
+// Two generator states stepped side by side. The GCC/Clang vector extension
+// compiles this to SSE2 at the default x86-64 target, with no intrinsics.
+using StatePair = uint64_t __attribute__((vector_size(16)));
+
+StatePair XorShift(StatePair x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  return x;
+}
+
+// Below this many blocks per lane, the three jumps that seed lanes 1-3 cost
+// more than stepping four lanes at once saves; PatternAt steps one lane.
+constexpr size_t kMinLaneBlocks = 64;
+
+// Writes the 4 * `lane` blocks from `block`, whose state is `x`, to `out` as
+// four contiguous lanes, each seeded by a BlockState jump. Returns the state
+// of the block after the last.
+uint64_t FillLanes(uint64_t seed, uint64_t block, uint64_t x, uint8_t* out, size_t lane) {
+  const size_t stride = 8 * lane;
+  StatePair low = {x, BlockState(seed, block + lane)};
+  StatePair high = {BlockState(seed, block + 2 * lane), BlockState(seed, block + 3 * lane)};
+  for (uint8_t* const end = out + stride; out != end; out += 8) {
+    StoreWord(out, low[0]);
+    StoreWord(out + stride, low[1]);
+    StoreWord(out + 2 * stride, high[0]);
+    StoreWord(out + 3 * stride, high[1]);
+    low = XorShift(low);
+    high = XorShift(high);
+  }
+  return high[1];
+}
+
 }  // namespace
 
 std::vector<uint8_t> PatternAt(uint64_t seed, uint64_t offset, size_t size) {
@@ -80,7 +113,8 @@ std::vector<uint8_t> PatternAt(uint64_t seed, uint64_t offset, size_t size) {
   if (size == 0) {
     return out;
   }
-  uint64_t x = BlockState(seed, offset / 8);
+  uint64_t block = offset / 8;
+  uint64_t x = BlockState(seed, block);
   size_t done = 0;
   const size_t head = static_cast<size_t>(offset % 8);
   if (head != 0) {
@@ -89,6 +123,12 @@ std::vector<uint8_t> PatternAt(uint64_t seed, uint64_t offset, size_t size) {
     done = std::min(8 - head, size);
     std::memcpy(out.data(), word + head, done);
     x = XorShift(x);
+    ++block;
+  }
+  const size_t lane = (size - done) / 8 / 4;
+  if (lane >= kMinLaneBlocks) {
+    x = FillLanes(seed, block, x, out.data() + done, lane);
+    done += 4 * 8 * lane;
   }
   for (; done + 8 <= size; done += 8) {
     StoreWord(out.data() + done, x);

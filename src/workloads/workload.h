@@ -33,6 +33,8 @@ using hive::Time;
 // prefix: xorshift64 is linear over GF(2), so the state of any block is
 // reached in popcount(block + 1) bit-matrix products. An I/O chunk thus
 // costs its own length plus O(log offset), however many streams are live.
+// A long range is cut into four contiguous lanes, each seeded by such a
+// jump, and the lanes are stepped side by side.
 std::vector<uint8_t> PatternAt(uint64_t seed, uint64_t offset, size_t size);
 // The stream's first `size` bytes: PatternAt(seed, 0, size).
 std::vector<uint8_t> PatternData(uint64_t seed, size_t size);

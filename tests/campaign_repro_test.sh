@@ -8,8 +8,10 @@
 #      run-mode flags (--scenario=K, --replay-corpus, --guided) that conflict;
 #   4. a sweep of zero scenarios exits 2 instead of passing over nothing;
 #   5. a corpus saved by a guided run replays the scenarios it admitted;
-#   6. flags the run mode never reads, and a value flag given twice with
-#      different values, exit 2 instead of being dropped.
+#   6. flags the run mode never reads (among them --seed= and a plan flag
+#      beside --replay-corpus, whose entries carry their own), and a value
+#      flag given twice with different values, exit 2 instead of being
+#      dropped.
 #
 # Usage: campaign_repro_test.sh <path-to-hive_campaign>
 set -u
@@ -124,11 +126,12 @@ done
 
 # Flags a run mode never reads are refused too, and so is a value flag given
 # twice with different values: --scenario=K reads no sweep flag, a corpus
-# replay runs every entry whatever the sweep size, and the second
-# --scenario= would win without a word.
+# replay runs every entry whatever the sweep size and under the entry's own
+# seed and plan mode, and the second --scenario= would win without a word.
 for dropped in "--seed=1 --scenario=3 --scenarios=50 --workers=8 --batch=4 --stop-on-violation --verbose|ignores these flags" \
                "--scenario=3 --scenario=5|given twice with different values" \
-               "--replay-corpus --corpus=$TMP/corpus --stop-on-violation --batch=2 --scenarios=5|ignores these flags"; do
+               "--replay-corpus --corpus=$TMP/corpus --stop-on-violation --batch=2 --scenarios=5|ignores these flags" \
+               "--replay-corpus --corpus=$TMP/corpus --faults=message --seed=9|drop them): --seed=9 --faults=message"; do
   read -r -a dropped_args <<<"${dropped%%|*}"
   "$BIN" "${dropped_args[@]}" >"$TMP/dropped.out" 2>&1
   status=$?

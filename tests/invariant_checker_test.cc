@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "src/core/cell.h"
 #include "src/core/filesystem.h"
 #include "src/flash/fault_injector.h"
@@ -84,6 +87,59 @@ TEST_F(InvariantCheckerTest, AuditsEveryPageOfTheCell) {
     EXPECT_EQ(checker.AuditCell(c).pages_audited,
               cell.mem_size() / ts_.machine->mem().page_size())
         << "cell " << c;
+  }
+}
+
+TEST_F(InvariantCheckerTest, ReportsEveryUnauthorizedBitInPfnOrder) {
+  // The audit scans runs of plain pages for a vector other than the owner
+  // mask and reads bookkeeping only at pfdat and grant pages. An unauthorized
+  // bit must be caught at both ends of the cell, inside a long run of
+  // never-allocated frames, on a pfdat page and on a granted page.
+  Cell& cell = ts_.cell(1);
+  flash::PhysMem& mem = ts_.machine->mem();
+  const Pfn first = mem.PfnOfAddr(cell.mem_base());
+  const Pfn end = first + cell.mem_size() / mem.page_size();
+  const uint64_t own = cell.CpuMask();
+  // Halfway through the paged frames, which are handed out from the start,
+  // so the pages around it were never allocated.
+  const Pfn untouched = end - 1 - cell.paged_frames() / 2;
+  const Pfn grant_page = untouched + 7;
+  Ctx ctx = cell.MakeCtx();
+  ASSERT_TRUE(cell.firewall_manager().GrantWrite(ctx, grant_page, 3).ok());
+  // Looking up the first paged frame gives it a pfdat.
+  const PhysAddr paged_base =
+      cell.mem_base() + cell.mem_size() - cell.paged_frames() * mem.page_size();
+  ASSERT_NE(cell.pfdats().FindByFrame(paged_base), nullptr);
+  const Pfn pfdat_page = mem.PfnOfAddr(paged_base);
+  std::set<Pfn> booked = {grant_page};
+  cell.pfdats().ForEach([&](Pfdat* pfdat) { booked.insert(mem.PfnOfAddr(pfdat->frame)); });
+  ASSERT_EQ(booked.count(pfdat_page), 1u);
+  ASSERT_EQ(booked.count(untouched), 0u);
+
+  InvariantChecker checker(ts_.hive.get());
+  ASSERT_TRUE(checker.AuditCell(1).clean());
+  // Expected vector per planted page, in pfn order.
+  const std::map<Pfn, uint64_t> planted = {
+      {first, own},
+      {pfdat_page, own},
+      {grant_page, own | cell.firewall_manager().GrantedCpuMask(grant_page)},
+      {untouched, own},
+      {end - 1, own}};
+  ASSERT_EQ(planted.size(), 5u);
+  const uint64_t intruder = ts_.cell(0).CpuMask();
+  for (const auto& [pfn, expected] : planted) {
+    ts_.machine->firewall().GrantCpus(pfn, intruder, cell.FirstCpu());
+  }
+
+  const InvariantReport report = checker.AuditCell(1);
+  EXPECT_EQ(report.pages_audited, end - first);
+  ASSERT_EQ(report.mismatches.size(), planted.size());
+  auto mismatch = report.mismatches.begin();
+  for (const auto& [pfn, expected] : planted) {
+    EXPECT_EQ(mismatch->pfn, pfn);
+    EXPECT_EQ(mismatch->expected, expected) << "pfn " << pfn;
+    EXPECT_EQ(mismatch->actual, expected | intruder) << "pfn " << pfn;
+    ++mismatch;
   }
 }
 

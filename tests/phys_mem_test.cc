@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/flash/bus_error.h"
 #include "tests/test_util.h"
 
@@ -87,6 +89,81 @@ TEST(PhysMemTest, RestoreNodeZeroesMemory) {
   mem.FailNode(1);
   mem.RestoreNode(1);
   EXPECT_EQ(mem.ReadValue<uint64_t>(0, node1), 0u);
+}
+
+// Bytes [addr, addr + len) read through CPU 0.
+std::vector<uint8_t> ReadBytes(const PhysMem& mem, PhysAddr addr, size_t len) {
+  std::vector<uint8_t> out(len);
+  mem.Read(0, addr, std::span<uint8_t>(out));
+  return out;
+}
+
+void WriteBytes(PhysMem& mem, PhysAddr addr, const std::vector<uint8_t>& data) {
+  mem.Write(0, addr, std::span<const uint8_t>(data));
+}
+
+// The index of the first byte where `got` and `want` differ, or -1.
+ptrdiff_t FirstDiff(const std::vector<uint8_t>& got, const std::vector<uint8_t>& want) {
+  if (got.size() != want.size()) {
+    return 0;
+  }
+  const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+  return diff.first == got.end() ? -1 : diff.first - got.begin();
+}
+
+TEST(PhysMemTest, RecycledPagesReadAsZeros) {
+  // Host pages are reused through a per-thread free list. A page handed back
+  // dirty (by a destroyed image or a restored node) must read as zeros in
+  // its next image, even where that image writes only part of it.
+  constexpr uint64_t kPage = 4096;
+  const uint64_t node1 = Config().memory_per_node;
+  {
+    PhysMem first(Config());
+    for (uint64_t page = 0; page < 8; ++page) {
+      WriteBytes(first, page * kPage, std::vector<uint8_t>(kPage, 0xA5));  // Whole pages.
+      WriteBytes(first, (16 + page) * kPage + 100, std::vector<uint8_t>(40, 0x5A));
+      WriteBytes(first, node1 + page * kPage + 8, std::vector<uint8_t>(kPage - 16, 0x3C));
+    }
+    // Restoring node 1 hands its pages back; writing there again takes some
+    // back, and destroying the image hands every page back exactly once.
+    first.RestoreNode(1);
+    WriteBytes(first, node1 + kPage, std::vector<uint8_t>(8, 0x77));
+  }
+
+  PhysMem second(Config());
+  // Each page gets 8 bytes of its own, so two slots sharing one host page
+  // would show up as a wrong read.
+  std::vector<uint8_t> want(Config().memory_per_node, 0);
+  for (uint64_t page = 0; page < 32; ++page) {
+    const std::vector<uint8_t> own(8, static_cast<uint8_t>(page + 1));
+    WriteBytes(second, page * kPage + 2000, own);
+    std::copy(own.begin(), own.end(), want.begin() + static_cast<ptrdiff_t>(page * kPage + 2000));
+  }
+  for (int node = 0; node < Config().num_nodes; ++node) {
+    EXPECT_EQ(FirstDiff(ReadBytes(second, node * node1, want.size()), want), -1)
+        << "node " << node;
+    std::fill(want.begin(), want.end(), 0);
+  }
+}
+
+TEST(PhysMemTest, AccessSpansWrittenAndUnwrittenPages) {
+  constexpr uint64_t kPage = 4096;
+  PhysMem mem(Config());
+  // Page 2 is written (its last 8 bytes), page 3 never is: a read across the
+  // boundary returns the written bytes, then zeros.
+  WriteBytes(mem, 3 * kPage - 8, std::vector<uint8_t>(8, 0xEE));
+  std::vector<uint8_t> want(8, 0xEE);
+  want.resize(16, 0);
+  EXPECT_EQ(ReadBytes(mem, 3 * kPage - 8, 16), want);
+
+  // A write that starts on unwritten page 5 and ends on written page 6 keeps
+  // page 6's other bytes and leaves the rest of page 5 zero.
+  WriteBytes(mem, 6 * kPage, std::vector<uint8_t>(32, 0x11));
+  WriteBytes(mem, 6 * kPage - 12, std::vector<uint8_t>(24, 0x22));
+  std::vector<uint8_t> expect(2 * kPage, 0);
+  std::fill_n(expect.begin() + kPage, 32, 0x11);
+  std::fill_n(expect.begin() + kPage - 12, 24, 0x22);
+  EXPECT_EQ(ReadBytes(mem, 5 * kPage, 2 * kPage), expect);
 }
 
 TEST(PhysMemTest, FirewallBlocksUnauthorizedWrite) {

@@ -55,9 +55,24 @@ TEST(PatternAtTest, MatchesSerialDefinition) {
   // Past 2^13 blocks the seek uses jump-table entries beyond 13.
   constexpr uint64_t kFar = (1ull << 17) + 3;
   const uint64_t offsets[] = {0, 1, 3, 7, 8, 9, 4095, 4096, 4097, 65531, kFar};
-  const size_t lengths[] = {0, 1, 7, 8, 4099};
+  // From 4 lanes of 64 blocks (kMinLaneBlocks in workload.cc) a range is
+  // stepped as four lanes: one block either side of that cutoff, block
+  // counts that leave 1-3 blocks past the lanes, and long ranges with a tail.
+  constexpr size_t kLaneCutoff = 4 * 64 * 8;
+  const size_t lengths[] = {0,
+                            1,
+                            7,
+                            8,
+                            4099,
+                            kLaneCutoff - 8,
+                            kLaneCutoff,
+                            kLaneCutoff + 8,
+                            kLaneCutoff + 16 + 5,
+                            kLaneCutoff + 24,
+                            32 * 1024 + 3,
+                            160 * 1024 + 5};
   for (uint64_t seed : kPatternSeeds) {
-    const std::vector<uint8_t> serial = SerialPattern(seed, kFar + 4099);
+    const std::vector<uint8_t> serial = SerialPattern(seed, kFar + 160 * 1024 + 5);
     for (uint64_t offset : offsets) {
       for (size_t len : lengths) {
         const std::vector<uint8_t> expect(serial.begin() + static_cast<ptrdiff_t>(offset),

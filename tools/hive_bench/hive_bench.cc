@@ -59,7 +59,8 @@ void Usage() {
                "  --seed=N        campaign master seed for the scenario stages (default 1)\n"
                "  --workers=N     worker threads for the campaign stage (default 4)\n"
                "  --scenarios=N   scenarios in the campaign stage (default 64)\n"
-               "  --out=PATH      where to write the JSON report (default BENCH_sim.json)\n"
+               "  --out=PATH      where to write the JSON report (default BENCH_sim.json);\n"
+               "                  opened before the first stage\n"
                "  --smoke         tiny sizes for CI schema validation (seconds, not minutes)\n");
 }
 
@@ -85,7 +86,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (std::strncmp(arg, "--scenarios=", 12) == 0 && ParseU64(arg + 12, &value) &&
                value >= 1) {
       args->scenarios = value;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
+    } else if (std::strncmp(arg, "--out=", 6) == 0 && arg[6] != '\0') {
       args->out = arg + 6;
     } else if (std::strcmp(arg, "--smoke") == 0) {
       args->smoke = true;
@@ -293,14 +294,10 @@ void WriteScenarioStage(std::FILE* out, const ScenarioStage& stage,
   std::fprintf(out, "    }\n");
 }
 
-bool WriteJson(const Args& args, const StageResult& eq_run, const StageResult& eq_churn,
-               const ScenarioStage& serial, const ScenarioStage& campaign_stage,
-               uint64_t peak_rss) {
-  std::FILE* out = std::fopen(args.out.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "hive_bench: cannot write %s\n", args.out.c_str());
-    return false;
-  }
+// Writes the report into `out`, opened before the first stage, and closes it.
+bool WriteJson(std::FILE* out, const Args& args, const StageResult& eq_run,
+               const StageResult& eq_churn, const ScenarioStage& serial,
+               const ScenarioStage& campaign_stage, uint64_t peak_rss) {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"schema\": \"hive-bench-v3\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", args.smoke ? "smoke" : "full");
@@ -338,6 +335,13 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &args)) {
     Usage();
     return 2;
+  }
+
+  // Open the report first: an unwritable path must not cost every stage.
+  std::FILE* json = std::fopen(args.out.c_str(), "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "hive_bench: cannot write %s\n", args.out.c_str());
+    return 1;
   }
 
   std::printf("hive_bench: seed=%" PRIu64 " workers=%d scenarios=%" PRIu64 "%s\n",
@@ -384,7 +388,8 @@ int main(int argc, char** argv) {
                              : 0.0);
   }
 
-  if (!WriteJson(args, eq_run, eq_churn, serial, campaign_stage, peak_rss)) {
+  if (!WriteJson(json, args, eq_run, eq_churn, serial, campaign_stage, peak_rss)) {
+    std::fprintf(stderr, "hive_bench: cannot write %s\n", args.out.c_str());
     return 1;
   }
   std::printf("\nwrote %s\n", args.out.c_str());

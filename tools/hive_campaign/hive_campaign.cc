@@ -55,10 +55,12 @@ struct Args {
 
 // Flags a run mode never reads. --scenario=K runs one scenario on the calling
 // thread and always prints its full outcome; --replay-corpus runs every
-// corpus entry in one batch, whatever the sweep size.
+// corpus entry in one batch, whatever the sweep size, under the entry's own
+// recorded seed and plan mode (so it takes no plan flag either).
 constexpr const char* kIgnoredByScenario[] = {"--scenarios", "--workers", "--batch",
                                               "--stop-on-violation", "--verbose"};
-constexpr const char* kIgnoredByReplay[] = {"--scenarios", "--batch", "--stop-on-violation"};
+constexpr const char* kIgnoredByReplay[] = {"--seed", "--scenarios", "--batch",
+                                            "--stop-on-violation"};
 
 void Usage() {
   std::fprintf(stderr,
@@ -116,7 +118,8 @@ void Usage() {
                "  --corpus=DIR         load corpus entries from DIR before the run and\n"
                "                       persist newly admitted entries into it\n"
                "  --replay-corpus      run exactly the corpus entries in --corpus=DIR\n"
-               "                       (regression replay; no mutation, no admission);\n"
+               "                       (regression replay; no mutation, no admission),\n"
+               "                       each under its own recorded seed and plan mode;\n"
                "                       a missing or empty DIR is a usage error\n"
                "  --stop-on-violation  stop at the first batch boundary after a\n"
                "                       violation and report its discovery cost\n"
@@ -130,9 +133,9 @@ void Usage() {
                "at most one of --scenario=K, --replay-corpus and --guided\n"
                "(--scenario=K takes no --corpus= either). --scenario=K takes none of\n"
                "--scenarios, --workers, --batch, --stop-on-violation and --verbose;\n"
-               "--replay-corpus takes none of --scenarios, --batch and\n"
-               "--stop-on-violation. Give each value flag one value. A conflict\n"
-               "exits 2.\n");
+               "--replay-corpus takes no plan flag and none of --seed, --scenarios,\n"
+               "--batch and --stop-on-violation. Give each value flag one value. A\n"
+               "conflict exits 2.\n");
 }
 
 bool ParseU64(const char* text, uint64_t* out) {
@@ -254,13 +257,17 @@ bool FlagsCompatible(const Args& args) {
                  args.repeated.front().c_str());
     return false;
   }
-  auto none_ignored = [&args](const std::string& mode, const auto& ignored) {
+  auto none_ignored = [&args](const std::string& mode, const auto& ignored,
+                              const std::vector<std::string>& ignored_given) {
     std::string given;
     for (const char* name : ignored) {
       const auto it = args.given.find(name);
       if (it != args.given.end()) {
         given += " " + it->first + (it->second.empty() ? "" : "=" + it->second);
       }
+    }
+    for (const std::string& flag : ignored_given) {
+      given += " " + flag;
     }
     if (given.empty()) {
       return true;
@@ -270,9 +277,10 @@ bool FlagsCompatible(const Args& args) {
     return false;
   };
   if (args.have_scenario) {
-    return none_ignored("--scenario=" + std::to_string(args.scenario), kIgnoredByScenario);
+    return none_ignored("--scenario=" + std::to_string(args.scenario), kIgnoredByScenario, {});
   }
-  return !args.replay_corpus || none_ignored("--replay-corpus", kIgnoredByReplay);
+  return !args.replay_corpus ||
+         none_ignored("--replay-corpus", kIgnoredByReplay, args.plan_flags);
 }
 
 int RunSingle(const Args& args) {
