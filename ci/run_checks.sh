@@ -29,11 +29,12 @@
 #       seeded --bug modes demonstrably trip an SLO oracle (exit 3);
 #   4d. the pinned determinism fingerprints hold: hive_campaign merged
 #       fingerprints for seeds 1-3 at 600 scenarios, the hive_serve
-#       fingerprints of the default and the 8-cell/32-tenant soak, and the
-#       stdout sha256 of each of the 14 table benches in bench/ (each must
-#       also exit 0; gb_microbench is host-timed and left out); both soaks
-#       keep one Wax scan chain per incarnation (scan count bounded by the
-#       run length plus the incarnations);
+#       fingerprints of the default, the 8-cell/32-tenant and the
+#       16-cell/64-tenant soak, and the stdout sha256 of each of the 14
+#       table benches in bench/ (each must also exit 0; gb_microbench is
+#       host-timed and left out); every pinned soak keeps one Wax scan chain
+#       per incarnation (scan count bounded by the run length plus the
+#       incarnations);
 #   4e. a 20000-scenario campaign sweep (seed 2) reaches a verdict with no
 #       violation: the uncaught-bus-error crash family stays closed;
 #   4f. a one-worker 3000-scenario campaign (seed 1) takes at most 30,000
@@ -485,7 +486,8 @@ for pin in "1 0xdb04285cabc443e6" "2 0xc2a675449ec784e7" "3 0xb17333af28bb2253";
     fail "campaign --seed=$pin_seed --scenarios=600 merged fingerprint is not $pin_fp"
   }
 done
-for pin in "262a6b60560067f2" "29263da4a636b1d8 --cells=8 --tenants=32"; do
+for pin in "262a6b60560067f2" "29263da4a636b1d8 --cells=8 --tenants=32" \
+  "f5895eefd6d1bab7 --cells=16 --tenants=64"; do
   read -r pin_fp pin_args <<<"$pin"
   pin_log="$BUILD_DIR/pinned_serve_${pin_fp}.log"
   serve_status=0

@@ -1,6 +1,7 @@
 #include "src/base/histogram.h"
 
 #include <cassert>
+#include <cstddef>
 #include <numeric>
 
 namespace base {
@@ -33,11 +34,11 @@ void Histogram::Merge(const Histogram& other) {
 int64_t Histogram::Percentile(double p) const {
   assert(!samples_.empty());
   assert(p >= 0.0 && p <= 100.0);
-  std::vector<int64_t> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const size_t idx = static_cast<size_t>(rank);
-  return sorted[idx];
+  std::vector<int64_t> copy = samples_;
+  const double rank = p / 100.0 * static_cast<double>(copy.size() - 1);
+  const auto nth = copy.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(copy.begin(), nth, copy.end());
+  return *nth;
 }
 
 }  // namespace base

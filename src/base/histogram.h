@@ -25,7 +25,7 @@ class Histogram {
   int64_t sum() const;
   double mean() const;
 
-  // p in [0, 100]. Exact order statistic (sorts a copy on demand).
+  // p in [0, 100]. Exact order statistic (selected from a copy on demand).
   int64_t Percentile(double p) const;
 
   // Appends every sample of `other` (per-cell SLO histograms merge into the

@@ -201,6 +201,7 @@ void AddressSpace::Teardown(Ctx& ctx) {
     entry = next;
   }
   head_ = tail_ = 0;
+  std::unordered_map<VirtAddr, Mapping>().swap(mappings_);
 }
 
 }  // namespace hive

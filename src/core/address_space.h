@@ -90,7 +90,8 @@ class AddressSpace {
   // address space. `parent_ctx` runs on the parent's cell.
   base::Status CopyFrom(Ctx& ctx, Ctx& parent_ctx, AddressSpace& parent);
 
-  // Process teardown: frees all entries and mappings.
+  // Process teardown: frees all entries and mappings, and the mapping
+  // table's storage (a finished process is a record only).
   void Teardown(Ctx& ctx);
 
   // Enumerates decoded regions (trusted local walk for teardown/recovery).

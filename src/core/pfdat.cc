@@ -94,21 +94,54 @@ Pfdat* PfdatTable::FindByFrame(PhysAddr frame) {
 }
 
 Pfdat* PfdatTable::FindByLpid(const LogicalPageId& lpid) {
-  auto it = by_lpid_.find(lpid);
-  return it == by_lpid_.end() ? nullptr : it->second;
+  if (hash_count_ == 0) {
+    return nullptr;
+  }
+  for (Pfdat* pfdat = *Bucket(lpid); pfdat != nullptr; pfdat = pfdat->hash_next) {
+    if (pfdat->lpid == lpid) {
+      return pfdat;
+    }
+  }
+  return nullptr;
 }
 
 void PfdatTable::InsertHash(Pfdat* pfdat) {
   CHECK(pfdat->HasLogicalBinding());
-  auto [it, inserted] = by_lpid_.emplace(pfdat->lpid, pfdat);
-  CHECK(inserted) << "logical page already present in hash";
-  (void)it;
+  CHECK(FindByLpid(pfdat->lpid) == nullptr) << "logical page already present in hash";
+  if (hash_count_ >= buckets_.size()) {
+    Rehash(std::max(kInitialHashBuckets, 2 * buckets_.size()));
+  }
+  Pfdat** head = Bucket(pfdat->lpid);
+  pfdat->hash_next = *head;
+  *head = pfdat;
+  ++hash_count_;
 }
 
 void PfdatTable::RemoveHash(Pfdat* pfdat) {
-  auto it = by_lpid_.find(pfdat->lpid);
-  if (it != by_lpid_.end() && it->second == pfdat) {
-    by_lpid_.erase(it);
+  if (hash_count_ == 0) {
+    return;
+  }
+  for (Pfdat** link = Bucket(pfdat->lpid); *link != nullptr; link = &(*link)->hash_next) {
+    if (*link == pfdat) {
+      *link = pfdat->hash_next;
+      pfdat->hash_next = nullptr;
+      --hash_count_;
+      return;
+    }
+  }
+}
+
+void PfdatTable::Rehash(size_t count) {
+  std::vector<Pfdat*> old(count, nullptr);
+  old.swap(buckets_);
+  for (Pfdat* pfdat : old) {
+    while (pfdat != nullptr) {
+      Pfdat* next = pfdat->hash_next;
+      Pfdat** head = Bucket(pfdat->lpid);
+      pfdat->hash_next = *head;
+      *head = pfdat;
+      pfdat = next;
+    }
   }
 }
 

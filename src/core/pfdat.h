@@ -14,10 +14,10 @@
 #ifndef HIVE_SRC_CORE_PFDAT_H_
 #define HIVE_SRC_CORE_PFDAT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -64,6 +64,9 @@ struct Pfdat {
   Generation salvage_gen = 0;
   bool salvage_sum_valid = false;
 
+  // Next pfdat in the same logical-page hash bucket (PfdatTable).
+  Pfdat* hash_next = nullptr;
+
   bool HasLogicalBinding() const { return lpid.valid(); }
 };
 
@@ -101,9 +104,12 @@ class PfdatTable {
   // regular frame that was never touched yields its fresh, unbound pfdat.
   Pfdat* FindByFrame(PhysAddr frame);
 
-  // Logical page hash.
+  // Logical page hash: pfdats chain through Pfdat::hash_next from a
+  // power-of-two bucket array that doubles with the entry count. A pfdat's
+  // lpid must not change while it is hashed (RemoveHash first).
   Pfdat* FindByLpid(const LogicalPageId& lpid);
-  void InsertHash(Pfdat* pfdat);
+  void InsertHash(Pfdat* pfdat);  // CHECKs that the lpid is not yet hashed.
+  // No-op unless `pfdat` itself is the one hashed under its lpid.
   void RemoveHash(Pfdat* pfdat);
 
   // Enumeration for recovery scans. Visits the materialized pfdats in
@@ -146,17 +152,18 @@ class PfdatTable {
     foreach_scratch_.swap(extended);
   }
 
-  size_t hash_size() const { return by_lpid_.size(); }
+  size_t hash_size() const { return hash_count_; }
   // Every registered regular frame counts, materialized or not.
   size_t total_pfdats() const { return dense_.size() + extended_by_frame_.size(); }
 
   // Arena introspection (tests): slabs allocated so far.
   size_t arena_slabs() const { return slabs_.size(); }
 
-  // Reboot: drops everything. Slab memory is retained and recycled by the
-  // next boot's allocations.
+  // Reboot: drops everything. Slab memory and hash buckets are retained and
+  // recycled by the next boot.
   void Clear() {
-    by_lpid_.clear();
+    std::fill(buckets_.begin(), buckets_.end(), nullptr);
+    hash_count_ = 0;
     dense_.clear();
     dense_base_ = 0;
     dense_stride_ = 0;
@@ -168,10 +175,17 @@ class PfdatTable {
   }
 
   static constexpr size_t kSlabPfdats = 256;
+  static constexpr size_t kInitialHashBuckets = 1024;
 
  private:
   Pfdat* AllocateSlot();
   void ReleaseSlot(Pfdat* pfdat);
+
+  Pfdat** Bucket(const LogicalPageId& lpid) {
+    return &buckets_[LogicalPageIdHash{}(lpid) & (buckets_.size() - 1)];
+  }
+  // Relinks every hashed pfdat into `count` (a power of two) buckets.
+  void Rehash(size_t count);
 
   // Dense-index slot for a regular frame, or dense_.size() if `frame` is not
   // one of the registered frames.
@@ -194,7 +208,9 @@ class PfdatTable {
   // Extended (remote-frame) pfdats, ordered by frame so ForEach can merge.
   std::map<PhysAddr, Pfdat*> extended_by_frame_;
 
-  std::unordered_map<LogicalPageId, Pfdat*, LogicalPageIdHash> by_lpid_;
+  // Chain heads, allocated at the first insert; nothing walks them in order.
+  std::vector<Pfdat*> buckets_;
+  size_t hash_count_ = 0;
   std::vector<Pfdat*> foreach_scratch_;
 };
 

@@ -11,6 +11,11 @@ Process::Process(ProcId pid, Cell* cell, std::unique_ptr<Behavior> behavior)
 
 Process::~Process() = default;
 
+void Process::ReleaseToRecord() {
+  behavior_.reset();
+  std::vector<FileHandle>().swap(files_);
+}
+
 int Process::AddFile(const FileHandle& handle) {
   for (size_t fd = 0; fd < files_.size(); ++fd) {
     if (!files_[fd].valid()) {

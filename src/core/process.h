@@ -50,6 +50,9 @@ enum class ProcState {
   kKilled,  // Terminated by recovery or signal.
 };
 
+// A finished process is a record only: the scheduler releases its behaviour,
+// mapping table and file table, and keeps pid, state, created_at,
+// finished_at, exit_reason, parent and task group for inspection.
 class Process {
  public:
   Process(ProcId pid, Cell* cell, std::unique_ptr<Behavior> behavior);
@@ -58,10 +61,14 @@ class Process {
   ProcId pid() const { return pid_; }
   Cell* cell() const { return cell_; }
   AddressSpace& address_space() { return address_space_; }
-  Behavior* behavior() { return behavior_.get(); }
+  Behavior* behavior() { return behavior_.get(); }  // Null once finished.
   // Migration support: hands the behaviour (with its progress) to the new
   // component on the destination cell.
   std::unique_ptr<Behavior> ReleaseBehavior() { return std::move(behavior_); }
+  // Reduces a finished process to its record: destroys the behaviour and
+  // frees the file table (AddressSpace::Teardown freed the mapping table).
+  // Never call it while the behaviour's Step is on the stack.
+  void ReleaseToRecord();
 
   ProcState state() const { return state_; }
   void set_state(ProcState s) { state_ = s; }

@@ -58,7 +58,10 @@ HopFate SampleHop(flash::MessageFaultModel* model, const flash::Interconnect& me
 }  // namespace
 
 RpcLayer::RpcLayer(Cell* cell, HiveSystem* system, const KernelCosts& costs)
-    : cell_(cell), system_(system), costs_(costs) {}
+    : cell_(cell),
+      system_(system),
+      costs_(costs),
+      peers_(static_cast<size_t>(system->num_cells())) {}
 
 void RpcLayer::RegisterInterrupt(MsgType type, RpcHandler handler) {
   handlers_[static_cast<uint32_t>(type)] =
@@ -103,30 +106,32 @@ base::Status RpcLayer::Serve(Ctx& server_ctx, MsgType type, const RpcArgs& args,
 base::Status RpcLayer::ServeSequenced(Ctx& server_ctx, CellId client, uint64_t seq,
                                       MsgType type, const RpcArgs& args, RpcReply* reply,
                                       uint64_t client_epoch) {
+  Peer& from = peer(client);
   if (client_epoch != 0) {
-    uint64_t& known = peer_epoch_[static_cast<int>(client)];
-    if (client_epoch > known) {
+    if (client_epoch > from.epoch) {
       // The client rebooted since we last heard from it: its sequence space
       // restarted, so pre-crash replay entries must not answer its new calls.
-      replay_.erase(static_cast<int>(client));
-      known = client_epoch;
-    } else if (client_epoch < known) {
+      ClearReplay(from);
+      from.epoch = client_epoch;
+    } else if (client_epoch < from.epoch) {
       // A pre-crash straggler from an earlier incarnation (e.g. a duplicate
       // the substrate held across the reboot): serving it could mutate state
       // on behalf of a kernel that no longer exists.
       return base::Unavailable();
     }
   }
-  auto& cache = replay_[static_cast<int>(client)];
-  auto hit = cache.find(seq);
-  const bool seen = hit != cache.end();
+  if (from.replay.empty()) {
+    from.replay.resize(kReplayCacheEntries);
+  }
+  ReplaySlot& slot = from.replay[seq % kReplayCacheEntries];
+  const bool seen = slot.seq == seq;
   if (seen && duplicate_suppression_) {
     // Retransmission or substrate duplicate of a request already served:
     // return the cached reply without re-running the handler.
     ++stats_.duplicates_suppressed;
     cell_->Trace(TraceEvent::kRpcDuplicateSuppressed, static_cast<uint64_t>(client));
-    *reply = hit->second.reply;
-    return hit->second.status;
+    *reply = slot.reply;
+    return slot.status;
   }
   if (seen && IsAtMostOnce(type)) {
     // Suppression is disabled (campaign fixture): this re-execution of a
@@ -143,13 +148,19 @@ base::Status RpcLayer::ServeSequenced(Ctx& server_ctx, CellId client, uint64_t s
   if (status.ok() && IsAtMostOnce(type)) {
     ++stats_.executed_mutations;
   }
-  if (!seen) {
-    cache.emplace(seq, ReplayEntry{status, *reply});
-    if (cache.size() > kReplayCacheEntries) {
-      cache.erase(cache.begin());  // Oldest sequence number.
-    }
+  if (seq > slot.seq) {
+    // The slot's older entry is evicted. A sequence number already evicted
+    // (one the ring has since passed) stays out, as it would in a cache of
+    // the highest numbers served.
+    slot = ReplaySlot{seq, status, *reply};
   }
   return status;
+}
+
+void RpcLayer::ClearReplay(Peer& client) {
+  for (ReplaySlot& slot : client.replay) {
+    slot.seq = 0;
+  }
 }
 
 base::Status RpcLayer::TimeoutPath(Ctx& ctx, CellId target, bool exhausted) {
@@ -159,7 +170,7 @@ base::Status RpcLayer::TimeoutPath(Ctx& ctx, CellId target, bool exhausted) {
   ++stats_.timeouts;
   cell_->Trace(TraceEvent::kRpcTimeout, static_cast<uint64_t>(target));
 
-  PeerHealth& health = health_[static_cast<int>(target)];
+  PeerHealth& health = peer(target).health;
   bool raise = false;
   if (!health.hint_outstanding) {
     // At most one hint per agreement window: the flag stays set until the
@@ -177,8 +188,8 @@ base::Status RpcLayer::TimeoutPath(Ctx& ctx, CellId target, bool exhausted) {
   }
   if (raise) {
     // RaiseHint may run agreement and recovery synchronously, which can
-    // mutate health_ (OnSuspectCleared / ForgetPeer); `health` must not be
-    // touched after this point.
+    // reset the peer's record (OnSuspectCleared / ForgetPeer); `health` must
+    // not be touched after this point.
     cell_->detector().RaiseHint(ctx, target, HintReason::kRpcTimeout);
   }
   return base::Timeout();
@@ -201,19 +212,16 @@ void RpcLayer::Unquarantine(PeerHealth& health, CellId peer) {
   cell_->Trace(TraceEvent::kPeerUnquarantined, static_cast<uint64_t>(peer));
 }
 
-void RpcLayer::ForgetPeer(CellId peer) {
-  health_.erase(static_cast<int>(peer));
-  next_seq_.erase(static_cast<int>(peer));
-  replay_.erase(static_cast<int>(peer));
-  peer_epoch_.erase(static_cast<int>(peer));
+void RpcLayer::ForgetPeer(CellId peer_id) {
+  Peer& forgotten = peer(peer_id);
+  forgotten.health = PeerHealth{};
+  forgotten.next_seq = 0;
+  forgotten.epoch = 0;
+  ClearReplay(forgotten);
 }
 
 void RpcLayer::OnSuspectCleared(CellId suspect) {
-  auto it = health_.find(static_cast<int>(suspect));
-  if (it == health_.end()) {
-    return;
-  }
-  PeerHealth& health = it->second;
+  PeerHealth& health = peer(suspect).health;
   health.consecutive_exhaustions = 0;
   if (!health.hint_outstanding && !health.quarantined) {
     return;  // This cell never suspected the peer; nothing to reset.
@@ -226,17 +234,16 @@ void RpcLayer::OnSuspectCleared(CellId suspect) {
   Quarantine(health, suspect, cell_->machine().Now() + kQuarantineProbationNs);
 }
 
-bool RpcLayer::quarantined(CellId peer) const {
-  auto it = health_.find(static_cast<int>(peer));
-  return it != health_.end() && it->second.quarantined;
+bool RpcLayer::quarantined(CellId peer_id) const {
+  return peers_[static_cast<size_t>(peer_id)].health.quarantined;
 }
 
-void RpcLayer::QuarantinePeer(Ctx& ctx, CellId peer) {
-  PeerHealth& health = health_[static_cast<int>(peer)];
+void RpcLayer::QuarantinePeer(Ctx& ctx, CellId peer_id) {
+  PeerHealth& health = peer(peer_id).health;
   // Suppress the redundant rpc-timeout hint: the caller (babble throttle)
   // raises its own, more specific hint.
   health.hint_outstanding = true;
-  Quarantine(health, peer, ctx.VirtualNow() + kQuarantineProbationNs);
+  Quarantine(health, peer_id, ctx.VirtualNow() + kQuarantineProbationNs);
 }
 
 base::Status RpcLayer::Call(Ctx& ctx, CellId target, MsgType type, const RpcArgs& args,
@@ -293,10 +300,10 @@ base::Status RpcLayer::Transport(Ctx& ctx, CellId target, MsgType type, const Rp
   // Quarantine fail-fast. Agreement probes (kPing) bypass the gate so the
   // voting protocol always measures the real path.
   if (type != MsgType::kPing) {
-    auto hit = health_.find(static_cast<int>(target));
-    if (hit != health_.end() && hit->second.quarantined) {
-      if (ctx.VirtualNow() >= hit->second.quarantine_until) {
-        Unquarantine(hit->second, target);
+    PeerHealth& health = peer(target).health;
+    if (health.quarantined) {
+      if (ctx.VirtualNow() >= health.quarantine_until) {
+        Unquarantine(health, target);
       } else {
         ++stats_.quarantine_fail_fast;
         return base::Unavailable();
@@ -322,7 +329,7 @@ base::Status RpcLayer::Transport(Ctx& ctx, CellId target, MsgType type, const Rp
   const int src_node = ctx.cpu >= 0 ? ctx.cpu / cpus_per_node : cell_->first_node();
   // One sequence number per logical call; every retransmission reuses it so
   // the server's replay cache can tell a retry from a new call.
-  const uint64_t seq = ++next_seq_[static_cast<int>(target)];
+  const uint64_t seq = ++peer(target).next_seq;
 
   for (int attempt = 0; attempt < kMaxRpcAttempts; ++attempt) {
     if (attempt > 0) {
@@ -436,10 +443,7 @@ base::Status RpcLayer::Transport(Ctx& ctx, CellId target, MsgType type, const Rp
     // A duplicated reply is trivially ignored by the spinning client.
     ctx.Charge(wire.hop_ns + reply_hop.extra_delay);
 
-    auto health_it = health_.find(static_cast<int>(target));
-    if (health_it != health_.end()) {
-      health_it->second.consecutive_exhaustions = 0;
-    }
+    peer(target).health.consecutive_exhaustions = 0;
     if (status.ok() && tcell.rpc().IsAtMostOnce(type)) {
       ++stats_.acked_mutations;
     }

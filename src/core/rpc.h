@@ -18,14 +18,15 @@
 //    degrades into loss) are retried up to kMaxRpcAttempts times with
 //    capped exponential backoff plus deterministic jitter drawn from the
 //    scenario RNG.
-//  - The server keeps a bounded per-client replay cache keyed by sequence
-//    number: a retransmitted or duplicated request whose sequence number
-//    was already served returns the cached reply without re-executing the
-//    handler, so every handler -- and in particular every non-idempotent
-//    one (kForkRemote, kCreate, kUnlink, kBorrowFrames, kGrantFirewall,
-//    ...) -- executes at most once per call. Non-idempotent handlers are
-//    registered through RegisterInterruptAtMostOnce/RegisterQueuedAtMostOnce
-//    so the campaign oracles (and hive_lint rule R6) can audit the set.
+//  - The server keeps a fixed per-client replay ring of the last
+//    kReplayCacheEntries sequence numbers served: a retransmitted or
+//    duplicated request whose sequence number was already served returns
+//    the cached reply without re-executing the handler, so every handler --
+//    and in particular every non-idempotent one (kForkRemote, kCreate,
+//    kUnlink, kBorrowFrames, kGrantFirewall, ...) -- executes at most once
+//    per call. Non-idempotent handlers are registered through
+//    RegisterInterruptAtMostOnce/RegisterQueuedAtMostOnce so the campaign
+//    oracles (and hive_lint rule R6) can audit the set.
 //  - Repeated retry exhaustion against one peer escalates: the first
 //    exhaustion raises a failure-detector hint (at most one hint per
 //    agreement window, not one per retry), and kQuarantineThreshold
@@ -61,8 +62,8 @@
 #include <array>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "src/base/status.h"
 #include "src/core/context.h"
@@ -109,7 +110,7 @@ constexpr Time kRpcBackoffCapNs = 3200 * kMicrosecond;  // Backoff ceiling.
 constexpr Time kRpcBackoffJitterNs = 50 * kMicrosecond; // Max added jitter.
 constexpr int kQuarantineThreshold = 2;   // Consecutive exhaustions to quarantine.
 constexpr Time kQuarantineProbationNs = 50 * kMillisecond;
-constexpr size_t kReplayCacheEntries = 64;  // Per-client replay cache bound.
+constexpr size_t kReplayCacheEntries = 64;  // Slots in each client's replay ring.
 
 struct RpcArgs {
   std::array<uint64_t, kRpcWords> w{};
@@ -209,7 +210,7 @@ class RpcLayer {
   // cache). Called when the peer is reintegrated after a reboot: its fresh
   // kernel restarts sequence numbers, so stale replay entries must not
   // suppress its new calls.
-  void ForgetPeer(CellId peer);
+  void ForgetPeer(CellId peer_id);
 
   // Agreement vetoed an accusation against `suspect` (it is healthy). Resets
   // the exhaustion streak and converts any outstanding suspicion into a
@@ -220,13 +221,13 @@ class RpcLayer {
   // outlive the agreement that cleared it.
   void OnSuspectCleared(CellId suspect);
 
-  // True while calls to `peer` fail fast. Probation expiry is evaluated
+  // True while calls to `peer_id` fail fast. Probation expiry is evaluated
   // lazily on the next call, so this reflects the last transport decision.
-  bool quarantined(CellId peer) const;
+  bool quarantined(CellId peer_id) const;
 
   // Immediate quarantine escalation (failure-detector babble throttle): stop
-  // sending to `peer` now instead of waiting for retry exhaustions.
-  void QuarantinePeer(Ctx& ctx, CellId peer);
+  // sending to `peer_id` now instead of waiting for retry exhaustions.
+  void QuarantinePeer(Ctx& ctx, CellId peer_id);
 
   const RpcCallStats& stats() const { return stats_; }
 
@@ -247,9 +248,28 @@ class RpcLayer {
     bool quarantined = false;
     Time quarantine_until = 0;
   };
-  struct ReplayEntry {
+  // One replay-ring slot: the reply served for sequence number `seq`
+  // (0 = empty; sequence numbers start at 1).
+  struct ReplaySlot {
+    uint64_t seq = 0;
     base::Status status;
     RpcReply reply;
+  };
+  // Transport state for one peer cell, in both roles: this cell's calls to
+  // it (health, next_seq) and its calls to this cell (epoch, replay).
+  struct Peer {
+    PeerHealth health;
+    uint64_t next_seq = 0;
+    // Last boot incarnation seen from the peer as a client. A bumped epoch
+    // empties its replay ring; see ServeSequenced.
+    uint64_t epoch = 0;
+    // Replay ring: sequence number s is cached in slot
+    // s % kReplayCacheEntries, tagged with s. A client's sequence numbers
+    // rise by one per call and each is served (with its retransmissions and
+    // duplicates) before the next is issued, so the ring holds exactly the
+    // last kReplayCacheEntries served. Sized on the client's first call and
+    // kept for this incarnation.
+    std::vector<ReplaySlot> replay;
   };
 
   // The charge-and-screen profile of one client of the transport loop.
@@ -276,6 +296,10 @@ class RpcLayer {
   void Quarantine(PeerHealth& health, CellId peer, Time until);
   void Unquarantine(PeerHealth& health, CellId peer);
 
+  Peer& peer(CellId id) { return peers_[static_cast<size_t>(id)]; }
+  // Empties a client's replay ring, keeping its slots.
+  static void ClearReplay(Peer& client);
+
   Cell* cell_;
   HiveSystem* system_;
   const KernelCosts& costs_;
@@ -283,14 +307,9 @@ class RpcLayer {
   RpcCallStats stats_;
   int next_server_cpu_ = 0;  // Round-robin over the cell's CPUs for service.
   bool duplicate_suppression_ = true;
-  std::unordered_map<int, PeerHealth> health_;        // Keyed by peer cell id.
-  std::unordered_map<int, uint64_t> next_seq_;        // Keyed by peer cell id.
-  // Last boot incarnation seen per client (server side). A bumped epoch
-  // invalidates that client's replay cache; see ServeSequenced.
-  std::unordered_map<int, uint64_t> peer_epoch_;
-  // Per-client replay cache; ordered by sequence number so eviction drops
-  // the oldest entry (sequence numbers are monotonic per client).
-  std::unordered_map<int, std::map<uint64_t, ReplayEntry>> replay_;
+  // Indexed by peer cell id; sized once, so references stay valid across
+  // the agreement and recovery a call can run.
+  std::vector<Peer> peers_;
 };
 
 }  // namespace hive

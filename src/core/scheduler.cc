@@ -111,20 +111,26 @@ void Scheduler::RunSlice(int cpu_index) {
   ctx.start = now;
 
   StepOutcome outcome = StepOutcome::kContinue;
-  if (!cell_->RunKernel("during process execution", [&] {
-        while (ctx.elapsed < kQuantum) {
-          const Time before = ctx.elapsed;
-          outcome = proc->behavior()->Step(ctx, *proc);
-          if (ctx.elapsed == before) {
-            // Zero-cost steps would spin the quantum loop forever; charge a
-            // cycle's worth of progress as a backstop.
-            ctx.Charge(1000);
-          }
-          if (outcome != StepOutcome::kContinue || proc->finished() || !cell_->alive()) {
-            break;
-          }
-        }
-      })) {
+  stepping_ = proc;
+  const bool survived = cell_->RunKernel("during process execution", [&] {
+    while (ctx.elapsed < kQuantum) {
+      const Time before = ctx.elapsed;
+      outcome = proc->behavior()->Step(ctx, *proc);
+      if (ctx.elapsed == before) {
+        // Zero-cost steps would spin the quantum loop forever; charge a
+        // cycle's worth of progress as a backstop.
+        ctx.Charge(1000);
+      }
+      if (outcome != StepOutcome::kContinue || proc->finished() || !cell_->alive()) {
+        break;
+      }
+    }
+  });
+  stepping_ = nullptr;
+  if (proc->finished()) {
+    proc->ReleaseToRecord();  // Killed under its own Step; see KillProcess.
+  }
+  if (!survived) {
     return;
   }
 
@@ -195,6 +201,7 @@ void Scheduler::ExitProcess(Ctx& ctx, Process* proc, StepOutcome outcome) {
     proc->exit_reason = "behavior reported failure";
   }
   proc->finished_at = ctx.VirtualNow();
+  proc->ReleaseToRecord();  // Step has returned: RunSlice exits it after the loop.
   // The exit takes effect when the slice's work completes, not at the event's
   // start time; waiters wake at the logically correct instant.
   // Captures the cell, not `this`: the notify may outlive this scheduler if a
@@ -227,6 +234,12 @@ void Scheduler::KillProcess(Ctx& ctx, Process* proc, const std::string& reason) 
   live_.erase(proc->pid());
   proc->exit_reason = reason;
   proc->finished_at = ctx.VirtualNow();
+  if (proc != stepping_) {
+    // A victim killed from inside its own Step (SignalGroup on its own
+    // group, or recovery reached through an RPC in the step) keeps its
+    // behaviour until RunSlice regains control.
+    proc->ReleaseToRecord();
+  }
   cell_->Trace(TraceEvent::kProcessKilled, static_cast<uint64_t>(proc->pid()));
   cell_->system()->NotifyExit(proc->pid());
 }

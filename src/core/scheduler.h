@@ -37,9 +37,12 @@ class Scheduler {
   void KickCpu(int cpu);
   void KickAll();
 
+  // Any process added since boot; a finished one is a record only (see
+  // Process::ReleaseToRecord).
   Process* FindProcess(ProcId pid);
 
-  // Kills a process (recovery / signal); releases its resources.
+  // Kills a process (recovery / signal); releases its resources. A victim
+  // killed under its own Step keeps its behaviour until the step returns.
   void KillProcess(Ctx& ctx, Process* proc, const std::string& reason);
 
   // Process exit path (normal completion).
@@ -50,7 +53,7 @@ class Scheduler {
   // every process ever forked on the cell. Processes leave it the moment
   // ExitProcess or KillProcess marks them finished.
   const std::map<ProcId, Process*>& live_processes() const { return live_; }
-  // Processes ever added, finished ones included (kept for inspection).
+  // Processes added since boot, finished ones included (record only).
   size_t process_count() const { return processes_.size(); }
   size_t runnable() const { return ready_.size(); }
   // High-water mark of the ready queue since boot; the overload signal
@@ -69,6 +72,7 @@ class Scheduler {
   std::deque<Process*> ready_;
   std::unordered_map<ProcId, std::unique_ptr<Process>> processes_;
   std::map<ProcId, Process*> live_;
+  Process* stepping_ = nullptr;  // Whose Behavior::Step is on the stack.
   std::vector<bool> cpu_has_event_;  // Guards against duplicate run events.
   std::vector<uint64_t> cpu_event_id_;  // For cancellation at teardown.
   int64_t context_switches_ = 0;

@@ -1,7 +1,8 @@
 // Tests for the hot-path data structures behind the simulator overhaul:
 // the firewall manager's per-client reverse index and globally-writable
 // counter, the page allocator's per-cell loan/borrow buckets, the pfdat slab
-// arena, and lazy pfdats (boot cost proportional to touched frames).
+// arena, the pfdat logical-page hash, and lazy pfdats (boot cost
+// proportional to touched frames).
 
 #include <gtest/gtest.h>
 
@@ -207,6 +208,110 @@ TEST(PfdatArenaTest, ClearRetainsSlabMemoryForReboot) {
     table.AddExtended(0x300000 + i * 4096);
   }
   EXPECT_EQ(table.arena_slabs(), slabs_before);
+}
+
+// --- Logical page hash: pfdats chained through Pfdat::hash_next. ---
+
+LogicalPageId FileLpid(uint64_t object, uint64_t page) {
+  LogicalPageId lpid;
+  lpid.kind = LogicalPageId::Kind::kFile;
+  lpid.data_home = 0;
+  lpid.object = object;
+  lpid.page_offset = page;
+  return lpid;
+}
+
+// Regular pfdats hashed under distinct lpids, three times as many as the
+// initial bucket count, so the bucket array has doubled twice.
+class PfdatHashTest : public ::testing::Test {
+ protected:
+  static constexpr PhysAddr kBase = 0x10000;
+  static constexpr size_t kEntries = 3 * PfdatTable::kInitialHashBuckets + 7;
+
+  PfdatHashTest() {
+    table_.SetRegularRange(kBase, 4096, kEntries);
+    for (size_t i = 0; i < kEntries; ++i) {
+      Pfdat* pfdat = table_.Regular(i);
+      pfdat->lpid = Lpid(i);
+      table_.InsertHash(pfdat);
+      pfdats_.push_back(pfdat);
+    }
+  }
+
+  static LogicalPageId Lpid(size_t i) { return FileLpid(i % 5, i); }
+
+  PfdatTable table_;
+  std::vector<Pfdat*> pfdats_;
+};
+
+TEST_F(PfdatHashTest, FindsEveryEntryPastTheInitialBuckets) {
+  EXPECT_EQ(table_.hash_size(), kEntries);
+  for (size_t i = 0; i < kEntries; ++i) {
+    EXPECT_EQ(table_.FindByLpid(Lpid(i)), pfdats_[i]) << i;
+  }
+  EXPECT_EQ(table_.FindByLpid(FileLpid(9, 0)), nullptr);
+}
+
+TEST_F(PfdatHashTest, RemovingEveryOtherEntryKeepsTheRest) {
+  for (size_t i = 0; i < kEntries; i += 2) {
+    table_.RemoveHash(pfdats_[i]);
+  }
+  EXPECT_EQ(table_.hash_size(), kEntries / 2);
+  for (size_t i = 0; i < kEntries; ++i) {
+    EXPECT_EQ(table_.FindByLpid(Lpid(i)), i % 2 == 0 ? nullptr : pfdats_[i]) << i;
+  }
+}
+
+TEST_F(PfdatHashTest, RemoveHashOfANonMemberSharingItsLpidIsANoOp) {
+  Pfdat* member = pfdats_[17];
+  Pfdat* stranger = table_.AddExtended(0x40000000);
+  stranger->lpid = member->lpid;
+  table_.RemoveHash(stranger);
+  EXPECT_EQ(table_.FindByLpid(member->lpid), member);
+  EXPECT_EQ(table_.hash_size(), kEntries);
+}
+
+TEST_F(PfdatHashTest, ClearEmptiesTheHashForTheNextBoot) {
+  table_.Clear();
+  EXPECT_EQ(table_.hash_size(), 0u);
+  for (size_t i = 0; i < kEntries; ++i) {
+    EXPECT_EQ(table_.FindByLpid(Lpid(i)), nullptr) << i;
+  }
+  // The next boot hashes into the retained buckets; no stale chain answers.
+  table_.SetRegularRange(kBase, 4096, kEntries);
+  Pfdat* pfdat = table_.Regular(3);
+  pfdat->lpid = Lpid(3);
+  table_.InsertHash(pfdat);
+  EXPECT_EQ(table_.hash_size(), 1u);
+  for (size_t i = 0; i < kEntries; ++i) {
+    EXPECT_EQ(table_.FindByLpid(Lpid(i)), i == 3 ? pfdat : nullptr) << i;
+  }
+}
+
+TEST_F(PfdatHashTest, ExtendedPfdatRecycledByRemoveExtendedLeavesNoChain) {
+  // Bound extended pfdats join the chains in front of the regular ones.
+  for (uint64_t i = 0; i < 64; ++i) {
+    Pfdat* pfdat = table_.AddExtended(0x40000000 + i * 4096);
+    pfdat->lpid = FileLpid(7, i);
+    table_.InsertHash(pfdat);
+  }
+  EXPECT_EQ(table_.hash_size(), kEntries + 64);
+  for (uint64_t i = 0; i < 64; ++i) {
+    table_.RemoveExtended(table_.FindByFrame(0x40000000 + i * 4096));
+  }
+  EXPECT_EQ(table_.hash_size(), kEntries);
+  // Their slots come back for new frames, reset and unchained.
+  for (uint64_t i = 0; i < 64; ++i) {
+    Pfdat* recycled = table_.AddExtended(0x50000000 + i * 4096);
+    EXPECT_EQ(recycled->hash_next, nullptr);
+    EXPECT_FALSE(recycled->HasLogicalBinding());
+  }
+  for (uint64_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(table_.FindByLpid(FileLpid(7, i)), nullptr) << i;
+  }
+  for (size_t i = 0; i < kEntries; ++i) {
+    EXPECT_EQ(table_.FindByLpid(Lpid(i)), pfdats_[i]) << i;
+  }
 }
 
 // --- Lazy pfdats: boot registers the paged range, frames materialize on use. ---

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/core/cell.h"
 #include "src/core/failure_detection.h"
 #include "src/flash/fault_injector.h"
@@ -243,6 +245,82 @@ TEST_F(RpcTest, DisablingSuppressionReExecutesAndCountsViolations) {
   EXPECT_GE(server.rpc().stats().at_most_once_violations, 1u);
   EXPECT_GE(server.rpc().stats().executed_mutations, 2u);
   EXPECT_EQ(server.rpc().stats().duplicates_suppressed, 0u);
+}
+
+// Serves sequenced kNull requests from client cell 0 on cell 1, straight
+// into ServeSequenced as one client's transport would; the handler echoes
+// its marker argument and counts its runs.
+class ReplayCacheTest : public RpcTest {
+ protected:
+  ReplayCacheTest() : server_(ts_.cell(1)), ctx_(server_.MakeCtx()) {
+    server_.rpc().RegisterInterrupt(
+        MsgType::kNull, [runs = runs_](Ctx&, const RpcArgs& args, RpcReply* reply) {
+          ++*runs;
+          reply->w[0] = args.w[0];
+          return base::OkStatus();
+        });
+  }
+
+  // The reply's marker: `marker` if the handler ran, the first serving's if
+  // the replay cache answered.
+  uint64_t Serve(uint64_t seq, uint64_t marker, uint64_t epoch = 0) {
+    RpcArgs args;
+    args.w[0] = marker;
+    RpcReply reply;
+    EXPECT_TRUE(
+        server_.rpc().ServeSequenced(ctx_, 0, seq, MsgType::kNull, args, &reply, epoch).ok());
+    return reply.w[0];
+  }
+
+  Cell& server_;
+  Ctx ctx_;
+  std::shared_ptr<uint64_t> runs_ = std::make_shared<uint64_t>(0);
+};
+
+TEST_F(ReplayCacheTest, KeepsTheLast64SequenceNumbersServed) {
+  for (uint64_t seq = 1; seq <= 100; ++seq) {
+    ASSERT_EQ(Serve(seq, seq), seq);
+  }
+  ASSERT_EQ(*runs_, 100u);
+  const uint64_t suppressed = server_.rpc().stats().duplicates_suppressed;
+
+  // 37 is the oldest of the last 64: a replay of it is answered from cache.
+  EXPECT_EQ(Serve(37, 9999), 37u);
+  EXPECT_EQ(*runs_, 100u);
+  EXPECT_EQ(server_.rpc().stats().duplicates_suppressed, suppressed + 1);
+  // 36 was evicted: its replay re-runs the handler...
+  EXPECT_EQ(Serve(36, 9999), 9999u);
+  EXPECT_EQ(*runs_, 101u);
+  // ...and does not evict a newer number in its place.
+  EXPECT_EQ(Serve(100, 9999), 100u);
+  EXPECT_EQ(Serve(37, 9999), 37u);
+  EXPECT_EQ(*runs_, 101u);
+}
+
+TEST_F(ReplayCacheTest, EpochBumpAndForgetPeerEmptyIt) {
+  for (uint64_t seq = 1; seq <= 10; ++seq) {
+    ASSERT_EQ(Serve(seq, seq, /*epoch=*/1), seq);
+  }
+  EXPECT_EQ(Serve(10, 9999, 1), 10u);
+  // The client rebooted and restarted its sequence numbers: its new call 10
+  // must not be answered with the old incarnation's reply.
+  EXPECT_EQ(Serve(10, 7777, 2), 7777u);
+  EXPECT_EQ(Serve(10, 9999, 2), 7777u);
+  EXPECT_EQ(*runs_, 11u);
+  // A straggler from the old incarnation is refused outright.
+  RpcArgs args;
+  RpcReply reply;
+  EXPECT_EQ(server_.rpc().ServeSequenced(ctx_, 0, 11, MsgType::kNull, args, &reply, 1),
+            base::Unavailable());
+
+  // Reintegration forgets the peer. Unversioned calls, so that only
+  // ForgetPeer (not an epoch bump) can empty the cache.
+  server_.rpc().ForgetPeer(0);
+  EXPECT_EQ(Serve(20, 20), 20u);
+  EXPECT_EQ(Serve(20, 9999), 20u);
+  server_.rpc().ForgetPeer(0);
+  EXPECT_EQ(Serve(20, 5555), 5555u);
+  EXPECT_EQ(*runs_, 13u);
 }
 
 TEST_F(RpcTest, RetryExhaustionQuarantinesPeerAndFailsFast) {

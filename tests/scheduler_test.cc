@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
 #include "src/core/cell.h"
+#include "src/core/hive_system.h"
 #include "src/flash/fault_injector.h"
 #include "src/workloads/workload.h"
 #include "tests/test_util.h"
@@ -148,9 +151,114 @@ TEST_F(SchedulerTest, LiveIndexDropsExitedAndKilledProcesses) {
   Ctx ctx = ts_.cell(0).MakeCtx();
   sched.KillProcess(ctx, sched.FindProcess(pids[3]), "test kill");
   EXPECT_EQ(LivePids(sched), (std::vector<ProcId>{pids[1], pids[4]}));
-  // Finished processes stay inspectable.
+  // Finished processes stay inspectable as records.
   EXPECT_EQ(sched.process_count(), pids.size());
   EXPECT_EQ(sched.FindProcess(pids[3])->state(), ProcState::kKilled);
+}
+
+// --- A finished process keeps only its record. ---
+
+// What a finished process still answers: the fields benches, examples and
+// HiveSystem::ProcessFinished read, and nothing of the behaviour.
+void ExpectRecordOnly(Process* proc, ProcState state, const std::string& reason) {
+  ASSERT_NE(proc, nullptr);
+  EXPECT_EQ(proc->state(), state);
+  EXPECT_GT(proc->finished_at, 0);
+  EXPECT_EQ(proc->exit_reason, reason);
+  EXPECT_EQ(proc->behavior(), nullptr);
+  EXPECT_EQ(proc->address_space().mapping_count(), 0u);
+}
+
+TEST_F(SchedulerTest, ExitedProcessKeepsOnlyItsRecord) {
+  constexpr VirtAddr kVa = 0x40000000;
+  const uint64_t page_size = ts_.machine->mem().page_size();
+  auto behavior = std::make_unique<ScriptedBehavior>("mapper");
+  behavior->Add(workloads::OpMapAnon(kVa, 8 * page_size, /*writable=*/true));
+  behavior->Add(workloads::OpFaultRange(kVa, 8, /*write=*/true));
+  behavior->Add(OpCompute(1 * kMillisecond));
+  Ctx ctx = ts_.cell(0).MakeCtx();
+  auto pid = ts_.hive->Fork(ctx, 0, std::move(behavior));
+  ASSERT_TRUE(pid.ok());
+  ASSERT_TRUE(ts_.hive->RunUntilDone({*pid}, 1 * kSecond));
+  ExpectRecordOnly(ts_.cell(0).sched().FindProcess(*pid), ProcState::kExited, "");
+  EXPECT_TRUE(ts_.hive->ProcessFinished(*pid));
+}
+
+TEST_F(SchedulerTest, ProcessKilledWhileBlockedKeepsOnlyItsRecord) {
+  auto barrier = std::make_shared<UserBarrier>(2);
+  auto behavior = std::make_unique<ScriptedBehavior>("waiter");
+  behavior->Add(workloads::OpBarrier(barrier));
+  Ctx ctx = ts_.cell(0).MakeCtx();
+  auto pid = ts_.hive->Fork(ctx, 0, std::move(behavior));
+  ASSERT_TRUE(pid.ok());
+  ts_.machine->events().RunUntil(50 * kMillisecond);
+  Scheduler& sched = ts_.cell(0).sched();
+  Process* proc = sched.FindProcess(*pid);
+  ASSERT_EQ(proc->state(), ProcState::kBlocked);
+  ASSERT_EQ(barrier->waiting(), 1);
+
+  Ctx kill_ctx = ts_.cell(0).MakeCtx();
+  sched.KillProcess(kill_ctx, proc, "test kill");
+  ExpectRecordOnly(sched.FindProcess(*pid), ProcState::kKilled, "test kill");
+  EXPECT_EQ(barrier->waiting(), 0);
+  // The behaviour's captures went with it.
+  EXPECT_EQ(barrier.use_count(), 1);
+}
+
+// Tracks a behaviour's destruction and whether its own Step outlived it.
+struct StepProbe {
+  int steps = 0;
+  bool destroyed = false;
+  bool destroyed_under_step = false;
+};
+
+// On its first step, signals its own task group, so the kill reaches this
+// process while its Step is on the stack.
+class SignalOwnGroupBehavior : public Behavior {
+ public:
+  SignalOwnGroupBehavior(int64_t group, std::shared_ptr<StepProbe> probe)
+      : group_(group), probe_(std::move(probe)) {}
+  ~SignalOwnGroupBehavior() override { probe_->destroyed = true; }
+
+  StepOutcome Step(Ctx& ctx, Process& proc) override {
+    // A local reference: the probe must stay readable even if a broken
+    // scheduler destroys this behaviour inside SignalGroup.
+    const std::shared_ptr<StepProbe> probe = probe_;
+    ++probe->steps;
+    ctx.Charge(1000);
+    proc.cell()->system()->SignalGroup(ctx, group_);
+    probe->destroyed_under_step = probe->destroyed;
+    return StepOutcome::kContinue;
+  }
+  std::string name() const override { return "signal-own-group"; }
+
+ private:
+  int64_t group_;
+  std::shared_ptr<StepProbe> probe_;
+};
+
+TEST_F(SchedulerTest, GroupMemberSignallingItsOwnGroupKeepsItsBehaviorUntilStepReturns) {
+  const int64_t group = ts_.hive->NextTaskGroup();
+  auto probe = std::make_shared<StepProbe>();
+  auto peer_behavior = std::make_unique<ScriptedBehavior>("group-peer");
+  peer_behavior->Add(OpCompute(5 * kSecond));
+  Ctx ctx = ts_.cell(0).MakeCtx();
+  auto peer = ts_.hive->Fork(ctx, 0, std::move(peer_behavior), group);
+  auto signaller =
+      ts_.hive->Fork(ctx, 0, std::make_unique<SignalOwnGroupBehavior>(group, probe), group);
+  ASSERT_TRUE(peer.ok());
+  ASSERT_TRUE(signaller.ok());
+  ASSERT_TRUE(ts_.hive->RunUntilDone({*peer, *signaller}, 1 * kSecond));
+
+  EXPECT_EQ(probe->steps, 1);
+  EXPECT_FALSE(probe->destroyed_under_step);
+  EXPECT_TRUE(probe->destroyed);  // Released once RunSlice regained control.
+  Scheduler& sched = ts_.cell(0).sched();
+  for (ProcId pid : {*peer, *signaller}) {
+    ExpectRecordOnly(sched.FindProcess(pid), ProcState::kKilled, "killed by signal");
+    EXPECT_EQ(sched.FindProcess(pid)->task_group(), group);
+  }
+  EXPECT_TRUE(sched.live_processes().empty());
 }
 
 TEST(SchedulerRecoveryTest, RecoverySweepKillsLeaveTheLiveIndex) {
