@@ -6,8 +6,8 @@
 #      the 5-second budget;
 #   2. hive_lint flags every seeded violation in tests/lint_fixtures
 #      (including the R0 bad-suppression case, the whole-program rules
-#      R8-R11 and the unsuppressible R12) and honours the one properly
-#      suppressed site;
+#      R9-R11 and the unsuppressible R3 and R12) and honours the one
+#      properly suppressed site;
 #   2b. when clang-tidy is installed, the pinned .clang-tidy profile
 #      (bugprone-* + concurrency-*) runs clean over src/base/ using the
 #      compile_commands.json exported by the primary build;
@@ -128,12 +128,12 @@ echo "== hive_lint: seeded fixtures must be flagged =="
 fixture_out="$("$LINT" --root "$SOURCE_DIR/tests/lint_fixtures" 2>&1)" && \
   fail "hive_lint exited 0 on the seeded fixture tree"
 echo "$fixture_out"
-for rule in R0 R1 R2 R3 R4 R5 R6 R7 R8 R9 R10 R11 R12; do
+for rule in R0 R1 R2 R3 R4 R5 R6 R7 R9 R10 R11 R12; do
   grep -q "\[$rule\]" <<<"$fixture_out" || fail "fixture scan did not report $rule"
 done
 # Good twins of the whole-program rules and R12 must be completely silent.
-for good in good_lock_order.cc good_status_discard.cc good_nondeterminism.cc \
-            good_remote_deref.cc good_bus_panic.cc; do
+for good in good_status_discard.cc good_nondeterminism.cc good_remote_deref.cc \
+            good_bus_panic.cc; do
   grep -q "/$good:" <<<"$fixture_out" && \
     fail "hive_lint reported diagnostics in good twin $good"
 done

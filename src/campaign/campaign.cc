@@ -22,6 +22,10 @@ constexpr int kMaxBatchSize = 1024;
 // collides with the scenario-seed domain of DeriveScenarioSeed.
 constexpr uint64_t kGuidedSeedSalt = 0x6775696465644831ull;
 
+// Per-mille of guided slots that draw a fresh scenario instead of mutating a
+// corpus entry (exploration vs exploitation).
+constexpr uint64_t kGuidedFreshPerMille = 250;
+
 uint64_t CountLanded(const ScenarioResult& result) {
   uint64_t landed = 0;
   for (bool flag : result.injected) {
@@ -164,8 +168,7 @@ CampaignReport RunCampaign(const CampaignOptions& options) {
         // depend on workers or timing.
         base::Rng slot_rng(DeriveScenarioSeed(options.master_seed ^ kGuidedSeedSalt,
                                               generation * 1024 + slot));
-        if (slot_rng.Below(1000) <
-            static_cast<uint64_t>(std::max(0, options.guided_fresh_pm))) {
+        if (slot_rng.Below(1000) < kGuidedFreshPerMille) {
           batch.push_back(
               GenerateScenario(options.master_seed, fresh_index++, options.mode));
           ++report.fresh_run;
@@ -204,8 +207,8 @@ CampaignReport RunCampaign(const CampaignOptions& options) {
       bucket.first_order = failure.order;
       bucket.repro = failure.result.spec.ReproLine();
       if (options.minimize) {
-        failure.minimization = MinimizeScenario(
-            failure.result.spec, options.max_minimize_runs, bucket.oracle);
+        failure.minimization =
+            MinimizeScenario(failure.result.spec, kMinimizeRuns, bucket.oracle);
         failure.minimized = true;
         bucket.minimized = failure.minimization.minimized.ToString();
         bucket.minimize_runs = failure.minimization.runs;

@@ -42,9 +42,6 @@ struct CampaignOptions {
   // mutation pool of batch N+1, so smaller batches react to coverage faster
   // but parallelize less.
   int batch_size = 16;
-  // Per-mille of guided slots that draw a fresh scenario instead of mutating
-  // a corpus entry (exploration vs exploitation).
-  int guided_fresh_pm = 250;
   // When non-empty: load corpus entries from this directory before the run
   // (guided mode uses them as mutation bases) and persist every newly
   // admitted entry into it.
@@ -59,7 +56,6 @@ struct CampaignOptions {
   // Minimize violating scenarios after the sweep (one per triage bucket; the
   // bucket's other members keep their original spec).
   bool minimize = true;
-  int max_minimize_runs = 64;
   // Optional progress hook; invoked from the deterministic merge step, in
   // execution order, on the driver thread.
   std::function<void(const ScenarioResult&)> on_result;

@@ -12,6 +12,7 @@
 #include "src/core/process.h"
 #include "src/core/rpc.h"
 #include "src/core/scheduler.h"
+#include "src/flash/bus_error.h"
 #include "src/flash/machine.h"
 #include "src/flash/sips.h"
 
@@ -184,16 +185,15 @@ bool WildWrite(HiveSystem& sys, CellId writer, CellId target, hive::PhysAddr add
                std::span<const uint8_t> bytes) {
   Cell& cell = sys.cell(writer);
   const int writer_cpu = sys.machine().FirstCpuOfNode(cell.first_node());
-  try {
-    sys.machine().mem().Write(writer_cpu, addr, bytes);
-    return true;
-    // hive-lint: allow(R3): injected wild write from the fault harness; the firewall trap is converted into the writer kernel's panic, as section 4.1 prescribes.
-  } catch (const flash::BusError&) {
+  // The firewall denies the write with a trap, a legal outcome: the writer's
+  // kernel took it outside any careful section, so section 4.1 panics it.
+  if (flash::CaptureTrap([&] { sys.machine().mem().Write(writer_cpu, addr, bytes); })) {
     std::ostringstream reason;
     reason << "wild write into cell " << target << " denied by firewall";
     cell.Panic(reason.str());
     return false;
   }
+  return true;
 }
 
 bool FalseAccusation(HiveSystem& sys, CellId accuser, CellId accused) {

@@ -37,11 +37,13 @@ using ViolationPredicate = std::function<bool(const ScenarioSpec&)>;
 MinimizationResult MinimizeScenarioWith(const ScenarioSpec& original, int max_runs,
                                         const ViolationPredicate& violates);
 
+inline constexpr int kMinimizeRuns = 64;  // MinimizeScenario's default run budget.
+
 // Production wrapper: the predicate is a real scenario execution. When
 // `target_oracle` is non-empty, a candidate only counts as violating if that
 // specific oracle trips -- triage uses this so a bucket's minimized repro
 // cannot drift to a different oracle's (smaller) violation.
-MinimizationResult MinimizeScenario(const ScenarioSpec& original, int max_runs = 64,
+MinimizationResult MinimizeScenario(const ScenarioSpec& original, int max_runs = kMinimizeRuns,
                                     const std::string& target_oracle = "");
 
 }  // namespace campaign

@@ -1,5 +1,6 @@
 #include "src/campaign/oracles.h"
 
+#include <optional>
 #include <sstream>
 
 #include "src/core/cell.h"
@@ -259,12 +260,10 @@ void CheckCanaries(const OracleInput& input, std::vector<OracleViolation>* out) 
     std::vector<uint8_t> buf(canary.size);
     Ctx ctx = reader.MakeCtx();
     base::Status status = base::CellFailed();
-    try {
+    // The data home's memory may fail mid-read: unreadable is a legal outcome.
+    (void)flash::CaptureTrap([&] {
       status = reader.fs().Read(ctx, canary.cross_handle, 0, std::span<uint8_t>(buf));
-      // hive-lint: allow(R3): campaign oracle probing a possibly-failed data home from the harness; unreadable is a legal outcome, recorded as Status.
-    } catch (const flash::BusError&) {
-      // Data home's memory failed mid-read: unreadable, a legal outcome.
-    }
+    });
     if (status.ok() &&
         buf != workloads::PatternData(canary.pattern_seed, canary.size)) {
       std::ostringstream detail;
@@ -276,15 +275,13 @@ void CheckCanaries(const OracleInput& input, std::vector<OracleViolation>* out) 
     Ctx fresh_ctx = reader.MakeCtx();
     std::fill(buf.begin(), buf.end(), 0);
     status = base::CellFailed();
-    try {
+    // The data home may have failed: unreadable is a legal outcome.
+    (void)flash::CaptureTrap([&] {
       auto handle = reader.fs().Open(fresh_ctx, canary.path);
-      if (!handle.ok()) {
-        continue;  // Data home failed: unreadable is a legal outcome.
+      if (handle.ok()) {
+        status = reader.fs().Read(fresh_ctx, *handle, 0, std::span<uint8_t>(buf));
       }
-      status = reader.fs().Read(fresh_ctx, *handle, 0, std::span<uint8_t>(buf));
-      // hive-lint: allow(R3): campaign oracle probing a possibly-failed data home from the harness; unreadable is a legal outcome, recorded as Status.
-    } catch (const flash::BusError&) {
-    }
+    });
     if (status.ok() &&
         buf != workloads::PatternData(canary.pattern_seed, canary.size)) {
       std::ostringstream detail;
@@ -312,7 +309,8 @@ void CheckSurvivorsFunctional(const OracleInput& input,
       "/campaign/post-" + std::to_string(input.spec->index) + "-check";
   const uint64_t size = 4096;
   const uint64_t pattern = input.spec->seed ^ 0x706f7374;
-  try {
+  // A trap while exercising survivors is the containment violation reported.
+  const std::optional<flash::BusError> trap = flash::CaptureTrap([&] {
     Cell& writer = sys.cell(live.front());
     Ctx wctx = writer.MakeCtx();
     auto created = writer.fs().Create(wctx, path, workloads::PatternData(pattern, size));
@@ -344,10 +342,10 @@ void CheckSurvivorsFunctional(const OracleInput& input,
                              : " failed: " + std::string(status.name()));
       Add(out, "survivors-functional", detail.str());
     }
-    // hive-lint: allow(R3): harness-level oracle; a bus error while exercising survivors is itself the containment violation being reported.
-  } catch (const flash::BusError& error) {
+  });
+  if (trap) {
     std::ostringstream detail;
-    detail << "survivor file check hit a bus error: " << error.what();
+    detail << "survivor file check hit a bus error: " << trap->what();
     Add(out, "survivors-functional", detail.str());
   }
 }
@@ -604,12 +602,12 @@ void CheckNoCorruptAdoption(const OracleInput& input, std::vector<OracleViolatio
       }
       const uint64_t n = std::min(page_size, canary.size - byte_off);
       std::vector<uint8_t> buf(n);
-      try {
-        sys.machine().mem().DmaRead(sys.cell(record.owner).first_node(), record.frame,
-                                    std::span<uint8_t>(buf));
-        // hive-lint: allow(R3): campaign oracle re-reading a salvaged frame whose owner may have died later; unreadable is a legal outcome.
-      } catch (const flash::BusError&) {
-        continue;  // The adopting cell's memory failed later; nothing served.
+      // The adopting cell's memory may have failed since: nothing was served.
+      if (flash::CaptureTrap([&] {
+            sys.machine().mem().DmaRead(sys.cell(record.owner).first_node(), record.frame,
+                                        std::span<uint8_t>(buf));
+          })) {
+        continue;
       }
       if (!std::equal(buf.begin(), buf.end(),
                       pattern.begin() + static_cast<ptrdiff_t>(byte_off))) {

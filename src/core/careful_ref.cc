@@ -55,16 +55,14 @@ base::Status CarefulRef::CheckTag(PhysAddr payload, uint32_t expected_tag) {
   const PhysAddr header = payload - KernelHeap::kHeaderSize;
   RETURN_IF_ERROR(CheckAddr(header, KernelHeap::kHeaderSize, 8));
   ChargeAccessAt(header, KernelHeap::kHeaderSize);
-  try {
-    const uint32_t magic = mem_->ReadValue<uint32_t>(ctx_->cpu, header);
-    const uint32_t tag = mem_->ReadValue<uint32_t>(ctx_->cpu, header + 4);
-    if (magic != KernelHeap::kHeaderMagic || tag != expected_tag) {
-      return base::BadRemoteData();
-    }
-  } catch (const flash::BusError&) {
-    bus_error_seen_ = true;
-    ctx_->Charge(costs_.failed_access_stall_ns);
-    return base::BusErrorStatus();
+  uint32_t magic = 0;
+  uint32_t tag = 0;
+  RETURN_IF_ERROR(Access([&] {
+    magic = mem_->ReadValue<uint32_t>(ctx_->cpu, header);
+    tag = mem_->ReadValue<uint32_t>(ctx_->cpu, header + 4);
+  }));
+  if (magic != KernelHeap::kHeaderMagic || tag != expected_tag) {
+    return base::BadRemoteData();
   }
   return base::OkStatus();
 }
@@ -136,14 +134,7 @@ base::Result<SeqSnapshot> CarefulRef::ReadSeqlocked(PhysAddr block, uint32_t exp
 base::Status CarefulRef::ReadBytes(PhysAddr addr, std::span<uint8_t> out) {
   RETURN_IF_ERROR(CheckAddr(addr, out.size(), 1));
   ChargeAccessAt(addr, out.size());
-  try {
-    mem_->Read(ctx_->cpu, addr, out);
-  } catch (const flash::BusError&) {
-    bus_error_seen_ = true;
-    ctx_->Charge(costs_.failed_access_stall_ns);
-    return base::BusErrorStatus();
-  }
-  return base::OkStatus();
+  return Access([&] { mem_->Read(ctx_->cpu, addr, out); });
 }
 
 }  // namespace hive

@@ -14,9 +14,10 @@
 //      allocator and removed by the deallocator.
 //   5. careful_off: future bus errors once again panic the reader.
 //
-// In this model the trap capture is a scoped object: constructing a
-// CarefulRef is careful_on, destruction is careful_off, and the simulated
-// BusError exception is caught inside Read*() and converted to a Status.
+// In this model the careful section is a scoped object: constructing a
+// CarefulRef is careful_on, destruction is careful_off, and every access in
+// between runs under flash::CaptureTrap, which turns the simulated BusError
+// into a Status.
 
 #ifndef HIVE_SRC_CORE_CAREFUL_REF_H_
 #define HIVE_SRC_CORE_CAREFUL_REF_H_
@@ -31,6 +32,7 @@
 #include "src/core/costs.h"
 #include "src/core/kernel_heap.h"
 #include "src/core/types.h"
+#include "src/flash/bus_error.h"
 #include "src/flash/phys_mem.h"
 
 namespace hive {
@@ -85,13 +87,9 @@ class CarefulRef {
     static_assert(std::is_trivially_copyable_v<T>);
     RETURN_IF_ERROR_RESULT(CheckAddr(addr, sizeof(T), alignof(T)));
     ChargeAccessAt(addr, sizeof(T));
-    try {
-      return mem_->ReadValue<T>(ctx_->cpu, addr);
-    } catch (const flash::BusError&) {
-      bus_error_seen_ = true;
-      ctx_->Charge(costs_.failed_access_stall_ns);
-      return base::BusErrorStatus();
-    }
+    T value{};
+    RETURN_IF_ERROR_RESULT(Access([&] { value = mem_->ReadValue<T>(ctx_->cpu, addr); }));
+    return value;
   }
 
   // Steps 2-4: reads a kernel-heap allocation of the expected type tag.
@@ -143,6 +141,18 @@ class CarefulRef {
   // Charges the per-access protocol cost plus a remote miss for every line
   // of [addr, addr+bytes) not already fetched in this careful section.
   void ChargeAccessAt(PhysAddr addr, uint64_t bytes);
+
+  // Runs one access to the remote cell's memory, which may vanish at any
+  // instant: a trap is a legal outcome that stalls and becomes a Status.
+  template <typename Fn>
+  base::Status Access(Fn&& fn) {
+    if (flash::CaptureTrap(fn)) {
+      bus_error_seen_ = true;
+      ctx_->Charge(costs_.failed_access_stall_ns);
+      return base::BusErrorStatus();
+    }
+    return base::OkStatus();
+  }
 
   // Attribute the whole careful section (bench schema v2): constructed
   // first, so the scope spans careful_on through careful_off.

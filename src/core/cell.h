@@ -7,6 +7,7 @@
 #define HIVE_SRC_CORE_CELL_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -123,13 +124,11 @@ class Cell {
   // it and never panics the cell whose event happened to be running.
   template <typename Fn>
   bool RunKernel(const char* what, Fn&& fn) {
-    try {
-      fn();
-      return true;
-    } catch (const flash::BusError& e) {
-      Panic(std::string("bus error ") + what + ": " + e.what());
-      return false;
+    const std::optional<flash::BusError> trap = flash::CaptureTrap(fn);
+    if (trap) {
+      Panic(std::string("bus error ") + what + ": " + trap->what());
     }
+    return !trap;
   }
 
   // Hardware death (node failure).

@@ -196,8 +196,7 @@ base::Status FileSystem::Rename(Ctx& ctx, const std::string& from, const std::st
 }
 
 base::Result<Pfdat*> FileSystem::GetPageLocal(Ctx& ctx, VnodeId vnode_id, uint64_t page_index,
-                                              bool want_write, bool fill_from_disk,
-                                              CellId place_near) {
+                                              bool want_write, CellId place_near) {
   Vnode* vnode = FindVnode(vnode_id);
   if (vnode == nullptr || vnode->is_shadow) {
     return base::NotFound();
@@ -225,20 +224,18 @@ base::Result<Pfdat*> FileSystem::GetPageLocal(Ctx& ctx, VnodeId vnode_id, uint64
     pfdat->salvage_sum_valid = false;  // Fresh binding: no content baseline yet.
     cell_->pfdats().InsertHash(pfdat);
 
-    if (fill_from_disk) {
-      const uint64_t byte_off = page_index * page_size;
-      if (byte_off < vnode->disk_image.size()) {
-        // DMA the disk block into the frame (firewall-checked as a write from
-        // this node; borrowed frames were granted to us at loan time).
-        const uint64_t n = std::min<uint64_t>(page_size, vnode->disk_image.size() - byte_off);
-        ctx.Charge(cell_->machine().disk(cell_->first_node()).AccessTime(byte_off, n));
-        cell_->machine().mem().Write(
-            ctx.cpu, pfdat->frame,
-            std::span<const uint8_t>(vnode->disk_image.data() + byte_off, n));
-      }
-      // Pages past the on-disk image are zero-filled (frames are zeroed when
-      // reused; newly booted memory is zero).
+    const uint64_t byte_off = page_index * page_size;
+    if (byte_off < vnode->disk_image.size()) {
+      // DMA the disk block into the frame (firewall-checked as a write from
+      // this node; borrowed frames were granted to us at loan time).
+      const uint64_t n = std::min<uint64_t>(page_size, vnode->disk_image.size() - byte_off);
+      ctx.Charge(cell_->machine().disk(cell_->first_node()).AccessTime(byte_off, n));
+      cell_->machine().mem().Write(
+          ctx.cpu, pfdat->frame,
+          std::span<const uint8_t>(vnode->disk_image.data() + byte_off, n));
     }
+    // Pages past the on-disk image are zero-filled (frames are zeroed when
+    // reused; newly booted memory is zero).
   }
   if (want_write) {
     pfdat->dirty = true;
@@ -257,9 +254,8 @@ base::Result<PhysAddr> FileSystem::ExportPage(Ctx& ctx, VnodeId vnode_id, uint64
   if (ctx.fault_bd != nullptr) {
     ctx.fault_bd->home_export += cell_->costs().fault_export_ns;
   }
-  ASSIGN_OR_RETURN(Pfdat * pfdat,
-                   GetPageLocal(ctx, vnode_id, page_index, /*want_write=*/false,
-                                /*fill_from_disk=*/true, /*place_near=*/client));
+  ASSIGN_OR_RETURN(Pfdat * pfdat, GetPageLocal(ctx, vnode_id, page_index, /*want_write=*/false,
+                                               /*place_near=*/client));
   // CC-NUMA placement (sections 5.5/5.6): on the first writable export of a
   // locally-framed page with no other users, migrate it into a frame
   // borrowed from the client's memory so the client's stores become local.
@@ -583,12 +579,10 @@ base::Status FileSystem::Read(Ctx& ctx, const FileHandle& handle, uint64_t offse
       frame = it->second;
     }
 
-    try {
-      cell_->machine().mem().Read(ctx.cpu, frame + in_page,
-                                  out.subspan(done, chunk));
-      // hive-lint: allow(R3): careful-read boundary for bulk page copies; raises a hint and converts to Status.
-    } catch (const flash::BusError&) {
-      // The data home's memory vanished mid-copy.
+    // The data home's memory may vanish mid-copy: hint and fail the read.
+    if (flash::CaptureTrap([&] {
+          cell_->machine().mem().Read(ctx.cpu, frame + in_page, out.subspan(done, chunk));
+        })) {
       cell_->detector().RaiseHint(ctx, handle.data_home, HintReason::kBusError);
       return base::IoError();
     }
@@ -731,13 +725,11 @@ base::Status FileSystem::Sync(VnodeId local_vnode) {
     }
     const uint64_t byte = page * page_size;
     const uint64_t n = std::min<uint64_t>(page_size, vnode->size_bytes - byte);
-    try {
-      cell_->machine().mem().DmaRead(
-          cell_->first_node(), pfdat->frame,
-          std::span<uint8_t>(vnode->disk_image.data() + byte, n));
-      // hive-lint: allow(R3): write-behind DMA from a possibly borrowed frame; loss is contained per page.
-    } catch (const flash::BusError&) {
-      // The frame (borrowed) is gone; the page is lost.
+    // A borrowed frame may have died with its memory home: lose this page only.
+    if (flash::CaptureTrap([&] {
+          cell_->machine().mem().DmaRead(cell_->first_node(), pfdat->frame,
+                                         std::span<uint8_t>(vnode->disk_image.data() + byte, n));
+        })) {
       NoteDirtyPageLost(local_vnode);
       continue;
     }
@@ -755,10 +747,10 @@ base::Status FileSystem::Sync(VnodeId local_vnode) {
 bool FileSystem::PageChecksum(PhysAddr frame, uint64_t* sum_out) const {
   const uint64_t page_size = cell_->machine().mem().page_size();
   std::vector<uint8_t> buf(page_size);
-  try {
-    cell_->machine().mem().DmaRead(cell_->first_node(), frame, std::span<uint8_t>(buf));
-    // hive-lint: allow(R3): checksum DMA of a frame that may live in failed memory; converted to a bool result.
-  } catch (const flash::BusError&) {
+  // The frame may live in failed memory: an unreadable page has no checksum.
+  if (flash::CaptureTrap([&] {
+        cell_->machine().mem().DmaRead(cell_->first_node(), frame, std::span<uint8_t>(buf));
+      })) {
     return false;
   }
   // FNV-1a over the page bytes.
@@ -993,10 +985,10 @@ void FileSystem::RegisterHandlers() {
           }
           ASSIGN_OR_RETURN(Pfdat * pfdat, GetPageLocal(sctx, vnode_id, first_page + i,
                                                        /*want_write=*/true));
-          try {
-            cell_->machine().mem().Read(sctx.cpu, src, std::span<uint8_t>(buf));
-            // hive-lint: allow(R3): server-side careful read of the caller's buffer; converted to Status.
-          } catch (const flash::BusError&) {
+          // The client's buffer may have failed since it asked: fail the request.
+          if (flash::CaptureTrap([&] {
+                cell_->machine().mem().Read(sctx.cpu, src, std::span<uint8_t>(buf));
+              })) {
             pfdat->refcount--;
             return base::IoError();
           }
@@ -1049,10 +1041,10 @@ void FileSystem::RegisterHandlers() {
         ASSIGN_OR_RETURN(Pfdat * pfdat,
                          GetPageLocal(sctx, vnode_id, page, /*want_write=*/true));
         std::vector<uint8_t> buf(chunk);
-        try {
-          cell_->machine().mem().Read(sctx.cpu, src, std::span<uint8_t>(buf));
-          // hive-lint: allow(R3): server-side careful read of the caller's buffer; converted to Status.
-        } catch (const flash::BusError&) {
+        // The client's buffer may have failed since it asked: fail the request.
+        if (flash::CaptureTrap([&] {
+              cell_->machine().mem().Read(sctx.cpu, src, std::span<uint8_t>(buf));
+            })) {
           pfdat->refcount--;
           return base::IoError();
         }

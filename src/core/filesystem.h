@@ -80,8 +80,7 @@ class FileSystem {
   // later accesses are node-local (paper section 5.5: the loaned frame is
   // imported back by its memory home through the pre-existing pfdat).
   base::Result<Pfdat*> GetPageLocal(Ctx& ctx, VnodeId vnode_id, uint64_t page_index,
-                                    bool want_write, bool fill_from_disk = true,
-                                    CellId place_near = kInvalidCell);
+                                    bool want_write, CellId place_near = kInvalidCell);
 
   // Releases one client reference to a page previously returned by GetPage.
   void ReleasePage(Ctx& ctx, Pfdat* pfdat);

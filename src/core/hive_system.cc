@@ -321,20 +321,8 @@ void HiveSystem::HandleAlert(Ctx& ctx, CellId accuser, CellId suspect, HintReaso
 
 bool HiveSystem::RunUntilDone(const std::vector<ProcId>& pids, Time deadline) {
   auto all_done = [&]() {
-    for (ProcId pid : pids) {
-      const CellId cell_id = FindProcessCell(pid);
-      if (cell_id == kInvalidCell) {
-        continue;
-      }
-      if (!cell(cell_id).alive()) {
-        continue;  // The process died with its cell.
-      }
-      Process* proc = cell(cell_id).sched().FindProcess(pid);
-      if (proc != nullptr && !proc->finished()) {
-        return false;
-      }
-    }
-    return true;
+    return std::all_of(pids.begin(), pids.end(),
+                       [this](ProcId pid) { return ProcessFinished(pid); });
   };
   while (machine_->Now() < deadline) {
     if (all_done()) {

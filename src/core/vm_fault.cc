@@ -59,12 +59,11 @@ base::Result<Pfdat*> CowCopy(Ctx& ctx, Process& proc, Pfdat* src, uint64_t offse
   // instead of allocating a page-sized vector per break.
   thread_local std::vector<uint8_t> buf;
   buf.resize(page_size);
-  try {
-    // hive-lint: allow(R1): page-content copy (COW break) of data pages, not a kernel structure read.
-    cell.machine().mem().Read(ctx.cpu, src->frame, std::span<uint8_t>(buf));
-    // hive-lint: allow(R3): fault boundary of the page copy; converted to Status right here.
-  } catch (const flash::BusError&) {
-    // Source page vanished (remote home died): undo and report.
+  // The source page's home may have died: its trap fails the break.
+  if (flash::CaptureTrap([&] {
+        // hive-lint: allow(R1): page-content copy (COW break) of data pages, not a kernel structure read.
+        cell.machine().mem().Read(ctx.cpu, src->frame, std::span<uint8_t>(buf));
+      })) {
     return base::IoError();
   }
   // hive-lint: allow(R1): destination is the local frame just allocated above.

@@ -1,13 +1,15 @@
 // The simulated hardware trap. This is the single exception type in the
 // codebase: it models the bus error a MIPS processor takes when an access
-// fails. Under a careful-reference section (hive/careful_ref.h) the trap
-// handler converts it to a Status; anywhere else in kernel execution it
-// indicates internal corruption and the cell panics (paper section 4.1).
+// fails. CaptureTrap below is its one catch (paper section 4.1): a careful
+// section (src/core/careful_ref.h) turns a captured trap into a Status, and
+// Cell::RunKernel panics the cell on a trap taken anywhere else in the kernel.
 
 #ifndef HIVE_SRC_FLASH_BUS_ERROR_H_
 #define HIVE_SRC_FLASH_BUS_ERROR_H_
 
 #include <exception>
+#include <optional>
+#include <utility>
 
 #include "src/flash/config.h"
 
@@ -48,6 +50,18 @@ class BusError : public std::exception {
   BusErrorKind kind_;
   PhysAddr addr_;
 };
+
+// Runs `fn` and returns the trap it took, if any. Each caller says why a
+// trap is a legal outcome where it captures one.
+template <typename Fn>
+[[nodiscard]] std::optional<BusError> CaptureTrap(Fn&& fn) {
+  try {
+    std::forward<Fn>(fn)();
+  } catch (const BusError& trap) {
+    return trap;
+  }
+  return std::nullopt;
+}
 
 }  // namespace flash
 

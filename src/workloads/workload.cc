@@ -337,7 +337,7 @@ OpFn OpTouchMapped(hive::VirtAddr va, uint64_t pages, bool write, int misses_per
         }
       }
       // One real access per page so the firewall is genuinely exercised.
-      try {
+      auto access = [&] {
         if (write) {
           const uint64_t value = machine.mem().ReadValue<uint64_t>(ctx.cpu,
                                                                    mapping->pfdat->frame);
@@ -345,32 +345,26 @@ OpFn OpTouchMapped(hive::VirtAddr va, uint64_t pages, bool write, int misses_per
         } else {
           (void)machine.mem().ReadValue<uint64_t>(ctx.cpu, mapping->pfdat->frame);
         }
-        // hive-lint: allow(R3): models the hardware protection trap delivered to user code; handled by re-fault or kill.
-      } catch (const flash::BusError&) {
-        // A user-level protection trap: under write-ownership firewall
-        // policies our grant may have been evicted by another writer. The
-        // kernel re-faults for write ownership and retries once; a second
-        // trap (or a dead home) kills the process.
-        if (write && mapping->pfdat->imported_from != hive::kInvalidCell) {
-          mapping->pfdat->import_writable = false;  // Force the upgrade RPC.
-          ctx.cell->fs().ReleasePage(ctx, mapping->pfdat);
-          proc.address_space().RemoveMapping(page_va);
-          base::Status status = PageFault(ctx, proc, page_va, /*write=*/true);
-          mapping = proc.address_space().FindMapping(page_va);
-          if (status.ok() && mapping != nullptr) {
-            try {
-              const uint64_t value =
-                  machine.mem().ReadValue<uint64_t>(ctx.cpu, mapping->pfdat->frame);
-              machine.mem().WriteValue<uint64_t>(ctx.cpu, mapping->pfdat->frame, value + 1);
-              continue;
-              // hive-lint: allow(R3): second trap after the retry falls through to killing the process.
-            } catch (const flash::BusError&) {
-            }
-          }
-        }
-        proc.exit_reason = "bus error on user access";
-        return StepOutcome::kFailed;
+      };
+      if (!flash::CaptureTrap(access)) {
+        continue;
       }
+      // A user-level protection trap, a legal outcome: under write-ownership
+      // firewall policies another writer may have evicted our grant. The
+      // kernel re-faults for write ownership and retries once; a second trap
+      // (or a dead home) kills the process.
+      if (write && mapping->pfdat->imported_from != hive::kInvalidCell) {
+        mapping->pfdat->import_writable = false;  // Force the upgrade RPC.
+        ctx.cell->fs().ReleasePage(ctx, mapping->pfdat);
+        proc.address_space().RemoveMapping(page_va);
+        base::Status status = PageFault(ctx, proc, page_va, /*write=*/true);
+        mapping = proc.address_space().FindMapping(page_va);
+        if (status.ok() && mapping != nullptr && !flash::CaptureTrap(access)) {
+          continue;
+        }
+      }
+      proc.exit_reason = "bus error on user access";
+      return StepOutcome::kFailed;
     }
     return done->value < pages ? kOpRepeat : kOpComplete;
   };

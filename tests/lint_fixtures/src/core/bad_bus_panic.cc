@@ -5,14 +5,15 @@
 namespace hive {
 
 void BadClockTick(Cell& cell, PhysAddr clock_word) {
-  try {
+  const std::optional<flash::BusError> trap = flash::CaptureTrap([&] {
     const uint64_t value = cell.heap().Read<uint64_t>(clock_word);
     cell.heap().Write<uint64_t>(clock_word, value + 1);
-    // hive-lint: allow(R3, R12): fixture proving a justification cannot excuse a hand-written panic.
-  } catch (const flash::BusError& e) {
-    // Re-implements the section 4.1 boundary by hand: must be flagged (R12),
-    // and the allow() above must not silence it (R12 is unsuppressible).
-    cell.Panic(std::string("bus error updating own clock: ") + e.what());
+  });
+  if (trap) {
+    // Re-implements the section 4.1 panic by hand: must be flagged (R12),
+    // and the allow() below must not silence it (R12 is unsuppressible).
+    // hive-lint: allow(R12): fixture proving a justification cannot excuse a hand-written panic.
+    cell.Panic(std::string("bus error updating own clock: ") + trap->what());
   }
 }
 

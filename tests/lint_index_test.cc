@@ -1,7 +1,6 @@
 // Unit tests for the hive_lint whole-program index (pass 1): function
 // definition discovery, cross-TU call-edge resolution, overload bucketing,
-// recursion-safe transitive lock sets, lock-site scoping, container facts,
-// and the Status-return classification R9 builds on.
+// container facts, and the Status-return classification R9 builds on.
 
 #include <memory>
 #include <set>
@@ -99,55 +98,6 @@ TEST_F(IndexTest, StatusReturnClassification) {
   EXPECT_EQ(index_.status_returning.count("Read"), 1u);
   EXPECT_EQ(index_.status_ambiguous.count("Read"), 1u);
   EXPECT_EQ(index_.status_ambiguous.count("Recover"), 0u);
-}
-
-TEST_F(IndexTest, RecursionTerminatesTransitiveLocks) {
-  // Mutual recursion with locks on both sides: TransitiveLocks must
-  // terminate and accumulate both keys.
-  AddFile("src/core/r.cc",
-          "#include <mutex>\n"
-          "std::mutex mu_even; std::mutex mu_odd;\n"
-          "void Odd(int n);\n"
-          "void Even(int n) {\n"
-          "  std::lock_guard<std::mutex> g(mu_even);\n"
-          "  if (n > 0) Odd(n - 1);\n"
-          "}\n"
-          "void Odd(int n) {\n"
-          "  std::lock_guard<std::mutex> g(mu_odd);\n"
-          "  if (n > 0) Even(n - 1);\n"
-          "}\n");
-  const FunctionDef* even = Only("Even");
-  ASSERT_NE(even, nullptr);
-  std::map<const FunctionDef*, std::set<std::string>> memo;
-  const std::set<std::string>& locks = index_.TransitiveLocks(even, &memo);
-  EXPECT_EQ(locks.count("mu_even"), 1u);
-  EXPECT_EQ(locks.count("mu_odd"), 1u);
-}
-
-TEST_F(IndexTest, LockSitesAndScopes) {
-  AddFile("src/core/l.cc",
-          "#include <mutex>\n"
-          "struct S {\n"
-          "  void Narrow() {\n"
-          "    { std::lock_guard<std::mutex> g(mu_); }\n"
-          "    other_.lock();\n"
-          "  }\n"
-          "  void Both() { std::scoped_lock g(this->mu_, peer_mu); }\n"
-          "};\n");
-  const FunctionDef* narrow = Only("Narrow");
-  ASSERT_NE(narrow, nullptr);
-  ASSERT_EQ(narrow->locks.size(), 2u);
-  // The braced guard's scope closes before the body end; the explicit
-  // .lock() is (conservatively) held to the end of the body.
-  EXPECT_LT(narrow->locks[0].scope_end, narrow->body_end);
-  EXPECT_EQ(narrow->locks[1].scope_end, narrow->body_end);
-  EXPECT_EQ(narrow->locks[1].keys, std::vector<std::string>{"other_"});
-  const FunctionDef* both = Only("Both");
-  ASSERT_NE(both, nullptr);
-  ASSERT_EQ(both->locks.size(), 1u);
-  // One scoped_lock site, two canonicalized keys (this-> stripped).
-  EXPECT_EQ(both->locks[0].keys,
-            (std::vector<std::string>{"mu_", "peer_mu"}));
 }
 
 TEST_F(IndexTest, ContainerAndRangeForFacts) {

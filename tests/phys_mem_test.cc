@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 
 #include "src/flash/bus_error.h"
 #include "tests/test_util.h"
@@ -221,6 +223,46 @@ TEST(PhysMemTest, DmaWriteCheckedAsNodeProcessor) {
   mem.DmaWrite(1, addr, std::span<const uint8_t>(data));
   // DMA from node 0's device: firewall trap.
   EXPECT_THROW(mem.DmaWrite(0, addr, std::span<const uint8_t>(data)), BusError);
+}
+
+TEST(CaptureTrapTest, RunsFnAndReturnsNulloptWhenNothingTraps) {
+  PhysMem mem(Config());
+  bool ran = false;
+  const std::optional<BusError> trap = CaptureTrap([&] {
+    mem.WriteValue<uint64_t>(0, 0x1000, 5);
+    ran = true;
+  });
+  EXPECT_FALSE(trap.has_value());
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(mem.ReadValue<uint64_t>(0, 0x1000), 5u);
+}
+
+TEST(CaptureTrapTest, ReturnsKindAndAddressOfAFailedNodeRead) {
+  PhysMem mem(Config());
+  const PhysAddr addr = Config().memory_per_node + 0x40;
+  mem.FailNode(1);
+  const std::optional<BusError> trap =
+      CaptureTrap([&] { (void)mem.ReadValue<uint64_t>(0, addr); });
+  ASSERT_TRUE(trap.has_value());
+  EXPECT_EQ(trap->kind(), BusErrorKind::kNodeFailed);
+  EXPECT_EQ(trap->addr(), addr);
+}
+
+TEST(CaptureTrapTest, ReturnsKindAndAddressOfAFirewallDeniedWrite) {
+  PhysMem mem(Config());
+  const PhysAddr addr = Config().memory_per_node;
+  mem.firewall().SetVector(mem.PfnOfAddr(addr), 1ull << 1, /*requesting_cpu=*/1);
+  mem.WriteValue<uint64_t>(1, addr, 1);
+  const std::optional<BusError> trap = CaptureTrap([&] { mem.WriteValue<uint64_t>(0, addr, 2); });
+  ASSERT_TRUE(trap.has_value());
+  EXPECT_EQ(trap->kind(), BusErrorKind::kFirewall);
+  EXPECT_EQ(trap->addr(), addr);
+  EXPECT_EQ(mem.ReadValue<uint64_t>(1, addr), 1u);
+}
+
+TEST(CaptureTrapTest, LetsOtherExceptionsPropagate) {
+  EXPECT_THROW((void)CaptureTrap([] { throw std::runtime_error("not a trap"); }),
+               std::runtime_error);
 }
 
 TEST(FirewallTest, OnlyLocalCpuMayChangeBits) {

@@ -16,7 +16,8 @@
 // is gated by paired before/after runs of perfbench/, not by absolute
 // numbers from this tool.
 //
-// Exit codes: 0 = ok, 1 = I/O failure writing the JSON, 2 = usage error.
+// Exit codes: 0 = ok, 1 = I/O failure writing the JSON, 2 = usage error (a
+// value flag given twice with different values too).
 
 #include <chrono>
 #include <cinttypes>
@@ -32,6 +33,7 @@
 #include "src/campaign/runner.h"
 #include "src/campaign/scenario.h"
 #include "src/flash/event_queue.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -64,36 +66,36 @@ void Usage() {
                "  --smoke         tiny sizes for CI schema validation (seconds, not minutes)\n");
 }
 
-bool ParseU64(const char* text, uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 0);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, Args* args) {
+  cli::GivenFlags given;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     uint64_t value = 0;
-    if (std::strncmp(arg, "--seed=", 7) == 0 && ParseU64(arg + 7, &value)) {
+    if (std::strncmp(arg, "--seed=", 7) == 0 && cli::ParseU64(arg + 7, &value)) {
       args->seed = value;
-    } else if (std::strncmp(arg, "--workers=", 10) == 0 && ParseU64(arg + 10, &value) &&
+      given.Note("--seed", std::to_string(value));
+    } else if (std::strncmp(arg, "--workers=", 10) == 0 && cli::ParseU64(arg + 10, &value) &&
                value >= 1 && value <= 256) {
       args->workers = static_cast<int>(value);
-    } else if (std::strncmp(arg, "--scenarios=", 12) == 0 && ParseU64(arg + 12, &value) &&
+      given.Note("--workers", std::to_string(value));
+    } else if (std::strncmp(arg, "--scenarios=", 12) == 0 && cli::ParseU64(arg + 12, &value) &&
                value >= 1) {
       args->scenarios = value;
+      given.Note("--scenarios", std::to_string(value));
     } else if (std::strncmp(arg, "--out=", 6) == 0 && arg[6] != '\0') {
       args->out = arg + 6;
+      given.Note("--out", args->out);
     } else if (std::strcmp(arg, "--smoke") == 0) {
       args->smoke = true;
     } else {
       std::fprintf(stderr, "hive_bench: bad argument '%s'\n", arg);
       return false;
     }
+  }
+  if (!given.conflict.empty()) {
+    std::fprintf(stderr, "hive_bench: flag given twice with different values: %s\n",
+                 given.conflict.c_str());
+    return false;
   }
   if (args->smoke) {
     args->scenarios = 4;
@@ -235,7 +237,7 @@ ScenarioStage BenchCampaign(uint64_t seed, uint64_t scenarios, int workers) {
   options.minimize = false;
   uint64_t sim_events = 0;
   options.on_result = [&sim_events](const campaign::ScenarioResult& result) {
-    sim_events += result.events_run;  // Invoked under the campaign lock.
+    sim_events += result.events_run;  // On the driver thread, in execution order.
   };
   const Clock::time_point start = Clock::now();
   const campaign::CampaignReport report = campaign::RunCampaign(options);

@@ -19,13 +19,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "src/campaign/campaign.h"
 #include "src/campaign/corpus.h"
 #include "src/core/report.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -46,11 +46,9 @@ struct Args {
   std::vector<uint64_t> mutation_chain;
   bool minimize = true;
   bool verbose = false;
-  // Each value flag and switch given, by name, with its value ("" for a
-  // switch); FlagsCompatible names those the run mode never reads.
-  std::map<std::string, std::string> given;
-  // Value flags given twice with different values, as "--flag=A --flag=B".
-  std::vector<std::string> repeated;
+  // Each value flag and switch given; FlagsCompatible names those the run
+  // mode never reads, and refuses a value flag given two values.
+  cli::GivenFlags given;
 };
 
 // Flags a run mode never reads. --scenario=K runs one scenario on the calling
@@ -138,48 +136,30 @@ void Usage() {
                "conflict exits 2.\n");
 }
 
-bool ParseU64(const char* text, uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 0);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, Args* args) {
   if (const char* env_seed = std::getenv("HIVE_TEST_SEED")) {
-    if (!ParseU64(env_seed, &args->seed)) {
+    if (!cli::ParseU64(env_seed, &args->seed)) {
       std::fprintf(stderr, "hive_campaign: bad HIVE_TEST_SEED '%s'\n", env_seed);
       return false;
     }
   }
-  // Records a flag as given; a second, different value is kept for
-  // FlagsCompatible to refuse rather than silently winning.
-  auto note = [args](const std::string& name, const std::string& value) {
-    const auto [it, inserted] = args->given.emplace(name, value);
-    if (!inserted && it->second != value) {
-      args->repeated.push_back(name + "=" + it->second + " " + name + "=" + value);
-    }
-  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     uint64_t value = 0;
-    if (std::strncmp(arg, "--seed=", 7) == 0 && ParseU64(arg + 7, &value)) {
+    if (std::strncmp(arg, "--seed=", 7) == 0 && cli::ParseU64(arg + 7, &value)) {
       args->seed = value;
-      note("--seed", std::to_string(value));
-    } else if (std::strncmp(arg, "--scenarios=", 12) == 0 && ParseU64(arg + 12, &value)) {
+      args->given.Note("--seed", std::to_string(value));
+    } else if (std::strncmp(arg, "--scenarios=", 12) == 0 && cli::ParseU64(arg + 12, &value)) {
       args->scenarios = value;
-      note("--scenarios", std::to_string(value));
-    } else if (std::strncmp(arg, "--workers=", 10) == 0 && ParseU64(arg + 10, &value) &&
+      args->given.Note("--scenarios", std::to_string(value));
+    } else if (std::strncmp(arg, "--workers=", 10) == 0 && cli::ParseU64(arg + 10, &value) &&
                value >= 1 && value <= 256) {
       args->workers = static_cast<int>(value);
-      note("--workers", std::to_string(value));
-    } else if (std::strncmp(arg, "--scenario=", 11) == 0 && ParseU64(arg + 11, &value)) {
+      args->given.Note("--workers", std::to_string(value));
+    } else if (std::strncmp(arg, "--scenario=", 11) == 0 && cli::ParseU64(arg + 11, &value)) {
       args->have_scenario = true;
       args->scenario = value;
-      note("--scenario", std::to_string(value));
+      args->given.Note("--scenario", std::to_string(value));
     } else if (campaign::GeneratorModeFromFlag(arg, &args->mode)) {
       if (std::find(args->plan_flags.begin(), args->plan_flags.end(), arg) ==
           args->plan_flags.end()) {
@@ -187,27 +167,27 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
     } else if (std::strcmp(arg, "--guided") == 0) {
       args->guided = true;
-    } else if (std::strncmp(arg, "--batch=", 8) == 0 && ParseU64(arg + 8, &value) &&
+    } else if (std::strncmp(arg, "--batch=", 8) == 0 && cli::ParseU64(arg + 8, &value) &&
                value >= 1 && value <= 1024) {
       args->batch_size = static_cast<int>(value);
-      note("--batch", std::to_string(value));
+      args->given.Note("--batch", std::to_string(value));
     } else if (std::strncmp(arg, "--corpus=", 9) == 0 && arg[9] != '\0') {
       args->corpus_dir = arg + 9;
-      note("--corpus", args->corpus_dir);
+      args->given.Note("--corpus", args->corpus_dir);
     } else if (std::strcmp(arg, "--replay-corpus") == 0) {
       args->replay_corpus = true;
     } else if (std::strcmp(arg, "--stop-on-violation") == 0) {
       args->stop_on_violation = true;
-      note(arg, "");
+      args->given.Note(arg, "");
     } else if (std::strncmp(arg, "--mutate=", 9) == 0 &&
                campaign::ParseMutationChain(arg + 9, &args->mutation_chain)) {
       // Chain applied in RunSingle; requires --scenario=K.
-      note("--mutate", arg + 9);
+      args->given.Note("--mutate", arg + 9);
     } else if (std::strcmp(arg, "--no-minimize") == 0) {
       args->minimize = false;
     } else if (std::strcmp(arg, "--verbose") == 0) {
       args->verbose = true;
-      note(arg, "");
+      args->given.Note(arg, "");
     } else {
       std::fprintf(stderr, "hive_campaign: bad argument '%s'\n", arg);
       return false;
@@ -252,17 +232,17 @@ bool FlagsCompatible(const Args& args) {
   if (!at_most_one("plan", args.plan_flags) || !at_most_one("run-mode", run_flags)) {
     return false;
   }
-  if (!args.repeated.empty()) {
+  if (!args.given.conflict.empty()) {
     std::fprintf(stderr, "hive_campaign: flag given twice with different values: %s\n",
-                 args.repeated.front().c_str());
+                 args.given.conflict.c_str());
     return false;
   }
   auto none_ignored = [&args](const std::string& mode, const auto& ignored,
                               const std::vector<std::string>& ignored_given) {
     std::string given;
     for (const char* name : ignored) {
-      const auto it = args.given.find(name);
-      if (it != args.given.end()) {
+      const auto it = args.given.values.find(name);
+      if (it != args.given.values.end()) {
         given += " " + it->first + (it->second.empty() ? "" : "=" + it->second);
       }
     }

@@ -269,34 +269,8 @@ size_t TryContainerDecl(const std::vector<Token>& toks, size_t i,
   return i;
 }
 
-// Joins the texts of tokens [begin, end) -- used to canonicalize lock keys.
-std::string JoinTokens(const std::vector<Token>& toks, size_t begin, size_t end) {
-  std::string out;
-  for (size_t j = begin; j < end && j < toks.size(); ++j) {
-    out += toks[j].text;
-  }
-  return out;
-}
-
-// Token index of the '}' closing the innermost scope open at `at` (searching
-// within (at, limit]); `limit` when the scope runs to the body end.
-size_t FindScopeEnd(const std::vector<Token>& toks, size_t at, size_t limit) {
-  int depth = 0;
-  for (size_t j = at; j <= limit && j < toks.size(); ++j) {
-    if (toks[j].text == "{") {
-      ++depth;
-    } else if (toks[j].text == "}") {
-      if (depth == 0) {
-        return j;
-      }
-      --depth;
-    }
-  }
-  return limit;
-}
-
-// Scans a function body for call sites, lock sites, seqlock reads,
-// range-for sites, and local container declarations.
+// Scans a function body for call sites, range-for sites, and local
+// container declarations.
 void ScanBody(const SourceFile& file, FunctionDef* def, ProgramIndex* index) {
   const std::vector<Token>& toks = file.tokens;
   for (size_t j = def->body_begin + 1; j < def->body_end; ++j) {
@@ -360,75 +334,6 @@ void ScanBody(const SourceFile& file, FunctionDef* def, ProgramIndex* index) {
       }
       continue;  // The body of the for is scanned by the outer loop anyway.
     }
-    // RAII lock guards: std::lock_guard<..> g(mu); scoped_lock may name
-    // several locks in one site.
-    if (t.text == "lock_guard" || t.text == "unique_lock" || t.text == "scoped_lock") {
-      size_t k = j + 1;
-      if (k < toks.size() && toks[k].text == "<") {
-        const size_t close = MatchAngles(toks, k);
-        if (close >= toks.size()) {
-          continue;
-        }
-        k = close + 1;
-      }
-      if (k >= toks.size() || toks[k].kind != Token::kIdent) {
-        continue;  // A type use, not a guard declaration.
-      }
-      ++k;  // Guard variable name.
-      if (k >= toks.size() || toks[k].text != "(") {
-        continue;
-      }
-      const size_t rp = MatchForward(toks, k, "(", ")");
-      if (rp >= toks.size() || rp > def->body_end) {
-        continue;
-      }
-      LockSite site;
-      site.line = t.line;
-      site.tok = j;
-      int depth = 0;
-      size_t arg_begin = k + 1;
-      for (size_t a = k + 1; a <= rp; ++a) {
-        const std::string& p = toks[a].text;
-        if (p == "(" || p == "[" || p == "{" || p == "<") {
-          ++depth;
-        } else if (p == ")" || p == "]" || p == "}" || p == ">") {
-          --depth;
-        }
-        if ((p == "," && depth == 0) || a == rp) {
-          std::string key = JoinTokens(toks, arg_begin, a);
-          // Normalize the common spellings: `&mu`, `*mu_ptr`, `this->mu_`.
-          while (!key.empty() && (key.front() == '&' || key.front() == '*')) {
-            key.erase(key.begin());
-          }
-          if (key.rfind("this->", 0) == 0) {
-            key = key.substr(6);
-          }
-          if (!key.empty() && key != "std::adopt_lock" && key != "std::defer_lock" &&
-              key != "std::try_to_lock") {
-            site.keys.push_back(key);
-          }
-          arg_begin = a + 1;
-        }
-      }
-      if (!site.keys.empty()) {
-        site.scope_end = FindScopeEnd(toks, rp + 1, def->body_end);
-        def->locks.push_back(site);
-      }
-      j = rp;
-      continue;
-    }
-    // Explicit mu.lock(): held (conservatively) to the end of the body.
-    if (t.text == "lock" && j > 0 && (toks[j - 1].text == "." || toks[j - 1].text == "->") &&
-        j + 1 < toks.size() && toks[j + 1].text == "(" && j >= 2 &&
-        toks[j - 2].kind == Token::kIdent) {
-      LockSite site;
-      site.line = t.line;
-      site.tok = j;
-      site.keys.push_back(toks[j - 2].text);
-      site.scope_end = def->body_end;
-      def->locks.push_back(site);
-      continue;
-    }
     // Plain or templated call site.
     if (IsKeyword(t.text)) {
       continue;
@@ -455,10 +360,7 @@ void ScanBody(const SourceFile& file, FunctionDef* def, ProgramIndex* index) {
       }
     }
     if (call_paren != 0) {
-      def->calls.push_back({t.text, t.line, j});
-      if (t.text == "ReadSeqlocked") {
-        def->seqlock_reads.push_back({t.text, t.line, j});
-      }
+      def->calls.push_back({t.text, t.line});
     }
   }
 }
@@ -644,33 +546,6 @@ std::set<const FunctionDef*> ProgramIndex::ReachableFrom(
     }
   }
   return reachable;
-}
-
-const std::set<std::string>& ProgramIndex::TransitiveLocks(
-    const FunctionDef* fn,
-    std::map<const FunctionDef*, std::set<std::string>>* memo) const {
-  auto it = memo->find(fn);
-  if (it != memo->end()) {
-    return it->second;
-  }
-  // Seed the memo entry first so call-graph cycles terminate (a recursive
-  // chain sees the partial set -- conservative for a linter).
-  auto& slot = (*memo)[fn];
-  std::set<std::string> acc;
-  for (const LockSite& site : fn->locks) {
-    acc.insert(site.keys.begin(), site.keys.end());
-  }
-  for (const CallSite& call : fn->calls) {
-    for (FunctionDef* callee : Resolve(call.callee)) {
-      if (callee == fn) {
-        continue;
-      }
-      const std::set<std::string>& sub = TransitiveLocks(callee, memo);
-      acc.insert(sub.begin(), sub.end());
-    }
-  }
-  slot = std::move(acc);
-  return (*memo)[fn];
 }
 
 }  // namespace lint

@@ -1,15 +1,12 @@
 // hive_lint whole-program index (pass 1 of 2).
 //
 // A single sweep over every tokenized file builds the program model the
-// whole-program rules (R8-R11) consume:
+// whole-program rules (R9-R11) consume:
 //   - function definitions (qualified name, body token range, return kind)
 //     and Status/Result-returning declarations;
 //   - call edges: identifier-followed-by-'(' sites inside each body,
 //     resolved by simple name (all same-named definitions are linked, which
 //     over-approximates overloads -- the right bias for a linter);
-//   - lock acquisition sites (std::lock_guard / unique_lock / scoped_lock /
-//     explicit .lock()) with the token index where the guard's scope closes,
-//     plus seqlock read sites (CarefulRef::ReadSeqlocked);
 //   - container determinism facts: names declared as std::unordered_map/
 //     unordered_set (members or locals) and pointer-keyed ordered
 //     containers, plus every range-for site with the identifier it iterates;
@@ -40,18 +37,6 @@ namespace lint {
 struct CallSite {
   std::string callee;
   int line = 0;
-  size_t tok = 0;  // Token index of the callee identifier.
-};
-
-// One lock acquisition site. A std::scoped_lock(a, b) contributes one site
-// with two keys (those locks are acquired deadlock-free as a unit, so no
-// order edge is drawn between keys of the same site).
-struct LockSite {
-  std::vector<std::string> keys;  // Canonical lock names, e.g. "mu_" or "state.mutex".
-  int line = 0;
-  size_t tok = 0;        // Token index of the acquisition.
-  size_t scope_end = 0;  // Token index of the '}' closing the guard's scope
-                         // (body end for explicit .lock()).
 };
 
 // One range-based for site: `for (decl : range)`. `range_ident` is the last
@@ -72,8 +57,6 @@ struct FunctionDef {
   bool returns_status = false;  // base::Status
   bool returns_result = false;  // base::Result<T> / StatusOr
   std::vector<CallSite> calls;
-  std::vector<LockSite> locks;
-  std::vector<CallSite> seqlock_reads;
   std::vector<RangeForSite> range_fors;
 };
 
@@ -105,11 +88,6 @@ struct ProgramIndex {
   std::vector<FunctionDef*> Resolve(const std::string& name) const;
   // Definitions reachable from any root name via call edges (roots included).
   std::set<const FunctionDef*> ReachableFrom(const std::vector<std::string>& roots) const;
-  // Every lock key acquired by `fn` or (transitively) by its callees.
-  // `memo` caches across calls; cycles in the call graph are handled.
-  const std::set<std::string>& TransitiveLocks(
-      const FunctionDef* fn,
-      std::map<const FunctionDef*, std::set<std::string>>* memo) const;
 };
 
 // Pass 1 entry point: index one tokenized file into `index`.

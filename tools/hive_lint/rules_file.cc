@@ -120,17 +120,13 @@ void CheckR2(const SourceFile& file, std::vector<Diagnostic>* diags) {
   }
 }
 
-// The section 4.1 boundary (Cell::RunKernel) lives in cell.h.
-constexpr char kKernelBoundaryFile[] = "src/core/cell.h";
-
-// R3: BusError is caught at two boundaries only. careful_ref.* converts it
-// to base::Status inside a careful section; Cell::RunKernel (cell.h) panics
-// the kernel that took it. src/flash/ raises it; tests/ observe the raw trap
-// when testing the substrate itself.
+// R3: the simulated trap is raised only by src/flash/ and caught only by
+// flash::CaptureTrap (src/flash/bus_error.h), the one capture of paper
+// section 4.1; tests/ observe the raw trap when testing the substrate
+// itself. Like R0, R3 cannot be suppressed: capture the trap with
+// CaptureTrap and say why it is a legal outcome there.
 void CheckR3(const SourceFile& file, std::vector<Diagnostic>* diags) {
-  if (StartsWith(file.rel_path, "src/flash/") || StartsWith(file.rel_path, "tests/") ||
-      file.rel_path == "src/core/careful_ref.h" ||
-      file.rel_path == "src/core/careful_ref.cc" || file.rel_path == kKernelBoundaryFile) {
+  if (StartsWith(file.rel_path, "src/flash/") || StartsWith(file.rel_path, "tests/")) {
     return;
   }
   const std::vector<Token>& toks = file.tokens;
@@ -143,24 +139,18 @@ void CheckR3(const SourceFile& file, std::vector<Diagnostic>* diags) {
         if (toks[j].kind == Token::kIdent && toks[j].text == "BusError") {
           diags->push_back({file.rel_path, toks[i].line, "R3",
                             "BusError thrown outside src/flash/; the simulated trap is "
-                            "raised only by the substrate"});
+                            "raised only by the substrate (unsuppressible)"});
           break;
         }
       }
     } else if (toks[i].text == "catch" && i + 1 < toks.size() && toks[i + 1].text == "(") {
-      int depth = 0;
-      for (size_t j = i + 1; j < toks.size(); ++j) {
-        if (toks[j].text == "(") {
-          ++depth;
-        } else if (toks[j].text == ")") {
-          if (--depth == 0) {
-            break;
-          }
-        } else if (toks[j].kind == Token::kIdent && toks[j].text == "BusError") {
+      const size_t params_end = MatchForward(toks, i + 1, "(", ")");
+      for (size_t j = i + 2; j < params_end && j < toks.size(); ++j) {
+        if (toks[j].kind == Token::kIdent && toks[j].text == "BusError") {
           diags->push_back({file.rel_path, toks[i].line, "R3",
-                            "BusError caught outside careful_ref and Cell::RunKernel; a "
-                            "careful section converts it to base::Status, any other trap "
-                            "reaches the cell's RunKernel boundary and panics (paper 4.1)"});
+                            "BusError caught outside flash::CaptureTrap, the one section "
+                            "4.1 trap capture; capture it there and handle the returned "
+                            "trap (unsuppressible)"});
           break;
         }
       }
@@ -168,40 +158,79 @@ void CheckR3(const SourceFile& file, std::vector<Diagnostic>* diags) {
   }
 }
 
-// R12: no hand-written section 4.1 panic in src/core/. A catch that names
-// BusError and calls Panic in its handler re-implements Cell::RunKernel, and
-// covers whatever code happens to run inside it -- including another cell's
-// nested kernel work, whose trap would then panic the wrong cell. Like R0,
-// R12 cannot be suppressed: run the kernel entry through its own cell's
-// RunKernel instead.
+// The section 4.1 panic (Cell::RunKernel) lives in cell.h.
+constexpr char kKernelBoundaryFile[] = "src/core/cell.h";
+
+// R12: no hand-written section 4.1 panic in src/core/. Handing a trap that
+// flash::CaptureTrap returned to Panic re-implements Cell::RunKernel, and
+// covers whatever code happens to run inside the capture -- including
+// another cell's nested kernel work, whose trap would then panic the wrong
+// cell. Flagged: a Panic call whose arguments name a variable bound to a
+// CaptureTrap result, or that sits in the body of an `if` whose condition
+// names one or calls CaptureTrap. Like R0, R12 cannot be suppressed: run the
+// kernel entry through its own cell's RunKernel instead.
 void CheckR12(const SourceFile& file, std::vector<Diagnostic>* diags) {
   if (!StartsWith(file.rel_path, "src/core/") || file.rel_path == kKernelBoundaryFile) {
     return;
   }
   const std::vector<Token>& toks = file.tokens;
+  // Names that stand for a captured trap: CaptureTrap itself and each
+  // variable bound as `trap = [flash::]CaptureTrap(`.
+  std::set<std::string> captures = {"CaptureTrap"};
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::kIdent || toks[i].text != "catch" || toks[i + 1].text != "(") {
+    if (toks[i].text != "CaptureTrap" || toks[i + 1].text != "(") {
       continue;
     }
-    const size_t params_end = MatchForward(toks, i + 1, "(", ")");
-    bool names_bus_error = false;
-    for (size_t j = i + 2; j < params_end && j < toks.size(); ++j) {
-      names_bus_error = names_bus_error || toks[j].text == "BusError";
+    size_t j = i;
+    while (j >= 2 && toks[j - 1].text == "::" && toks[j - 2].kind == Token::kIdent) {
+      j -= 2;
     }
-    if (!names_bus_error || params_end + 1 >= toks.size() || toks[params_end + 1].text != "{") {
-      continue;
-    }
-    const size_t handler_end = MatchForward(toks, params_end + 1, "{", "}");
-    for (size_t j = params_end + 2; j < handler_end && j + 1 < toks.size(); ++j) {
-      if (toks[j].kind == Token::kIdent && toks[j].text == "Panic" && toks[j + 1].text == "(") {
-        diags->push_back({file.rel_path, toks[i].line, "R12",
-                          "hand-written bus-error panic; run the kernel entry through "
-                          "Cell::RunKernel, the one section 4.1 boundary, so a trap panics "
-                          "only the kernel that took it (unsuppressible)"});
-        break;
-      }
+    if (j >= 2 && toks[j - 1].text == "=" && toks[j - 2].kind == Token::kIdent) {
+      captures.insert(toks[j - 2].text);
     }
   }
+  auto names_capture = [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end && j < toks.size(); ++j) {
+      if (toks[j].kind == Token::kIdent && captures.count(toks[j].text) > 0) {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::set<int> flagged;
+  auto flag_panics = [&](size_t begin, size_t end, bool guarded) {
+    for (size_t j = begin; j + 1 < end && j + 1 < toks.size(); ++j) {
+      if (toks[j].text != "Panic" || toks[j + 1].text != "(") {
+        continue;
+      }
+      const size_t args_end = MatchForward(toks, j + 1, "(", ")");
+      if ((guarded || names_capture(j + 2, args_end)) && flagged.insert(toks[j].line).second) {
+        diags->push_back({file.rel_path, toks[j].line, "R12",
+                          "captured trap handed to Panic: a hand-written section 4.1 "
+                          "panic; run the kernel entry through Cell::RunKernel so a "
+                          "trap panics only the kernel that took it (unsuppressible)"});
+      }
+    }
+  };
+  for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].text != "if" || toks[i + 1].text != "(") {
+      continue;
+    }
+    const size_t cond_end = MatchForward(toks, i + 1, "(", ")");
+    if (cond_end + 1 >= toks.size() || !names_capture(i + 2, cond_end)) {
+      continue;
+    }
+    size_t body_end = cond_end + 1;
+    if (toks[body_end].text == "{") {
+      body_end = MatchForward(toks, body_end, "{", "}");
+    } else {
+      while (body_end < toks.size() && toks[body_end].text != ";") {
+        ++body_end;
+      }
+    }
+    flag_panics(cond_end + 1, body_end, /*guarded=*/true);
+  }
+  flag_panics(0, toks.size(), /*guarded=*/false);
 }
 
 // R6: the reliable transport retries timed-out requests, so a handler for a
@@ -495,7 +524,6 @@ void RunR5(const RuleContext& ctx) { CheckR5(*ctx.files, ctx.diags); }
 }  // namespace
 
 // Whole-program rules, defined in rules_whole_program.cc.
-void CheckR8(const RuleContext& ctx);
 void CheckR9(const RuleContext& ctx);
 void CheckR10(const RuleContext& ctx);
 void CheckR11(const RuleContext& ctx);
@@ -505,19 +533,18 @@ const std::vector<RuleInfo>& AllRules() {
       {"R1", "no direct PhysMem access from src/core/", &ForEachFile<CheckR1>},
       {"R2", "RawWrite/RawRead backdoor confined to the fault injector",
        &ForEachFile<CheckR2>},
-      {"R3", "BusError caught only at the careful-ref and Cell::RunKernel boundaries",
+      {"R3", "BusError caught only by flash::CaptureTrap (unsuppressible)",
        &ForEachFile<CheckR3>},
       {"R4", "every TraceEvent enumerator named in TraceEventName", &RunR4},
       {"R5", "KernelTypeTag values pairwise distinct", &RunR5},
       {"R6", "mutating RPC handlers registered at-most-once", &ForEachFile<CheckR6>},
       {"R7", "remote pointer-chase loops hop-bounded", &ForEachFile<CheckR7>},
-      {"R8", "lock-order consistency across translation units", &CheckR8},
       {"R9", "Status/Result results consumed, returned, or (void)-justified",
        &CheckR9},
       {"R10", "determinism purity on simulator/campaign-reachable paths",
        &CheckR10},
       {"R11", "tagged remote structures only behind CarefulRef", &CheckR11},
-      {"R12", "no hand-written bus-error panic in src/core/ (unsuppressible)",
+      {"R12", "no captured trap handed to Panic in src/core/ (unsuppressible)",
        &ForEachFile<CheckR12>},
   };
   return kRules;

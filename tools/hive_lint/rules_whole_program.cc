@@ -1,14 +1,10 @@
-// Whole-program rules R8-R11. These are the rules that need pass 1's
-// ProgramIndex: lock-order consistency across translation units (R8),
-// unchecked Status results (R9), determinism purity of everything reachable
-// from the simulator/campaign entry points (R10), and confinement of the
-// tagged remote structures to the careful-reference module (R11).
+// Whole-program rules R9-R11. These are the rules that need pass 1's
+// ProgramIndex: unchecked Status results (R9), determinism purity of
+// everything reachable from the simulator/campaign entry points (R10), and
+// confinement of the tagged remote structures to the careful-reference
+// module (R11).
 
-#include <algorithm>
-#include <deque>
-#include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,157 +16,6 @@ namespace {
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
-}
-
-// ---------------------------------------------------------------------------
-// R8: lock-order consistency.
-//
-// An order edge A -> B means "some thread can block on B while holding A":
-//   - intra-function: lock site B acquired while site A's guard scope is
-//     still open;
-//   - inter-procedural: a call made while A is held, where the callee (or
-//     anything it transitively calls) acquires B.
-// scoped_lock(a, b) acquires its keys deadlock-free as one unit, so keys of
-// the same site never produce an edge. Lock keys are canonicalized token
-// spellings ("mu_", "state.mu"), name-keyed across TUs: two classes with a
-// member both called "mu_" alias into one node, which can only create false
-// cycles (reviewable, suppressible), never hide a real one.
-//
-// A cycle in the edge graph is a potential deadlock; the diagnostic names a
-// witness for every edge of the cycle so both (all) paths can be audited.
-// ---------------------------------------------------------------------------
-
-struct OrderEdge {
-  std::string from;
-  std::string to;
-  std::string file;  // Witness location: where `to` is acquired under `from`.
-  int line = 0;
-  std::string desc;  // Human-readable witness sentence.
-};
-
-void CheckR8Impl(const RuleContext& ctx) {
-  const ProgramIndex& index = *ctx.index;
-  // (from, to) -> first witness found.
-  std::map<std::pair<std::string, std::string>, OrderEdge> edges;
-  auto add_edge = [&edges](const std::string& from, const std::string& to,
-                           const std::string& file, int line, std::string desc) {
-    if (from == to) {
-      return;  // Same canonical key: re-acquisition aliasing, not an order.
-    }
-    edges.emplace(std::make_pair(from, to),
-                  OrderEdge{from, to, file, line, std::move(desc)});
-  };
-  std::map<const FunctionDef*, std::set<std::string>> memo;
-  for (const auto& fn : index.functions) {
-    // Intra-function nesting.
-    for (size_t a = 0; a < fn->locks.size(); ++a) {
-      const LockSite& outer = fn->locks[a];
-      for (size_t b = a + 1; b < fn->locks.size(); ++b) {
-        const LockSite& inner = fn->locks[b];
-        if (inner.tok >= outer.scope_end) {
-          continue;  // Sequential, not nested.
-        }
-        for (const std::string& from : outer.keys) {
-          for (const std::string& to : inner.keys) {
-            std::ostringstream w;
-            w << fn->qualified << " (" << fn->file << ":" << inner.line
-              << ") acquires '" << to << "' while holding '" << from << "'";
-            add_edge(from, to, fn->file, inner.line, w.str());
-          }
-        }
-      }
-    }
-    // Calls made under a held lock reach the callee's transitive lock set.
-    for (const LockSite& held : fn->locks) {
-      for (const CallSite& call : fn->calls) {
-        if (call.tok <= held.tok || call.tok >= held.scope_end) {
-          continue;
-        }
-        for (FunctionDef* callee : index.Resolve(call.callee)) {
-          const std::set<std::string>& acquired = index.TransitiveLocks(callee, &memo);
-          for (const std::string& from : held.keys) {
-            for (const std::string& to : acquired) {
-              std::ostringstream w;
-              w << fn->qualified << " (" << fn->file << ":" << call.line
-                << ") calls " << call.callee << " while holding '" << from
-                << "', and " << callee->qualified << " acquires '" << to
-                << "' (possibly transitively)";
-              add_edge(from, to, fn->file, call.line, w.str());
-            }
-          }
-        }
-      }
-    }
-  }
-  // Adjacency for path search.
-  std::map<std::string, std::vector<const OrderEdge*>> adj;
-  for (const auto& [key, edge] : edges) {
-    adj[edge.from].push_back(&edge);
-  }
-  // For every edge A->B, a path B ->* A closes a cycle. BFS with parent
-  // tracking reconstructs the return path; the node set (sorted) dedupes the
-  // same cycle discovered from each of its edges.
-  std::set<std::string> reported;
-  for (const auto& [key, edge] : edges) {
-    std::map<std::string, const OrderEdge*> parent;  // node -> edge that reached it.
-    std::deque<std::string> queue{edge.to};
-    std::set<std::string> visited{edge.to};
-    bool found = false;
-    while (!queue.empty() && !found) {
-      const std::string node = queue.front();
-      queue.pop_front();
-      auto it = adj.find(node);
-      if (it == adj.end()) {
-        continue;
-      }
-      for (const OrderEdge* next : it->second) {
-        if (!visited.insert(next->to).second) {
-          continue;
-        }
-        parent[next->to] = next;
-        if (next->to == edge.from) {
-          found = true;
-          break;
-        }
-        queue.push_back(next->to);
-      }
-    }
-    if (!found) {
-      continue;
-    }
-    // Reconstruct the return path B ->* A.
-    std::vector<const OrderEdge*> back;
-    for (std::string node = edge.from; node != edge.to;) {
-      const OrderEdge* via = parent[node];
-      back.push_back(via);
-      node = via->from;
-    }
-    std::reverse(back.begin(), back.end());
-    // Canonical cycle id: the sorted set of nodes involved.
-    std::set<std::string> nodes{edge.from, edge.to};
-    for (const OrderEdge* e : back) {
-      nodes.insert(e->to);
-    }
-    std::string cycle_id;
-    for (const std::string& node : nodes) {
-      cycle_id += node + "|";
-    }
-    if (!reported.insert(cycle_id).second) {
-      continue;
-    }
-    std::ostringstream msg;
-    msg << "lock-order cycle: '" << edge.from << "' -> '" << edge.to << "'";
-    for (const OrderEdge* e : back) {
-      msg << " -> '" << e->to << "'";
-    }
-    msg << "; witness paths: [" << edge.desc << "]";
-    for (const OrderEdge* e : back) {
-      msg << " vs [" << e->desc << "]";
-    }
-    msg << " -- two threads taking these locks in opposite orders deadlock, "
-           "which in Hive stalls a whole cell past its heartbeat";
-    ctx.diags->push_back({edge.file, edge.line, "R8", msg.str()});
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -452,7 +297,6 @@ void CheckR11Impl(const RuleContext& ctx) {
 }  // namespace
 
 // Registered from rules_file.cc's AllRules().
-void CheckR8(const RuleContext& ctx) { CheckR8Impl(ctx); }
 void CheckR9(const RuleContext& ctx) { CheckR9Impl(ctx); }
 void CheckR10(const RuleContext& ctx) { CheckR10Impl(ctx); }
 void CheckR11(const RuleContext& ctx) { CheckR11Impl(ctx); }

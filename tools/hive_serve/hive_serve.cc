@@ -12,8 +12,9 @@
 // loop, so the summary fingerprint is a function of the flags alone.
 //
 // Exit codes: 0 = SLOs met, 1 = the JSON report cannot be written (checked
-// before the soak starts), 2 = usage error, 3 = SLO violations (the --bug=
-// sensitivity modes must exit 3).
+// before the soak starts), 2 = usage error (a value flag given twice with
+// different values too), 3 = SLO violations (the --bug= sensitivity modes
+// must exit 3).
 
 #include <cinttypes>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include "src/base/histogram.h"
 #include "src/campaign/scenario.h"
 #include "src/serve/serve.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -58,41 +60,43 @@ void Usage() {
                "                  the same full fault rotation\n");
 }
 
-bool ParseU64(const char* text, uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 0);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, Args* args) {
+  cli::GivenFlags given;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     uint64_t value = 0;
-    if (std::strncmp(arg, "--seed=", 7) == 0 && ParseU64(arg + 7, &value)) {
+    if (std::strncmp(arg, "--seed=", 7) == 0 && cli::ParseU64(arg + 7, &value)) {
       args->seed = value;
-    } else if (std::strncmp(arg, "--cells=", 8) == 0 && ParseU64(arg + 8, &value) &&
+      given.Note("--seed", std::to_string(value));
+    } else if (std::strncmp(arg, "--cells=", 8) == 0 && cli::ParseU64(arg + 8, &value) &&
                value >= 2 && value <= 16) {
       args->cells = static_cast<int>(value);
-    } else if (std::strncmp(arg, "--tenants=", 10) == 0 && ParseU64(arg + 10, &value) &&
+      given.Note("--cells", std::to_string(value));
+    } else if (std::strncmp(arg, "--tenants=", 10) == 0 && cli::ParseU64(arg + 10, &value) &&
                value >= 1 && value <= 256) {
       args->tenants = static_cast<int>(value);
+      given.Note("--tenants", std::to_string(value));
     } else if (std::strncmp(arg, "--duration-s=", 13) == 0 &&
-               ParseU64(arg + 13, &value) && value >= 5 && value <= 3600) {
+               cli::ParseU64(arg + 13, &value) && value >= 5 && value <= 3600) {
       args->duration_s = value;
+      given.Note("--duration-s", std::to_string(value));
     } else if (std::strncmp(arg, "--bug=", 6) == 0 && arg[6] != '\0') {
       args->bug = arg + 6;
+      given.Note("--bug", args->bug);
     } else if (std::strncmp(arg, "--out=", 6) == 0 && arg[6] != '\0') {
       args->out = arg + 6;
+      given.Note("--out", args->out);
     } else if (std::strcmp(arg, "--smoke") == 0) {
       args->smoke = true;
     } else {
       std::fprintf(stderr, "hive_serve: bad argument '%s'\n", arg);
       return false;
     }
+  }
+  if (!given.conflict.empty()) {
+    std::fprintf(stderr, "hive_serve: flag given twice with different values: %s\n",
+                 given.conflict.c_str());
+    return false;
   }
   if (!args->bug.empty() && args->bug != "no_shed" && args->bug != "slow_recovery") {
     std::fprintf(stderr, "hive_serve: unknown --bug '%s'\n", args->bug.c_str());
