@@ -41,6 +41,12 @@
 #       minor page faults: simulated memory comes from pooled host pages, not
 #       from a fresh kernel mapping per scenario (skipped, with a notice,
 #       when python3 is missing);
+#   4g. the committed BENCH files are not stale: the default soak's JSON from
+#       4d equals BENCH_serve.json in every field but peak_rss_bytes, and a
+#       hive_bench run at its defaults equals BENCH_sim.json in schema, mode,
+#       seed, workers, each stage's scenarios and sim_events, and every
+#       subsystem's ops; a mismatch names the field (skipped, with a
+#       notice, when python3 is missing);
 #   5. the full test suite builds and passes under ASan+UBSan, the four
 #      examples run clean under ASan+UBSan (exit 0, no sanitizer report),
 #      and an ASan+UBSan hive_serve runs to a verdict (exit 0 or 3, never a
@@ -581,6 +587,68 @@ assert faults <= 30000, f"{faults} minor page faults > 30000"
 PYEOF
 else
   echo "python3 not found; skipping the page-fault check"
+fi
+
+echo "== BENCH files: committed numbers must match a fresh run =="
+# The soak's JSON and hive_bench's deterministic fields are pure functions of
+# the source, so CI regenerates them and compares. Host-timed fields (wall
+# seconds, rates, ns, peak RSS) are left out.
+bench_full_json="$BUILD_DIR/bench_full.json"
+"$BENCH" --out="$bench_full_json" >"$BUILD_DIR/bench_full.log" 2>&1 || {
+  cat "$BUILD_DIR/bench_full.log"
+  fail "hive_bench at its defaults exited nonzero"
+}
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$SOURCE_DIR" "$BUILD_DIR/pinned_serve_262a6b60560067f2.json" \
+    "$bench_full_json" <<'PYEOF' || fail "a committed BENCH file is stale: rerun hive_serve / hive_bench at their defaults"
+import json, sys
+source, serve_json, bench_json = sys.argv[1:4]
+
+def load(path):
+    with open(path) as f:
+        return json.load(f)
+
+def diff(committed, fresh, path):
+    """Yields (path, committed, fresh) for every field that differs."""
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        for key in sorted(set(committed) | set(fresh)):
+            sub = f"{path}.{key}" if path else key
+            yield from diff(committed.get(key), fresh.get(key), sub)
+    elif (isinstance(committed, list) and isinstance(fresh, list)
+          and len(committed) == len(fresh)):
+        for i, (c, f) in enumerate(zip(committed, fresh)):
+            yield from diff(c, f, f"{path}[{i}]")
+    elif committed != fresh:
+        yield path, committed, fresh
+
+def lookup(doc, path):
+    for key in path.split("."):
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
+
+stale = [("BENCH_serve.json",) + found
+         for found in diff(load(f"{source}/BENCH_serve.json"), load(serve_json), "")
+         if found[0] != "peak_rss_bytes"]
+
+sim_committed = load(f"{source}/BENCH_sim.json")
+sim_fresh = load(bench_json)
+fields = ["schema", "mode", "seed", "workers"]
+for stage in ("single_scenario", "campaign"):
+    fields += [f"{stage}.scenarios", f"{stage}.sim_events"]
+subsystems = set(sim_committed["single_scenario"]["subsystems"])
+subsystems |= set(sim_fresh["single_scenario"]["subsystems"])
+fields += [f"single_scenario.subsystems.{name}.ops" for name in sorted(subsystems)]
+for field in fields:
+    committed, fresh = lookup(sim_committed, field), lookup(sim_fresh, field)
+    if committed is None or committed != fresh:
+        stale.append(("BENCH_sim.json", field, committed, fresh))
+
+for name, field, committed, fresh in stale:
+    print(f"{name}: {field} is {committed!r} committed, {fresh!r} on a fresh run")
+sys.exit(1 if stale else 0)
+PYEOF
+else
+  echo "python3 not found; skipping the BENCH staleness check"
 fi
 
 echo "== sanitizer build: ASan+UBSan test suite =="

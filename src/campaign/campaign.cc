@@ -14,8 +14,9 @@
 namespace campaign {
 namespace {
 
-// Per-batch slot cap: bounds the work-list memory of degenerate --batch
-// values without changing results (batches are merged in slot order).
+// Per-batch slot cap, and the batch size of a plain sweep: bounds the
+// work-list memory without changing results (batches are merged in slot
+// order).
 constexpr int kMaxBatchSize = 1024;
 
 // Seed-domain separator for guided draw decisions, so the slot RNG never
@@ -134,20 +135,14 @@ CampaignReport RunCampaign(const CampaignOptions& options) {
   if (replay) {
     std::vector<ScenarioResult> results = run_batch(pool);
     merge(results);
-  } else if (!options.guided && !options.stop_on_violation) {
-    // Plain sweep: one batch holding the whole run (execution order ==
-    // scenario index, as before the guided driver existed).
-    std::vector<ScenarioSpec> batch;
-    batch.reserve(options.num_scenarios);
-    for (uint64_t index = 0; index < options.num_scenarios; ++index) {
-      batch.push_back(GenerateScenario(options.master_seed, index, options.mode));
-    }
-    report.fresh_run = batch.size();
-    std::vector<ScenarioResult> results = run_batch(batch);
-    merge(results);
   } else {
+    // A plain sweep (neither guided nor stopping early) reads no batch
+    // boundary, so it runs in full slots: workers stay busy, and its memory
+    // stays one batch however many scenarios it sweeps. Execution order is
+    // scenario index order.
+    const bool plain = !options.guided && !options.stop_on_violation;
     const int batch_size =
-        std::min(kMaxBatchSize, std::max(1, options.batch_size));
+        plain ? kMaxBatchSize : std::min(kMaxBatchSize, std::max(1, options.batch_size));
     uint64_t fresh_index = 0;
     uint64_t generation = 0;
     while (exec_order < options.num_scenarios &&

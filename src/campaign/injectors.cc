@@ -14,7 +14,6 @@
 #include "src/core/scheduler.h"
 #include "src/flash/bus_error.h"
 #include "src/flash/machine.h"
-#include "src/flash/sips.h"
 
 namespace campaign {
 namespace {
@@ -206,12 +205,12 @@ bool FalseAccusation(HiveSystem& sys, CellId accuser, CellId accused) {
 }
 
 void InstallMessageFaults(HiveSystem& sys, uint64_t seed, flash::MessageFaultPlan plan) {
-  flash::Sips& sips = sys.machine().sips();
-  if (sips.fault_model() == nullptr) {
-    sips.EnableFaultModel(seed ^ 0x6D7367666Cull);
+  flash::Machine& machine = sys.machine();
+  if (machine.message_faults() == nullptr) {
+    machine.EnableMessageFaults(seed ^ 0x6D7367666Cull);
   }
   plan.delay_max_ns = 30 * hive::kMicrosecond;
-  sips.fault_model()->AddPlan(plan);
+  machine.message_faults()->AddPlan(plan);
 }
 
 bool TurnRogue(HiveSystem& sys, CellId victim, CellId target, uint32_t axes, uint64_t seed,

@@ -71,7 +71,7 @@ bool WildWrite(hive::HiveSystem& sys, CellId writer, CellId target, hive::PhysAd
 // both cells are reachable.
 bool FalseAccusation(hive::HiveSystem& sys, CellId accuser, CellId accused);
 
-// Installs one time-windowed message-fault plan on the SIPS substrate,
+// Installs one time-windowed message-fault plan on the machine's SIPS hops,
 // enabling the fault model (seeded from `seed`) on first use. Delays are
 // capped at 30 us, well under the 50 us RPC spin window: delay models a
 // non-minimal route, not a partition.

@@ -10,6 +10,10 @@
 namespace hive {
 namespace {
 
+// A delayed line takes a non-minimal route: at least one detour hop. The flat
+// machine model (section 7.2) has no per-hop cost, so a detour costs this.
+constexpr Time kDetourHopNs = 500;
+
 // Fate of one message hop under the active fault model (if any). A corrupted
 // line is detected by the per-line checksum at the receiver, so for the
 // synchronous client it is indistinguishable from a drop except in the stats.
@@ -20,13 +24,12 @@ struct HopFate {
   Time extra_delay = 0;
 };
 
-HopFate SampleHop(flash::MessageFaultModel* model, const flash::Interconnect& mesh,
-                  Time now, int src_node, int dst_node) {
-  // One SIPS line crossing the mesh. The transport layer models the wire
-  // inline rather than round-tripping through flash::Sips, so this is where
-  // SIPS delivery work is attributable: its own profile row (nested under the
-  // caller's kCarefulRpc scope, which pauses while the hop is sampled)
-  // instead of being folded into careful_rpc/other. ops(kSips) counts hops.
+HopFate SampleHop(flash::MessageFaultModel* model, Time now, int src_node, int dst_node) {
+  // One SIPS line between two nodes: the simulator's only model of the hop,
+  // so SIPS delivery work is attributed here, to its own profile row (nested
+  // under the caller's kCarefulRpc scope, which pauses while the hop is
+  // sampled) instead of being folded into careful_rpc/other. ops(kSips)
+  // counts hops.
   base::SimProfileScope profile_scope(base::SimSubsystem::kSips);
   HopFate fate;
   if (model == nullptr) {
@@ -47,9 +50,7 @@ HopFate SampleHop(flash::MessageFaultModel* model, const flash::Interconnect& me
       fate.duplicate = true;
       break;
     case flash::MessageFaultKind::kDelay:
-      // A delayed line took a non-minimal route: at least one detour hop.
-      fate.extra_delay = std::max<Time>(decision.delay_ns,
-                                        mesh.DetourExtraNs(src_node, dst_node, 1));
+      fate.extra_delay = std::max<Time>(decision.delay_ns, kDetourHopNs);
       break;
   }
   return fate;
@@ -323,8 +324,7 @@ base::Status RpcLayer::Transport(Ctx& ctx, CellId target, MsgType type, const Rp
     return base::Unavailable();
   }
 
-  flash::MessageFaultModel* model = cell_->machine().sips().fault_model();
-  const flash::Interconnect& mesh = cell_->machine().interconnect();
+  flash::MessageFaultModel* model = cell_->machine().message_faults();
   const int cpus_per_node = cell_->machine().config().cpus_per_node;
   const int src_node = ctx.cpu >= 0 ? ctx.cpu / cpus_per_node : cell_->first_node();
   // One sequence number per logical call; every retransmission reuses it so
@@ -350,7 +350,7 @@ base::Status RpcLayer::Transport(Ctx& ctx, CellId target, MsgType type, const Rp
     const int server_cpu = tcpus[static_cast<size_t>(next_server_cpu_++) % tcpus.size()];
     const int dst_node = server_cpu / cpus_per_node;
 
-    const HopFate request = SampleHop(model, mesh, ctx.VirtualNow(), src_node, dst_node);
+    const HopFate request = SampleHop(model, ctx.VirtualNow(), src_node, dst_node);
     if (request.lost) {
       if (request.corrupt) {
         ++stats_.corrupt_lost;
@@ -430,7 +430,7 @@ base::Status RpcLayer::Transport(Ctx& ctx, CellId target, MsgType type, const Rp
     // The client waits for the full service, then the reply message.
     ctx.Charge(server_ctx.elapsed);
 
-    const HopFate reply_hop = SampleHop(model, mesh, ctx.VirtualNow(), dst_node, src_node);
+    const HopFate reply_hop = SampleHop(model, ctx.VirtualNow(), dst_node, src_node);
     if (reply_hop.lost) {
       if (reply_hop.corrupt) {
         ++stats_.corrupt_lost;

@@ -10,8 +10,10 @@
 //    RPC: 34 us, dominated by context switch + synchronization.
 //
 // The paper assumes the SIPS primitive is reliable. This layer does not:
-// it is a reliable at-most-once transport over a possibly-faulty substrate
-// (see flash::MessageFaultModel). The transport contract:
+// it is a reliable at-most-once transport over a possibly-faulty substrate.
+// It is also the simulator's only model of a SIPS hop: each hop samples the
+// machine's message-fault model (flash::Machine::message_faults()) once and
+// is charged as its Wire profile says (below). The transport contract:
 //
 //  - Every call carries a per-peer monotonic sequence number. Lost or
 //    corrupted hops (corruption is detected by the per-line checksum and

@@ -29,10 +29,7 @@ class CacheModel {
     return latency_.memory_miss_ns;
   }
 
-  Time RemoteReadMiss() {
-    ++remote_read_misses_;
-    return latency_.memory_miss_ns;
-  }
+  Time RemoteReadMiss() { return latency_.memory_miss_ns; }
 
   // `base_miss_ns` lets callers model contended misses (e.g. ocean's 3-hop
   // dirty misses are slower than the 700 ns average); pass 0 for the default.
@@ -40,7 +37,6 @@ class CacheModel {
     ++remote_write_misses_;
     Time lat = base_miss_ns > 0 ? base_miss_ns : latency_.memory_miss_ns;
     if (firewall_checking) {
-      ++firewall_checked_misses_;
       lat += latency_.firewall_check_ns;
     }
     remote_write_total_ += lat;
@@ -49,9 +45,7 @@ class CacheModel {
 
   // Counters.
   uint64_t local_misses() const { return local_misses_; }
-  uint64_t remote_read_misses() const { return remote_read_misses_; }
   uint64_t remote_write_misses() const { return remote_write_misses_; }
-  uint64_t firewall_checked_misses() const { return firewall_checked_misses_; }
 
   // Average remote write miss latency, firewall check included; used by
   // bench/sec42_firewall_overhead.
@@ -63,8 +57,7 @@ class CacheModel {
   }
 
   void ResetCounters() {
-    local_misses_ = remote_read_misses_ = remote_write_misses_ = 0;
-    firewall_checked_misses_ = 0;
+    local_misses_ = remote_write_misses_ = 0;
     remote_write_total_ = 0;
   }
 
@@ -73,9 +66,7 @@ class CacheModel {
  private:
   LatencyParams latency_;
   uint64_t local_misses_ = 0;
-  uint64_t remote_read_misses_ = 0;
   uint64_t remote_write_misses_ = 0;
-  uint64_t firewall_checked_misses_ = 0;
   int64_t remote_write_total_ = 0;
 };
 

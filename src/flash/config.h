@@ -29,10 +29,6 @@ struct LatencyParams {
   // Interprocessor interrupt delivery.
   Time ipi_ns = 700;
 
-  // Extra latency per mesh hop for messages. Zero by default: the paper's
-  // model charges the flat FLASH average; enable to study distance effects.
-  Time mesh_hop_extra_ns = 0;
-
   // SIPS message: IPI latency plus this much when the receiver accesses the
   // 128-byte payload.
   Time sips_payload_ns = 300;
@@ -58,13 +54,6 @@ struct MachineConfig {
   int cpus_per_node = 1;
   uint64_t memory_per_node = 32ull * 1024 * 1024;
   uint64_t page_size = 4096;
-
-  // Each node has one disk, one ethernet, one console in the paper's model;
-  // only the disk matters for the evaluation.
-  int disks_per_node = 1;
-
-  // SIPS receive queues are short hardware structures.
-  int sips_queue_depth = 16;
 
   LatencyParams latency;
 

@@ -7,8 +7,9 @@
 //
 //  - Callbacks are stored in EventFn, a move-only callable with a large
 //    small-buffer optimization (kInlineBytes covers every callback in the
-//    tree, including SIPS delivery closures that carry a full cache line);
-//    only oversized callables fall back to one heap allocation.
+//    tree, the largest being the campaign's retrying injectors that carry
+//    two std::functions); only oversized callables fall back to one heap
+//    allocation.
 //  - Event state lives in fixed-size slot chunks recycled through an
 //    intrusive free list; the pool grows to the high-watermark of pending
 //    events and chunks never move, so growth relocates nothing.
@@ -52,8 +53,10 @@ constexpr EventId kInvalidEventId = 0;
 // copy-constructibility and keeps captures up to kInlineBytes in place.
 class EventFn {
  public:
-  // Large enough for the biggest hot-path closure in the tree (SIPS delivery
-  // captures a 128-byte cache line plus headers).
+  // Covers every closure in the tree with room to spare: the largest, the
+  // campaign's retrying injectors, capture two std::functions and a few ids
+  // (about 100 bytes). A smaller buffer changes host performance, which
+  // needs its own paired runs.
   static constexpr size_t kInlineBytes = 192;
 
   EventFn() = default;

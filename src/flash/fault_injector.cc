@@ -68,22 +68,6 @@ void FaultInjector::CorruptTypeTag(PhysAddr tag_addr, uint32_t bad_tag) {
                                          sizeof(bad_tag)));
 }
 
-const char* MessageFaultKindName(MessageFaultKind kind) {
-  switch (kind) {
-    case MessageFaultKind::kNone:
-      return "none";
-    case MessageFaultKind::kDrop:
-      return "drop";
-    case MessageFaultKind::kDuplicate:
-      return "duplicate";
-    case MessageFaultKind::kDelay:
-      return "delay";
-    case MessageFaultKind::kCorrupt:
-      return "corrupt";
-  }
-  return "unknown";
-}
-
 namespace {
 
 bool PlanMatches(const MessageFaultPlan& plan, Time now, int src_node, int dst_node) {
@@ -100,15 +84,6 @@ bool PlanMatches(const MessageFaultPlan& plan, Time now, int src_node, int dst_n
 }
 
 }  // namespace
-
-bool MessageFaultModel::Active(Time now, int src_node, int dst_node) const {
-  for (const MessageFaultPlan& plan : plans_) {
-    if (PlanMatches(plan, now, src_node, dst_node)) {
-      return true;
-    }
-  }
-  return false;
-}
 
 MessageFaultDecision MessageFaultModel::Sample(Time now, int src_node, int dst_node) {
   MessageFaultDecision decision;

@@ -10,8 +10,9 @@
 //  - Message faults: a seed-driven model of a flaky SIPS substrate (drop,
 //    duplicate, delay/reorder, single-byte payload corruption) expressed as
 //    time-windowed per-route plans. The paper assumes SIPS is reliable; the
-//    model exists to test the layers above it (the reliable RPC transport)
-//    against a substrate that breaks that assumption.
+//    model exists to test the layer above it against a substrate that breaks
+//    that assumption. The Machine owns the model (EnableMessageFaults), and
+//    the RPC transport samples it once per SIPS hop, the only message path.
 //
 // Corruption uses the raw (unchecked) store path: a cell's own bug scribbling
 // its own memory is always "permitted" by the firewall. Damage to OTHER cells
@@ -88,8 +89,6 @@ enum class MessageFaultKind {
                // checksum makes this detectable at the receiver.
 };
 
-const char* MessageFaultKindName(MessageFaultKind kind);
-
 // One time-windowed fault plan. Probabilities are per-mille and are resolved
 // with a single RNG roll per message: drop wins first, then duplicate, then
 // delay, then corrupt (cumulative thresholds), so the sum must stay <= 1000.
@@ -116,8 +115,11 @@ struct MessageFaultStats {
 struct MessageFaultDecision {
   MessageFaultKind kind = MessageFaultKind::kNone;
   Time delay_ns = 0;          // For kDelay.
-  uint32_t corrupt_byte = 0;  // For kCorrupt: payload byte index.
-  uint8_t corrupt_mask = 0;   // For kCorrupt: non-zero XOR mask.
+  // For kCorrupt: which payload bit flipped. The transport carries no
+  // payload, so only its loss counts, but the two draws stay: the RPC retry
+  // jitter shares this RNG, and every pinned fingerprint assumes them.
+  uint32_t corrupt_byte = 0;  // Payload byte index.
+  uint8_t corrupt_mask = 0;   // Non-zero XOR mask.
 };
 
 // Deterministic, seed-driven sampler. Draws from the RNG ONLY when a message
@@ -129,9 +131,6 @@ class MessageFaultModel {
 
   void AddPlan(const MessageFaultPlan& plan) { plans_.push_back(plan); }
   void ClearPlans() { plans_.clear(); }
-
-  // True if any plan window covers (now, src_node, dst_node).
-  bool Active(Time now, int src_node, int dst_node) const;
 
   // Samples the fate of one message hop.
   MessageFaultDecision Sample(Time now, int src_node, int dst_node);

@@ -19,7 +19,6 @@ void Firewall::SetVector(Pfn pfn, uint64_t mask, int requesting_cpu) {
   CHECK_EQ(NodeOfPfn(pfn), NodeOfCpu(requesting_cpu))
       << "only local processors may change a node's firewall bits";
   vectors_[pfn] = mask;
-  ++vector_changes_;
 }
 
 void Firewall::SetRange(Pfn first, uint64_t count, uint64_t mask, int requesting_cpu) {
@@ -32,7 +31,6 @@ void Firewall::SetRange(Pfn first, uint64_t count, uint64_t mask, int requesting
   CHECK_EQ(NodeOfPfn(first), NodeOfCpu(requesting_cpu))
       << "only local processors may change a node's firewall bits";
   std::fill_n(vectors_.begin() + static_cast<std::ptrdiff_t>(first), count, mask);
-  vector_changes_ += count;
 }
 
 void Firewall::GrantCpus(Pfn pfn, uint64_t mask, int requesting_cpu) {

@@ -41,7 +41,7 @@ class Firewall {
   // to the node owning the page (hardware restriction, section 4.2).
   void SetVector(Pfn pfn, uint64_t mask, int requesting_cpu);
   // SetVector over pages [first, first + count), which must lie on one node:
-  // one locality check and one fill. Counts one vector change per page.
+  // one locality check and one fill.
   void SetRange(Pfn first, uint64_t count, uint64_t mask, int requesting_cpu);
 
   void GrantCpus(Pfn pfn, uint64_t mask, int requesting_cpu);
@@ -60,22 +60,11 @@ class Firewall {
   int NodeOfPfn(Pfn pfn) const { return static_cast<int>(pfn / pages_per_node_); }
   int NodeOfCpu(int cpu) const { return cpu / cpus_per_node_; }
 
-  // Counters for the section 4.2 measurements.
-  uint64_t checks_performed() const { return checks_performed_; }
-  uint64_t writes_denied() const { return writes_denied_; }
-  uint64_t vector_changes() const { return vector_changes_; }
-  void CountCheck() { ++checks_performed_; }
-  void CountDenied() { ++writes_denied_; }
-
  private:
   uint64_t pages_per_node_;
   int cpus_per_node_;
   bool checking_enabled_ = true;
   std::vector<uint64_t> vectors_;
-
-  uint64_t checks_performed_ = 0;
-  uint64_t writes_denied_ = 0;
-  uint64_t vector_changes_ = 0;
 };
 
 }  // namespace flash

@@ -1,17 +1,15 @@
 #include "src/flash/machine.h"
 
 #include "src/base/log.h"
+#include "src/flash/fault_injector.h"
 
 namespace flash {
 
 Machine::Machine(const MachineConfig& config, uint64_t seed)
     : config_(config),
-      interconnect_(config),
       mem_(config),
-      sips_(&events_, config, &interconnect_),
       cache_(config.latency),
-      rng_(seed),
-      node_dead_(config.num_nodes, false) {
+      rng_(seed) {
   cpus_.resize(static_cast<size_t>(config.num_cpus()));
   for (int i = 0; i < config.num_cpus(); ++i) {
     cpus_[static_cast<size_t>(i)].id = i;
@@ -23,11 +21,15 @@ Machine::Machine(const MachineConfig& config, uint64_t seed)
   }
 }
 
+Machine::~Machine() = default;
+
+void Machine::EnableMessageFaults(uint64_t seed) {
+  message_faults_ = std::make_unique<MessageFaultModel>(seed);
+}
+
 void Machine::FailNode(int node) {
   LOG(kInfo) << "hardware fault: node " << node << " failed at t=" << Now() << "ns";
-  node_dead_[static_cast<size_t>(node)] = true;
   mem_.FailNode(node);
-  sips_.SetNodeDead(node, true);
   for (int c = FirstCpuOfNode(node); c < FirstCpuOfNode(node) + config_.cpus_per_node; ++c) {
     cpus_[static_cast<size_t>(c)].halted = true;
   }
@@ -38,15 +40,10 @@ void Machine::HaltCpu(int cpu_id) {
   cpus_[static_cast<size_t>(cpu_id)].halted = true;
 }
 
-void Machine::CutOffNode(int node) {
-  mem_.CutOffNode(node);
-  sips_.SetNodeDead(node, true);
-}
+void Machine::CutOffNode(int node) { mem_.CutOffNode(node); }
 
 void Machine::RestoreNode(int node) {
-  node_dead_[static_cast<size_t>(node)] = false;
   mem_.RestoreNode(node);
-  sips_.SetNodeDead(node, false);
   for (int c = FirstCpuOfNode(node); c < FirstCpuOfNode(node) + config_.cpus_per_node; ++c) {
     cpus_[static_cast<size_t>(c)].halted = false;
     cpus_[static_cast<size_t>(c)].free_at = Now();

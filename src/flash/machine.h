@@ -1,5 +1,6 @@
-// Assembles the simulated FLASH machine: nodes with CPUs, memory, firewall,
-// SIPS, and disks, driven by one discrete-event queue.
+// Assembles the simulated FLASH machine: nodes with CPUs, memory, firewall
+// and disks, driven by one discrete-event queue, plus the message-fault model
+// that every intercell SIPS hop samples (the RPC transport charges the hop).
 //
 // Execution model: kernel operations run synchronously inside events and
 // charge latency; per-CPU `free_at` times model processor occupancy. The model
@@ -17,11 +18,11 @@
 #include "src/flash/config.h"
 #include "src/flash/disk.h"
 #include "src/flash/event_queue.h"
-#include "src/flash/interconnect.h"
 #include "src/flash/phys_mem.h"
-#include "src/flash/sips.h"
 
 namespace flash {
+
+class MessageFaultModel;
 
 struct Cpu {
   int id = -1;
@@ -35,6 +36,7 @@ struct Cpu {
 class Machine {
  public:
   explicit Machine(const MachineConfig& config, uint64_t seed = 1);
+  ~Machine();
 
   const MachineConfig& config() const { return config_; }
   EventQueue& events() { return events_; }
@@ -42,11 +44,9 @@ class Machine {
 
   size_t RunUntil(Time deadline) { return events_.RunUntil(deadline); }
 
-  const Interconnect& interconnect() const { return interconnect_; }
   PhysMem& mem() { return mem_; }
   const PhysMem& mem() const { return mem_; }
   Firewall& firewall() { return mem_.firewall(); }
-  Sips& sips() { return sips_; }
   CacheModel& cache() { return cache_; }
   base::Rng& rng() { return rng_; }
 
@@ -58,10 +58,15 @@ class Machine {
 
   Disk& disk(int node) { return *disks_[static_cast<size_t>(node)]; }
 
+  // Installs (or replaces) the seed-driven message-fault model
+  // (fault_injector.h). Null until installed: every SIPS hop is then clean.
+  void EnableMessageFaults(uint64_t seed);
+  MessageFaultModel* message_faults() { return message_faults_.get(); }
+
   // --- Hardware fault injection primitives. ---
 
-  // Fail-stop node failure: the processor halts, the node's memory range
-  // becomes inaccessible, SIPS messages to/from it vanish.
+  // Fail-stop node failure: the processor halts and the node's memory range
+  // becomes inaccessible; RPCs to its cell then time out.
   void FailNode(int node);
 
   // Halts a single processor without failing memory (detected only by clock
@@ -74,19 +79,19 @@ class Machine {
   // Diagnostics passed: node rebooted and reintegrated.
   void RestoreNode(int node);
 
-  bool NodeDead(int node) const { return node_dead_[static_cast<size_t>(node)]; }
+  // Hardware death (FailNode), not a panic's cutoff: the one record of it is
+  // PhysMem's failed flag.
+  bool NodeDead(int node) const { return mem_.node_failed(node); }
 
  private:
   MachineConfig config_;
   EventQueue events_;
-  Interconnect interconnect_;
   PhysMem mem_;
-  Sips sips_;
   CacheModel cache_;
   base::Rng rng_;
   std::vector<Cpu> cpus_;
   std::vector<std::unique_ptr<Disk>> disks_;
-  std::vector<bool> node_dead_;
+  std::unique_ptr<MessageFaultModel> message_faults_;
 };
 
 }  // namespace flash

@@ -107,9 +107,7 @@ void PhysMem::Write(int cpu, PhysAddr addr, std::span<const uint8_t> data) {
     const Pfn first = PfnOfAddr(addr);
     const Pfn last = PfnOfAddr(addr + data.size() - 1);
     for (Pfn pfn = first; pfn <= last; ++pfn) {
-      firewall_.CountCheck();
       if (!firewall_.MayWrite(pfn, cpu)) {
-        firewall_.CountDenied();
         throw BusError(BusErrorKind::kFirewall, AddrOfPfn(pfn));
       }
     }

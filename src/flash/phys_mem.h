@@ -79,7 +79,6 @@ class PhysMem {
   // remote access to node-local memory so corrupt data cannot spread. Local
   // CPUs of the node can still access it.
   void CutOffNode(int node) { node_cutoff_[node] = true; }
-  bool node_cutoff(int node) const { return node_cutoff_[node]; }
 
   // Clears failure/cutoff state after diagnostics + reboot (reintegration).
   void RestoreNode(int node);

@@ -56,7 +56,6 @@ class OceanWorkload {
   hive::HiveSystem* system_;
   OceanParams params_;
   std::vector<hive::ProcId> pids_;
-  std::shared_ptr<hive::UserBarrier> step_barriers_unused_;
   int64_t task_group_ = -1;
   std::vector<std::shared_ptr<hive::UserBarrier>> barriers_;
 };

@@ -11,7 +11,9 @@
 #   6. flags the run mode never reads (among them --seed= and a plan flag
 #      beside --replay-corpus, whose entries carry their own), and a value
 #      flag given twice with different values, exit 2 instead of being
-#      dropped.
+#      dropped;
+#   7. a plain sweep of the largest --scenarios runs, batch by batch, until
+#      it is stopped, instead of sizing one work list for the whole sweep.
 #
 # Usage: campaign_repro_test.sh <path-to-hive_campaign>
 set -u
@@ -140,5 +142,17 @@ for dropped in "--seed=1 --scenario=3 --scenarios=50 --workers=8 --batch=4 --sto
   grep -q "${dropped#*|}" "$TMP/dropped.out" || \
     { cat "$TMP/dropped.out" >&2; fail "'${dropped%%|*}' did not name the dropped flags"; }
 done
+
+# The largest sweep the flag accepts must start running, not abort while it
+# sizes its work list: the timeout ends it (exit 124), with nothing thrown.
+timeout 3 "$BIN" --scenarios=18446744073709551615 --workers=1 \
+    >"$TMP/huge.out" 2>"$TMP/huge.err"
+status=$?
+[[ "$status" -eq 124 ]] || \
+  { cat "$TMP/huge.err" >&2; fail "--scenarios=18446744073709551615 exited $status, expected the timeout's 124"; }
+if grep -q "terminate called" "$TMP/huge.err"; then
+  cat "$TMP/huge.err" >&2
+  fail "--scenarios=18446744073709551615 threw"
+fi
 
 echo "campaign_repro_test: OK (repro: $repro)"

@@ -533,6 +533,33 @@ TEST(CampaignDriverTest, WorkerCountDoesNotChangeOutcomes) {
   EXPECT_EQ(serial, parallel);
 }
 
+// A plain sweep runs in batches of 1024 slots. One that spans two batches
+// must merge exactly as one scenario-index-order pass over the sweep.
+TEST(CampaignDriverTest, PlainSweepAcrossBatchesMergesInIndexOrder) {
+  const uint64_t master = hivetest::TestSeed(5);
+  SCOPED_TRACE(hivetest::SeedTrace(master));
+  constexpr uint64_t kScenarios = 1024 + 9;
+  CampaignOptions options;
+  options.master_seed = master;
+  options.num_scenarios = kScenarios;
+  options.workers = 4;
+  options.minimize = false;
+  uint64_t next_index = 0;
+  bool in_order = true;
+  options.on_result = [&](const ScenarioResult& result) {
+    in_order = in_order && result.spec.index == next_index++;
+  };
+  const CampaignReport report = RunCampaign(options);
+  EXPECT_EQ(report.scenarios_run, kScenarios);
+  EXPECT_EQ(report.fresh_run, kScenarios);
+  EXPECT_TRUE(in_order);
+  uint64_t expected = kFnvOffsetBasis;
+  for (uint64_t index = 0; index < kScenarios; ++index) {
+    expected = FnvMix(expected, RunScenario(GenerateScenario(master, index)).fingerprint);
+  }
+  EXPECT_EQ(report.merged_fingerprint, expected);
+}
+
 TEST(CampaignDriverTest, FixtureSweepReportsEveryViolationInOrder) {
   CampaignOptions options;
   options.master_seed = 7;

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-
-#include "src/flash/sips.h"
 #include "tests/test_util.h"
 
 namespace flash {
@@ -121,6 +118,35 @@ TEST_F(FaultInjectorTest, HaltCpuLeavesMemoryAccessible) {
   machine_.mem().WriteValue<uint64_t>(0, hivetest::SmallConfig().memory_per_node, 5);
 }
 
+// A panic's cutoff is not hardware death: NodeDead, which tells the two
+// apart for reachability, agreement and the containment oracles, reads only
+// FailNode, while the cutoff refuses remote accessors alone.
+TEST(MachineTest, CutOffIsNotDeathAndRestoreClearsBoth) {
+  Machine machine(hivetest::SmallConfig(), 1);
+  PhysMem& mem = machine.mem();
+  const PhysAddr node1 = hivetest::SmallConfig().memory_per_node;
+  const int local_cpu = machine.FirstCpuOfNode(1);
+  auto remote_read = [&] { (void)mem.ReadValue<uint64_t>(0, node1); };
+
+  machine.CutOffNode(1);
+  EXPECT_FALSE(machine.NodeDead(1));
+  mem.WriteValue<uint64_t>(local_cpu, node1, 5);
+  EXPECT_EQ(mem.ReadValue<uint64_t>(local_cpu, node1), 5u);
+  const std::optional<BusError> cut = CaptureTrap(remote_read);
+  ASSERT_TRUE(cut.has_value());
+  EXPECT_EQ(cut->kind(), BusErrorKind::kMemoryCutoff);
+
+  machine.FailNode(1);
+  EXPECT_TRUE(machine.NodeDead(1));
+  const std::optional<BusError> dead = CaptureTrap(remote_read);
+  ASSERT_TRUE(dead.has_value());
+  EXPECT_EQ(dead->kind(), BusErrorKind::kNodeFailed);
+
+  machine.RestoreNode(1);
+  EXPECT_FALSE(machine.NodeDead(1));
+  EXPECT_FALSE(CaptureTrap(remote_read).has_value());
+}
+
 TEST_F(FaultInjectorTest, RestoreNodeRevivesCpus) {
   machine_.FailNode(1);
   EXPECT_TRUE(machine_.NodeDead(1));
@@ -146,16 +172,15 @@ MessageFaultPlan AllRoutesPlan(Time start, Time end, uint32_t drop_pm, uint32_t 
 TEST(MessageFaultModelTest, DrawsNothingOutsideActiveWindows) {
   MessageFaultModel model(11);
   model.AddPlan(AllRoutesPlan(1000, 2000, 1000, 0, 0, 0));
-  // Before, after, and between windows: no decision and -- critically for
-  // no-fault determinism -- no RNG draw.
-  EXPECT_FALSE(model.Active(999, 0, 1));
+  // Before and after the window: no decision and -- critically for no-fault
+  // determinism -- no RNG draw. Both window edges are sampled.
   EXPECT_EQ(model.Sample(999, 0, 1).kind, MessageFaultKind::kNone);
   EXPECT_EQ(model.Sample(2000, 0, 1).kind, MessageFaultKind::kNone);
   EXPECT_EQ(model.stats().sampled, 0u);
-  EXPECT_TRUE(model.Active(1000, 0, 1));
-  EXPECT_EQ(model.Sample(1500, 0, 1).kind, MessageFaultKind::kDrop);
-  EXPECT_EQ(model.stats().sampled, 1u);
-  EXPECT_EQ(model.stats().dropped, 1u);
+  EXPECT_EQ(model.Sample(1000, 0, 1).kind, MessageFaultKind::kDrop);
+  EXPECT_EQ(model.Sample(1999, 0, 1).kind, MessageFaultKind::kDrop);
+  EXPECT_EQ(model.stats().sampled, 2u);
+  EXPECT_EQ(model.stats().dropped, 2u);
 }
 
 TEST(MessageFaultModelTest, DirectedPlanMatchesOnlyItsRoute) {
@@ -164,11 +189,11 @@ TEST(MessageFaultModelTest, DirectedPlanMatchesOnlyItsRoute) {
   plan.src_node = 2;
   plan.dst_node = 3;
   model.AddPlan(plan);
-  EXPECT_FALSE(model.Active(10, 0, 1));
-  EXPECT_FALSE(model.Active(10, 3, 2));  // Directed: reverse route unaffected.
-  EXPECT_TRUE(model.Active(10, 2, 3));
   EXPECT_EQ(model.Sample(10, 0, 1).kind, MessageFaultKind::kNone);
+  EXPECT_EQ(model.Sample(10, 3, 2).kind, MessageFaultKind::kNone);  // Reverse route.
+  EXPECT_EQ(model.stats().sampled, 0u);
   EXPECT_EQ(model.Sample(10, 2, 3).kind, MessageFaultKind::kDrop);
+  EXPECT_EQ(model.stats().sampled, 1u);
 }
 
 TEST(MessageFaultModelTest, SameSeedSameDecisionSequence) {
@@ -194,18 +219,6 @@ TEST(MessageFaultModelTest, SameSeedSameDecisionSequence) {
   EXPECT_GT(a.stats().duplicated, 0u);
   EXPECT_GT(a.stats().delayed, 0u);
   EXPECT_GT(a.stats().corrupted, 0u);
-}
-
-TEST(MessageFaultModelTest, SipsChecksumDetectsSingleBitFlip) {
-  std::array<uint8_t, kSipsPayloadBytes> payload{};
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>(i * 7);
-  }
-  const uint32_t clean = SipsChecksum(payload);
-  payload[17] ^= 0x10;
-  EXPECT_NE(SipsChecksum(payload), clean);
-  payload[17] ^= 0x10;
-  EXPECT_EQ(SipsChecksum(payload), clean);
 }
 
 }  // namespace

@@ -185,7 +185,6 @@ TEST(PhysMemTest, FirewallBlocksUnauthorizedWrite) {
   }
   // The wild write was blocked: the original value survives.
   EXPECT_EQ(mem.ReadValue<uint64_t>(1, addr), 1u);
-  EXPECT_GT(mem.firewall().writes_denied(), 0u);
 }
 
 TEST(PhysMemTest, FirewallDoesNotBlockReads) {

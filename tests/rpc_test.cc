@@ -7,7 +7,6 @@
 #include "src/core/cell.h"
 #include "src/core/failure_detection.h"
 #include "src/flash/fault_injector.h"
-#include "src/flash/sips.h"
 #include "tests/test_util.h"
 
 namespace hive {
@@ -20,19 +19,21 @@ class RpcTest : public ::testing::Test {
   // Installs a message-fault plan with the given per-mille rates over
   // [0, end) on every route.
   flash::MessageFaultModel* InstallPlan(uint32_t drop_pm, uint32_t dup_pm,
-                                        uint32_t corrupt_pm, Time end) {
-    flash::Sips& sips = ts_.machine->sips();
-    if (sips.fault_model() == nullptr) {
-      sips.EnableFaultModel(7);
+                                        uint32_t corrupt_pm, Time end,
+                                        uint32_t delay_pm = 0) {
+    flash::Machine& machine = *ts_.machine;
+    if (machine.message_faults() == nullptr) {
+      machine.EnableMessageFaults(7);
     }
     flash::MessageFaultPlan plan;
     plan.start = 0;
     plan.end = end;
     plan.drop_pm = drop_pm;
     plan.dup_pm = dup_pm;
+    plan.delay_pm = delay_pm;
     plan.corrupt_pm = corrupt_pm;
-    sips.fault_model()->AddPlan(plan);
-    return sips.fault_model();
+    machine.message_faults()->AddPlan(plan);
+    return machine.message_faults();
   }
 
   hivetest::TestSystem ts_;
@@ -195,6 +196,21 @@ TEST_F(RpcTest, RetryRecoversFromLostRequest) {
   // 7.2 us happy path.
   EXPECT_GT(ctx.elapsed, 7200 + 100 * kMicrosecond);
   EXPECT_EQ(client.detector().hints_raised(), 0u);
+}
+
+TEST_F(RpcTest, DelayedHopsEachPayOneDetour) {
+  // Every hop delayed, with no delay bound: the model draws a 1 ns delay,
+  // and each of the two hops takes the 500 ns detour floor instead.
+  InstallPlan(/*drop_pm=*/0, /*dup_pm=*/0, /*corrupt_pm=*/0,
+              /*end=*/ts_.machine->Now() + kSecond, /*delay_pm=*/1000);
+  Cell& client = ts_.cell(0);
+  Ctx ctx = client.MakeCtx();
+  RpcArgs args;
+  RpcReply reply;
+  ASSERT_TRUE(client.rpc().Call(ctx, 1, MsgType::kNull, args, &reply).ok());
+  EXPECT_EQ(ctx.elapsed, 7200 + 2 * 500);
+  EXPECT_EQ(ts_.machine->message_faults()->stats().delayed, 2u);
+  EXPECT_EQ(client.rpc().stats().retries, 0u);
 }
 
 TEST_F(RpcTest, DetectedCorruptionIsRetriedLikeLoss) {

@@ -46,7 +46,9 @@ double SecondsSince(Clock::time_point start) {
 struct Args {
   uint64_t seed = 1;
   int workers = 4;
-  uint64_t scenarios = 64;       // Campaign-stage scenario count.
+  // Campaign-stage scenario count: about a second of sweep on 4 workers, so
+  // the stage times throughput, not thread start-up and cold page pools.
+  uint64_t scenarios = 4096;
   uint64_t serial_scenarios = 8; // Single-scenario stage count.
   double eq_seconds = 0.5;       // Wall-time budget per event-queue stage.
   bool smoke = false;
@@ -60,7 +62,7 @@ void Usage() {
                "\n"
                "  --seed=N        campaign master seed for the scenario stages (default 1)\n"
                "  --workers=N     worker threads for the campaign stage (default 4)\n"
-               "  --scenarios=N   scenarios in the campaign stage (default 64)\n"
+               "  --scenarios=N   scenarios in the campaign stage (default 4096)\n"
                "  --out=PATH      where to write the JSON report (default BENCH_sim.json);\n"
                "                  opened before the first stage\n"
                "  --smoke         tiny sizes for CI schema validation (seconds, not minutes)\n");
