@@ -46,8 +46,6 @@ std::string_view SimSubsystemName(SimSubsystem subsystem) {
   return "invalid";
 }
 
-SimProfile* SimProfile::Active() { return g_active_profile; }
-
 void SimProfile::SetActive(SimProfile* profile) { g_active_profile = profile; }
 
 void SimProfile::Begin() {

@@ -49,7 +49,6 @@ class SimProfile {
 
   // Thread-local activation. The caller owns the profile and must deactivate
   // (SetActive(nullptr)) before it goes out of scope.
-  static SimProfile* Active();
   static void SetActive(SimProfile* profile);
 
   // Brackets the measured region: all host time between Begin and End is

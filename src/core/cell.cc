@@ -127,16 +127,16 @@ void Cell::Boot() {
 }
 
 void Cell::RegisterMiscHandlers() {
-  rpc_->RegisterInterrupt(MsgType::kNull,
-                          [](Ctx&, const RpcArgs&, RpcReply*) { return base::OkStatus(); });
-  rpc_->RegisterQueued(MsgType::kNullQueued,
-                       [](Ctx&, const RpcArgs&, RpcReply*) { return base::OkStatus(); });
-  rpc_->RegisterInterrupt(MsgType::kPing, [](Ctx& sctx, const RpcArgs&, RpcReply*) {
+  rpc_->Register(MsgType::kNull,
+                 [](Ctx&, const RpcArgs&, RpcReply*) { return base::OkStatus(); });
+  rpc_->Register(MsgType::kNullQueued,
+                 [](Ctx&, const RpcArgs&, RpcReply*) { return base::OkStatus(); });
+  rpc_->Register(MsgType::kPing, [](Ctx& sctx, const RpcArgs&, RpcReply*) {
     sctx.Charge(500);
     return base::OkStatus();
   });
 
-  rpc_->RegisterInterrupt(
+  rpc_->Register(
       MsgType::kWaxHint, [this](Ctx& sctx, const RpcArgs& args, RpcReply*) -> base::Status {
         sctx.Charge(800);
         // Sanity-check everything received from Wax (section 3.2): bogus
@@ -156,10 +156,10 @@ void Cell::RegisterMiscHandlers() {
         return base::OkStatus();
       });
 
-  // Frame loans and firewall grants mutate remote-visible state, so they go
-  // through the at-most-once path: a retransmitted or duplicated request
-  // must not loan a second batch of frames or double-grant a page.
-  rpc_->RegisterInterruptAtMostOnce(
+  // Frame loans and firewall grants mutate remote-visible state (at-most-once
+  // types in Traits): the replay ring keeps a retransmitted or duplicated
+  // request from loaning a second batch of frames or double-granting a page.
+  rpc_->Register(
       MsgType::kBorrowFrames,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
         const CellId client = static_cast<CellId>(args.w[0]);
@@ -175,7 +175,7 @@ void Cell::RegisterMiscHandlers() {
         return frames.empty() ? base::OutOfMemory() : base::OkStatus();
       });
 
-  rpc_->RegisterInterruptAtMostOnce(
+  rpc_->Register(
       MsgType::kReturnFrame,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply*) -> base::Status {
         const CellId client = static_cast<CellId>(args.w[0]);
@@ -185,7 +185,7 @@ void Cell::RegisterMiscHandlers() {
         return allocator_->AcceptReturnedFrame(sctx, args.w[1], client);
       });
 
-  rpc_->RegisterInterruptAtMostOnce(
+  rpc_->Register(
       MsgType::kGrantFirewall,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply*) -> base::Status {
         const PhysAddr frame = args.w[0];
@@ -196,7 +196,7 @@ void Cell::RegisterMiscHandlers() {
         return fwm_->GrantWrite(sctx, machine().mem().PfnOfAddr(frame), client);
       });
 
-  rpc_->RegisterInterrupt(
+  rpc_->Register(
       MsgType::kRevokeFirewall,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply*) -> base::Status {
         const PhysAddr frame = args.w[0];
@@ -207,7 +207,7 @@ void Cell::RegisterMiscHandlers() {
         return fwm_->RevokeWrite(sctx, machine().mem().PfnOfAddr(frame), client);
       });
 
-  rpc_->RegisterInterrupt(
+  rpc_->Register(
       MsgType::kCowBind,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
         const uint64_t node_id = args.w[0];
@@ -252,7 +252,7 @@ void Cell::RegisterMiscHandlers() {
         return base::OkStatus();
       });
 
-  rpc_->RegisterInterrupt(
+  rpc_->Register(
       MsgType::kKillProc,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply*) -> base::Status {
         Process* proc = sched_->FindProcess(static_cast<ProcId>(args.w[0]));

@@ -42,7 +42,8 @@ bool HintReasonFromName(std::string_view name, HintReason* out) {
   return false;
 }
 
-FailureDetector::FailureDetector(Cell* cell) : cell_(cell) {}
+FailureDetector::FailureDetector(Cell* cell)
+    : cell_(cell), peers_(static_cast<size_t>(cell->system()->num_cells())) {}
 
 CellId FailureDetector::MonitoredPeer() const {
   // Ring over cells not yet *confirmed* failed: a silently-dead cell must
@@ -89,11 +90,11 @@ void FailureDetector::MonitorPeerClock(Ctx& ctx) {
     value = *read;
   }
 
-  auto last = last_seen_clock_.find(peer);
-  if (last != last_seen_clock_.end() && last->second == value) {
-    if (++stale_ticks_[peer] >= cell_->costs().clock_missed_ticks_threshold) {
-      stale_ticks_[peer] = 0;
-      drift_.erase(peer);  // A frozen clock is the stale check's finding.
+  Peer& record = peers_[peer];
+  if (record.last_clock == value) {
+    if (++record.stale_ticks >= cell_->costs().clock_missed_ticks_threshold) {
+      record.stale_ticks = 0;
+      record.drift = {};  // A frozen clock is the stale check's finding.
       HintEvidence evidence;
       evidence.structure = EvidenceStructure::kClockWord;
       evidence.clock_value = value;
@@ -101,14 +102,14 @@ void FailureDetector::MonitorPeerClock(Ctx& ctx) {
       return;
     }
   } else {
-    stale_ticks_[peer] = 0;
+    record.stale_ticks = 0;
   }
-  last_seen_clock_[peer] = value;
+  record.last_clock = value;
 
   // Drift window: a clock that keeps moving -- so the stale check never
   // fires -- but advances well below one increment per monitoring tick marks
   // a sick peer (run-away interrupt load, or a rogue cell feigning life).
-  DriftWindow& window = drift_[peer];
+  DriftWindow& window = record.drift;
   ++window.ticks;
   if (window.ticks == 1) {
     window.start_value = value;
@@ -119,7 +120,7 @@ void FailureDetector::MonitorPeerClock(Ctx& ctx) {
   }
   const uint64_t advance = value - window.start_value;
   const int intervals = window.ticks - 1;
-  drift_.erase(peer);  // Restart the window either way.
+  window = {};  // Restart the window either way.
   if (advance > 0 && advance * 4 < static_cast<uint64_t>(intervals) * 3) {
     HintEvidence evidence;
     evidence.structure = EvidenceStructure::kClockWord;
@@ -130,13 +131,13 @@ void FailureDetector::MonitorPeerClock(Ctx& ctx) {
 }
 
 void FailureDetector::RaiseHint(Ctx& ctx, CellId suspect, HintReason reason) {
-  evidence_.erase(suspect);  // No evidence accompanies this hint.
+  peers_[suspect].evidence = {};  // No evidence accompanies this hint.
   RaiseHintCommon(ctx, suspect, reason);
 }
 
 void FailureDetector::RaiseHintWithEvidence(Ctx& ctx, CellId suspect, HintReason reason,
                                             const HintEvidence& evidence) {
-  HintEvidence& stored = evidence_[suspect];
+  HintEvidence& stored = peers_[suspect].evidence;
   stored = evidence;
   stored.valid = true;
   stored.reason = reason;
@@ -157,23 +158,22 @@ void FailureDetector::RaiseHintCommon(Ctx& ctx, CellId suspect, HintReason reaso
 }
 
 const HintEvidence& FailureDetector::EvidenceAgainst(CellId suspect) const {
-  static const HintEvidence kNoEvidence;
-  auto it = evidence_.find(suspect);
-  return it == evidence_.end() ? kNoEvidence : it->second;
+  return peers_[suspect].evidence;
 }
 
-void FailureDetector::ClearEvidence(CellId suspect) { evidence_.erase(suspect); }
+void FailureDetector::ClearEvidence(CellId suspect) { peers_[suspect].evidence = {}; }
 
 bool FailureDetector::RecordIncomingRequest(Ctx& ctx, CellId from) {
   if (cell_->system()->smp_mode() || from == cell_->id()) {
     return true;
   }
-  if (babblers_.count(from) != 0) {
+  Peer& record = peers_[from];
+  if (record.babbler) {
     // Throttled: reject at the dispatch boundary so a babbler costs the
     // victim O(1) per request instead of a full handler execution.
     return false;
   }
-  RateWindow& window = incoming_[from];
+  RateWindow& window = record.incoming;
   const Time now = ctx.VirtualNow();
   if (!window.open || now - window.start > kBabbleWindowNs) {
     window.open = true;
@@ -183,7 +183,7 @@ bool FailureDetector::RecordIncomingRequest(Ctx& ctx, CellId from) {
   if (++window.count < kBabbleThreshold) {
     return true;
   }
-  babblers_.insert(from);
+  record.babbler = true;
   // Escalate: quarantine outgoing traffic to the babbler immediately, then
   // raise the hint (agreement may confirm and excise it).
   cell_->rpc().QuarantinePeer(ctx, from);
@@ -192,18 +192,6 @@ bool FailureDetector::RecordIncomingRequest(Ctx& ctx, CellId from) {
   return false;
 }
 
-int FailureDetector::IncomingCount(CellId peer) const {
-  auto it = incoming_.find(peer);
-  return it == incoming_.end() ? 0 : it->second.count;
-}
-
-void FailureDetector::ForgetCell(CellId cell_id) {
-  last_seen_clock_.erase(cell_id);
-  stale_ticks_.erase(cell_id);
-  drift_.erase(cell_id);
-  incoming_.erase(cell_id);
-  babblers_.erase(cell_id);
-  evidence_.erase(cell_id);
-}
+void FailureDetector::ForgetCell(CellId cell_id) { peers_[cell_id] = Peer{}; }
 
 }  // namespace hive

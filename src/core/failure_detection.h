@@ -26,10 +26,9 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/context.h"
@@ -123,9 +122,9 @@ class FailureDetector {
   // Incoming-request accounting for the babble throttle. Returns false when
   // the request should be rejected because `from` has been marked a babbler.
   bool RecordIncomingRequest(Ctx& ctx, CellId from);
-  bool IsBabbler(CellId peer) const { return babblers_.count(peer) != 0; }
+  bool IsBabbler(CellId peer) const { return peers_[peer].babbler; }
   // Requests seen from `peer` in its current rate window (voter corroboration).
-  int IncomingCount(CellId peer) const;
+  int IncomingCount(CellId peer) const { return peers_[peer].incoming.count; }
 
   // Bounded-work accounting for the no-survivor-hang oracle: callers record
   // the hop count of every remote structure traversal they perform.
@@ -160,13 +159,20 @@ class FailureDetector {
     int count = 0;
   };
 
+  // What this cell has observed of one peer.
+  struct Peer {
+    std::optional<uint64_t> last_clock;  // Clock word at the last read.
+    int stale_ticks = 0;                 // Reads that found it unchanged.
+    DriftWindow drift;
+    RateWindow incoming;  // Its requests to this cell (babble throttle).
+    bool babbler = false;
+    HintEvidence evidence;  // Attached to this cell's last hint against it.
+  };
+
   Cell* cell_;
-  std::unordered_map<CellId, uint64_t> last_seen_clock_;
-  std::unordered_map<CellId, int> stale_ticks_;
-  std::unordered_map<CellId, DriftWindow> drift_;
-  std::unordered_map<CellId, RateWindow> incoming_;
-  std::unordered_set<CellId> babblers_;
-  std::unordered_map<CellId, HintEvidence> evidence_;
+  // Indexed by cell id; sized at boot, so references stay valid across the
+  // agreement and recovery a hint can run.
+  std::vector<Peer> peers_;
   uint64_t hints_raised_ = 0;
   std::array<uint64_t, kNumHintReasons> hints_by_reason_{};
   int max_traversal_hops_ = 0;

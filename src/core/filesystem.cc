@@ -831,7 +831,7 @@ void FileSystem::RegisterHandlers() {
 
   // Page fault service: interrupt-level so faults that hit in the file cache
   // avoid the queued path (paper section 4.3 / 5.2).
-  rpc.RegisterInterrupt(
+  rpc.Register(
       MsgType::kPageFault,
       [this, page_size](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
         const VnodeId vnode_id = static_cast<VnodeId>(args.w[0]);
@@ -874,7 +874,7 @@ void FileSystem::RegisterHandlers() {
         return base::OkStatus();
       });
 
-  rpc.RegisterInterrupt(
+  rpc.Register(
       MsgType::kUpgradeWrite,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
         (void)reply;
@@ -888,7 +888,7 @@ void FileSystem::RegisterHandlers() {
         return ExportPage(sctx, vnode_id, page, client, /*writable=*/true, &gen).status();
       });
 
-  rpc.RegisterInterrupt(
+  rpc.Register(
       MsgType::kReleasePage,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
         (void)reply;
@@ -919,7 +919,7 @@ void FileSystem::RegisterHandlers() {
         return base::OkStatus();
       });
 
-  rpc.RegisterQueued(
+  rpc.Register(
       MsgType::kOpen,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
         (void)sctx;
@@ -934,7 +934,7 @@ void FileSystem::RegisterHandlers() {
         return base::OkStatus();
       });
 
-  rpc.RegisterQueued(
+  rpc.Register(
       MsgType::kReadAhead,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
         const VnodeId vnode_id = static_cast<VnodeId>(args.w[0]);
@@ -962,7 +962,7 @@ void FileSystem::RegisterHandlers() {
 
   // Write-behind launches asynchronously; the copy itself runs at interrupt
   // level (no server process hand-off).
-  rpc.RegisterInterrupt(
+  rpc.Register(
       MsgType::kWriteBehindBulk,
       [this, page_size](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
         (void)reply;
@@ -1001,22 +1001,22 @@ void FileSystem::RegisterHandlers() {
       });
 
   // Unlink destroys the vnode: a retransmitted request must not observe a
-  // spurious kNotFound for a removal that already succeeded, so it goes
-  // through the at-most-once path.
-  rpc.RegisterQueuedAtMostOnce(
+  // spurious kNotFound for a removal that already succeeded, so the replay
+  // ring answers it (an at-most-once type in Traits).
+  rpc.Register(
       MsgType::kUnlink,
       [this](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
         (void)reply;
         return RemoveVnode(sctx, static_cast<VnodeId>(args.w[0]));
       });
 
-  rpc.RegisterQueued(
+  rpc.Register(
       MsgType::kSyncFile,
       [this](Ctx&, const RpcArgs& args, RpcReply*) -> base::Status {
         return Sync(static_cast<VnodeId>(args.w[0]));
       });
 
-  rpc.RegisterQueued(
+  rpc.Register(
       MsgType::kWriteBehind,
       [this, page_size](Ctx& sctx, const RpcArgs& args, RpcReply* reply) -> base::Status {
         (void)reply;

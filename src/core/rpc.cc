@@ -64,44 +64,19 @@ RpcLayer::RpcLayer(Cell* cell, HiveSystem* system, const KernelCosts& costs)
       costs_(costs),
       peers_(static_cast<size_t>(system->num_cells())) {}
 
-void RpcLayer::RegisterInterrupt(MsgType type, RpcHandler handler) {
-  handlers_[static_cast<uint32_t>(type)] =
-      Registration{std::move(handler), /*queued=*/false, /*at_most_once=*/false};
-}
-
-void RpcLayer::RegisterQueued(MsgType type, RpcHandler handler) {
-  handlers_[static_cast<uint32_t>(type)] =
-      Registration{std::move(handler), /*queued=*/true, /*at_most_once=*/false};
-}
-
-void RpcLayer::RegisterInterruptAtMostOnce(MsgType type, RpcHandler handler) {
-  handlers_[static_cast<uint32_t>(type)] =
-      Registration{std::move(handler), /*queued=*/false, /*at_most_once=*/true};
-}
-
-void RpcLayer::RegisterQueuedAtMostOnce(MsgType type, RpcHandler handler) {
-  handlers_[static_cast<uint32_t>(type)] =
-      Registration{std::move(handler), /*queued=*/true, /*at_most_once=*/true};
-}
-
-bool RpcLayer::IsAtMostOnce(MsgType type) const {
-  auto it = handlers_.find(static_cast<uint32_t>(type));
-  return it != handlers_.end() && it->second.at_most_once;
-}
-
 base::Status RpcLayer::Serve(Ctx& server_ctx, MsgType type, const RpcArgs& args,
                              RpcReply* reply) {
-  auto it = handlers_.find(static_cast<uint32_t>(type));
-  if (it == handlers_.end()) {
+  const RpcHandler& handler = handlers_[static_cast<size_t>(type)];
+  if (handler == nullptr) {
     return base::NotFound();
   }
-  if (it->second.queued) {
+  if (Traits(type).queued) {
     // Queued service: the interrupt-level stub launches the operation on a
     // server process; context switch + synchronization dominate (section 6).
     server_ctx.Charge(costs_.rpc_queue_service_ns);
     ++stats_.queued_calls;
   }
-  return it->second.handler(server_ctx, args, reply);
+  return handler(server_ctx, args, reply);
 }
 
 base::Status RpcLayer::ServeSequenced(Ctx& server_ctx, CellId client, uint64_t seq,
@@ -134,7 +109,7 @@ base::Status RpcLayer::ServeSequenced(Ctx& server_ctx, CellId client, uint64_t s
     *reply = slot.reply;
     return slot.status;
   }
-  if (seen && IsAtMostOnce(type)) {
+  if (seen && Traits(type).at_most_once) {
     // Suppression is disabled (campaign fixture): this re-execution of a
     // non-idempotent handler is exactly the bug the replay cache prevents.
     ++stats_.at_most_once_violations;
@@ -146,7 +121,7 @@ base::Status RpcLayer::ServeSequenced(Ctx& server_ctx, CellId client, uint64_t s
     // client, finding this cell unreachable, times out.
     return base::Unavailable();
   }
-  if (status.ok() && IsAtMostOnce(type)) {
+  if (status.ok() && Traits(type).at_most_once) {
     ++stats_.executed_mutations;
   }
   if (seq > slot.seq) {
@@ -444,7 +419,7 @@ base::Status RpcLayer::Transport(Ctx& ctx, CellId target, MsgType type, const Rp
     ctx.Charge(wire.hop_ns + reply_hop.extra_delay);
 
     peer(target).health.consecutive_exhaustions = 0;
-    if (status.ok() && tcell.rpc().IsAtMostOnce(type)) {
+    if (status.ok() && Traits(type).at_most_once) {
       ++stats_.acked_mutations;
     }
     return status;

@@ -26,9 +26,9 @@
 //    the cached reply without re-executing the handler, so every handler --
 //    and in particular every non-idempotent one (kForkRemote, kCreate,
 //    kUnlink, kBorrowFrames, kGrantFirewall, ...) -- executes at most once
-//    per call. Non-idempotent handlers are registered through
-//    RegisterInterruptAtMostOnce/RegisterQueuedAtMostOnce so the campaign
-//    oracles (and hive_lint rule R6) can audit the set.
+//    per call, whatever its type. Traits (below) marks the mutating types
+//    at-most-once so the campaign oracles can count their executions and,
+//    with suppression switched off, their re-executions.
 //  - Repeated retry exhaustion against one peer escalates: the first
 //    exhaustion raises a failure-detector hint (at most one hint per
 //    agreement window, not one per retry), and kQuarantineThreshold
@@ -64,7 +64,7 @@
 #include <array>
 #include <cstring>
 #include <functional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
@@ -101,6 +101,49 @@ enum class MsgType : uint32_t {
   kWaxHint,           // Wax pushes a policy hint to a cell.
   kNumTypes,
 };
+
+// How a message type is served. A queued type runs on a server process
+// (section 6); the rest are serviced at interrupt level. An at-most-once type
+// mutates state on its server, so the campaign oracles count its executions
+// and its duplicate re-executions.
+struct MsgTraits {
+  bool queued = false;
+  bool at_most_once = false;
+};
+
+// One case per type: a type added to MsgType without a case here fails the
+// build (-Werror=switch).
+constexpr MsgTraits Traits(MsgType type) {
+  switch (type) {
+    case MsgType::kNullQueued:
+    case MsgType::kOpen:
+    case MsgType::kReadAhead:
+    case MsgType::kWriteBehind:
+    case MsgType::kSyncFile:
+      return {.queued = true};
+    case MsgType::kCreate:
+    case MsgType::kUnlink:
+    case MsgType::kForkRemote:
+      return {.queued = true, .at_most_once = true};
+    case MsgType::kBorrowFrames:
+    case MsgType::kReturnFrame:
+    case MsgType::kGrantFirewall:
+      return {.at_most_once = true};
+    case MsgType::kNull:
+    case MsgType::kPageFault:
+    case MsgType::kUpgradeWrite:
+    case MsgType::kReleasePage:
+    case MsgType::kWriteBehindBulk:
+    case MsgType::kRevokeFirewall:
+    case MsgType::kCowBind:
+    case MsgType::kKillProc:
+    case MsgType::kPing:
+    case MsgType::kWaxHint:
+    case MsgType::kNumTypes:
+      break;
+  }
+  return {};
+}
 
 // Arguments/results must fit in one SIPS line together with the header.
 constexpr size_t kRpcWords = 12;
@@ -150,16 +193,11 @@ class RpcLayer {
  public:
   RpcLayer(Cell* cell, HiveSystem* system, const KernelCosts& costs);
 
-  // Registration happens at cell boot. Queued handlers may block (e.g. disk).
-  void RegisterInterrupt(MsgType type, RpcHandler handler);
-  void RegisterQueued(MsgType type, RpcHandler handler);
-
-  // Registration for non-idempotent handlers: marks the type so the replay
-  // cache accounting (and the campaign at-most-once oracle) can tell a
-  // suppressed duplicate of a mutation from one of an idempotent read.
-  // hive_lint rule R6 requires these variants for the known mutation types.
-  void RegisterInterruptAtMostOnce(MsgType type, RpcHandler handler);
-  void RegisterQueuedAtMostOnce(MsgType type, RpcHandler handler);
+  // Registration happens at cell boot; Traits(type) says how the handler is
+  // served. Queued handlers may block (e.g. disk).
+  void Register(MsgType type, RpcHandler handler) {
+    handlers_[static_cast<size_t>(type)] = std::move(handler);
+  }
 
   // Synchronous call; returns the handler's status, kTimeout if the target
   // never answers (after retries, when a fault model is active), or
@@ -196,17 +234,13 @@ class RpcLayer {
 
   // True if a handler is registered for the message type.
   bool HasHandler(MsgType type) const {
-    return handlers_.count(static_cast<uint32_t>(type)) > 0;
+    return handlers_[static_cast<size_t>(type)] != nullptr;
   }
-
-  // True if the type was registered through an at-most-once variant.
-  bool IsAtMostOnce(MsgType type) const;
 
   // Campaign fixture hook: with suppression off the replay cache still
   // tracks sequence numbers but re-executes duplicates, counting
   // at_most_once_violations for non-idempotent types.
   void set_duplicate_suppression(bool on) { duplicate_suppression_ = on; }
-  bool duplicate_suppression() const { return duplicate_suppression_; }
 
   // Drops all transport state for a peer (sequence counter, health, replay
   // cache). Called when the peer is reintegrated after a reboot: its fresh
@@ -239,11 +273,6 @@ class RpcLayer {
   RpcCallStats& mutable_stats_for_test() { return stats_; }
 
  private:
-  struct Registration {
-    RpcHandler handler;
-    bool queued = false;
-    bool at_most_once = false;
-  };
   struct PeerHealth {
     int consecutive_exhaustions = 0;
     bool hint_outstanding = false;  // One hint per agreement window.
@@ -305,7 +334,7 @@ class RpcLayer {
   Cell* cell_;
   HiveSystem* system_;
   const KernelCosts& costs_;
-  std::unordered_map<uint32_t, Registration> handlers_;
+  std::array<RpcHandler, static_cast<size_t>(MsgType::kNumTypes)> handlers_;
   RpcCallStats stats_;
   int next_server_cpu_ = 0;  // Round-robin over the cell's CPUs for service.
   bool duplicate_suppression_ = true;

@@ -78,6 +78,24 @@ enum KernelTypeTag : uint32_t {
   kTagSeqBlock = 0x53514231,      // "SQB1" -- rogue-probe seqlock block.
 };
 
+// The tag check is sound only if no two tags are equal. This switch names
+// every tag: a repeated value is a duplicate case label, and a tag added
+// above without a case here fails the build (-Werror=switch).
+static_assert([](KernelTypeTag tag) {
+  switch (tag) {
+    case kTagFree:
+    case kTagClockWord:
+    case kTagCowNode:
+    case kTagAddrMapEntry:
+    case kTagRpcBuffer:
+    case kTagGeneric:
+    case kTagChainNode:
+    case kTagSeqBlock:
+      return true;
+  }
+  return false;
+}(kTagFree));
+
 }  // namespace hive
 
 #endif  // HIVE_SRC_CORE_TYPES_H_

@@ -17,19 +17,13 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// A chunk-aligned offset with at least one chunk of headroom.
+// A chunk-aligned offset whose whole chunk lies inside the file.
 uint64_t ChunkOffset(uint64_t seed, uint64_t file_size) {
-  const uint64_t chunks = std::max<uint64_t>(file_size / kChunk, 1) - 0;
+  const uint64_t chunks = std::max<uint64_t>(file_size / kChunk, 1);
   return (Mix(seed) % chunks) * kChunk;
 }
 
 }  // namespace
-
-std::unique_ptr<ScriptedBehavior> MakeTenantSetup(const ServeRequestParams& params) {
-  auto behavior = std::make_unique<ScriptedBehavior>("tenant-setup");
-  behavior->Add(OpCreate(params.data_path, params.file_seed, params.file_size));
-  return behavior;
-}
 
 std::unique_ptr<ScriptedBehavior> MakeReadRequest(const ServeRequestParams& params) {
   auto behavior = std::make_unique<ScriptedBehavior>("serve-read");

@@ -20,15 +20,12 @@ namespace workloads {
 
 // Parameters shared by the request builders for one tenant.
 struct ServeRequestParams {
-  std::string data_path;     // Tenant data file (created by MakeTenantSetup).
+  std::string data_path;     // Tenant data file (RunSoak creates it at start).
   uint64_t file_seed = 0;    // Pattern seed of the data file.
   uint64_t file_size = 0;    // Bytes in the data file.
   uint64_t request_seed = 0; // Per-request determinism (offsets, garbage).
   hive::CellId home = 0;     // Cell metadata traffic is homed on.
 };
-
-// Creates the tenant's data file (run once per tenant before serving).
-std::unique_ptr<ScriptedBehavior> MakeTenantSetup(const ServeRequestParams& params);
 
 // Read request: open, read-verify two chunks at seeded offsets, close, then
 // a short compute epilogue.

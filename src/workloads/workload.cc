@@ -207,17 +207,6 @@ OpFn OpOpen(std::string path, std::shared_ptr<int> fd_out) {
   };
 }
 
-OpFn OpCreate(std::string path, uint64_t seed, uint64_t size) {
-  return [path = std::move(path), seed, size](Ctx& ctx, Process& proc) -> StepOutcome {
-    auto id = ctx.cell->fs().Create(ctx, path, PatternData(seed, size));
-    if (!id.ok()) {
-      proc.exit_reason = "create failed";
-      return StepOutcome::kFailed;
-    }
-    return kOpComplete;
-  };
-}
-
 OpFn OpRead(std::shared_ptr<int> fd, uint64_t offset, uint64_t len, uint64_t verify_seed) {
   return [fd, offset, len, verify_seed](Ctx& ctx, Process& proc) -> StepOutcome {
     hive::FileHandle* handle = proc.GetFile(*fd);

@@ -72,9 +72,6 @@ OpFn OpCompute(Time total, Time chunk = 5 * hive::kMillisecond);
 // Opens `path`, storing the fd in *fd_out. Fails the process on error.
 OpFn OpOpen(std::string path, std::shared_ptr<int> fd_out);
 
-// Creates a file on the local cell with `size` bytes of PatternData(seed).
-OpFn OpCreate(std::string path, uint64_t seed, uint64_t size);
-
 // Reads [offset, offset+len) and (optionally) verifies it matches
 // PatternData(seed) at that offset; seed == 0 skips verification.
 OpFn OpRead(std::shared_ptr<int> fd, uint64_t offset, uint64_t len, uint64_t verify_seed);

@@ -1,6 +1,6 @@
 // Unit tests for the hive_lint whole-program index (pass 1): function
 // definition discovery, cross-TU call-edge resolution, overload bucketing,
-// container facts, and the Status-return classification R9 builds on.
+// and container facts.
 
 #include <memory>
 #include <set>
@@ -79,25 +79,6 @@ TEST_F(IndexTest, OverloadsShareOneBucket) {
   // A caller of Parse reaches both candidates (deliberate over-approximation).
   AddFile("src/core/o3.cc", "void UseParse() { Parse(1); }\n");
   EXPECT_EQ(index_.ReachableFrom({"UseParse"}).size(), 3u);
-}
-
-TEST_F(IndexTest, StatusReturnClassification) {
-  AddFile("src/core/s.cc",
-          "namespace hive {\n"
-          "base::Status Recover(int n);\n"
-          "base::Result<int> Count();\n"
-          "void Helper();\n"
-          "int Read(int addr) { return addr; }\n"
-          "base::Status Read(double addr);\n"  // Overload with another type.
-          "}\n");
-  EXPECT_EQ(index_.status_returning.count("Recover"), 1u);
-  EXPECT_EQ(index_.status_returning.count("Count"), 1u);
-  EXPECT_EQ(index_.status_returning.count("Helper"), 0u);
-  // "Read" is seen with both Status and non-Status returns: ambiguous, so R9
-  // must not flag it.
-  EXPECT_EQ(index_.status_returning.count("Read"), 1u);
-  EXPECT_EQ(index_.status_ambiguous.count("Read"), 1u);
-  EXPECT_EQ(index_.status_ambiguous.count("Recover"), 0u);
 }
 
 TEST_F(IndexTest, ContainerAndRangeForFacts) {

@@ -143,7 +143,7 @@ TEST_F(RpcTest, TrappingHandlerPanicsTheServerAndTheClientTimesOut) {
   // a timeout and lives on, and so does cell 2.
   Cell& server = ts_.cell(1);
   const PhysAddr foreign = ts_.cell(2).mem_base() + 4096;
-  server.rpc().RegisterInterrupt(
+  server.rpc().Register(
       MsgType::kNull, [this, foreign](Ctx& server_ctx, const RpcArgs&, RpcReply*) {
         ts_.machine->mem().WriteValue<uint64_t>(server_ctx.cpu, foreign, 0xBAD);
         return base::OkStatus();
@@ -269,7 +269,7 @@ TEST_F(RpcTest, DisablingSuppressionReExecutesAndCountsViolations) {
 class ReplayCacheTest : public RpcTest {
  protected:
   ReplayCacheTest() : server_(ts_.cell(1)), ctx_(server_.MakeCtx()) {
-    server_.rpc().RegisterInterrupt(
+    server_.rpc().Register(
         MsgType::kNull, [runs = runs_](Ctx&, const RpcArgs& args, RpcReply* reply) {
           ++*runs;
           reply->w[0] = args.w[0];

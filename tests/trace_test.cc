@@ -85,8 +85,9 @@ TEST(TraceBufferTest, RenderNamesEvents) {
 }
 
 TEST(TraceBufferTest, EveryEventHasADistinctName) {
-  // TraceEventName must cover the whole enum (the lint's R4 rule) and no two
-  // events may share a name, or trace dumps and triage become ambiguous.
+  // TraceEventName must cover the whole enum (-Werror=switch makes a missing
+  // case a build error) and no two events may share a name, or trace dumps
+  // and triage become ambiguous.
   std::set<std::string> names;
   for (uint8_t value = 0; value <= static_cast<uint8_t>(TraceEvent::kReintegrationDone);
        ++value) {

@@ -49,7 +49,10 @@ struct Args {
   // Campaign-stage scenario count: about a second of sweep on 4 workers, so
   // the stage times throughput, not thread start-up and cold page pools.
   uint64_t scenarios = 4096;
-  uint64_t serial_scenarios = 8; // Single-scenario stage count.
+  // Single-scenario stage count: about a second, so each subsystem's share
+  // repeats run to run (eight scenarios lasted about 10 ms, and their
+  // per-op times moved by up to 3x).
+  uint64_t serial_scenarios = 1024;
   double eq_seconds = 0.5;       // Wall-time budget per event-queue stage.
   bool smoke = false;
   std::string out = "BENCH_sim.json";

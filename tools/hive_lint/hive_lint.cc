@@ -2,8 +2,9 @@
 //
 // Pass 1: tokenize every .h/.cc under <root>/{src,tests,bench} (skipping
 // tests/lint_fixtures, which holds deliberate violations) and build the
-// whole-program index. Pass 2: run the registered rules (R1-R7 and R9-R12;
-// R0 falls out of suppression parsing), apply `hive-lint: allow(Rn): why`
+// whole-program index. Pass 2: run the registered rules (R1-R3, R7 and
+// R10-R12; R0 falls out of suppression parsing; R8 is retired, and the
+// compiler makes R4-R6's and R9's checks), apply `hive-lint: allow(Rn): why`
 // markers (same line or the line above; R0, R3 and R12 are unsuppressible),
 // sort, render.
 //

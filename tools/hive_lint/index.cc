@@ -52,49 +52,9 @@ struct Header {
   size_t body_begin = 0;  // Definition only.
   size_t body_end = 0;
   size_t end = 0;  // Last token consumed (';' or body '}').
-  bool returns_status = false;
-  bool returns_result = false;
-  bool returns_other = false;
 };
 
 enum class HeaderKind { kNo, kDefinition, kDeclaration };
-
-// Scans the return-type tokens directly before the name chain. The walk
-// stops at statement boundaries; what remains is the declaration specifier
-// sequence ("base :: Status", "static bool", ...). Constructors simply see
-// an empty sequence.
-void ClassifyReturnType(const std::vector<Token>& toks, size_t chain_start, Header* h) {
-  static const std::set<std::string> kBoundary = {";", "{", "}", ":", "(", ")",
-                                                  ",", "public", "private",
-                                                  "protected", "="};
-  bool saw_type_word = false;
-  size_t steps = 0;
-  for (size_t j = chain_start; j > 0 && steps < 24; ++steps) {
-    --j;
-    const Token& t = toks[j];
-    if (t.kind == Token::kPunct && kBoundary.count(t.text) > 0) {
-      break;
-    }
-    if (t.kind == Token::kIdent && kBoundary.count(t.text) > 0) {
-      break;
-    }
-    if (t.text == "Status" || t.text == "StatusOr") {
-      h->returns_status = true;
-    } else if (t.text == "Result") {
-      h->returns_result = true;
-    } else if (t.kind == Token::kIdent && t.text != "base" && t.text != "std" &&
-               t.text != "inline" && t.text != "static" && t.text != "virtual" &&
-               t.text != "constexpr" && t.text != "explicit" && t.text != "friend" &&
-               t.text != "const") {
-      saw_type_word = true;
-    }
-  }
-  // "base::Result<T>" must win over the T inside the angle brackets.
-  if (h->returns_status || h->returns_result) {
-    return;
-  }
-  h->returns_other = saw_type_word;
-}
 
 // Tries to match a function definition or declaration whose name chain
 // starts at token `i`. The grammar accepted (heuristically):
@@ -186,7 +146,6 @@ HeaderKind MatchFunctionHeader(const std::vector<Token>& toks, size_t i, Header*
   if (k >= n) {
     return HeaderKind::kNo;
   }
-  ClassifyReturnType(toks, i, h);
   if (toks[k].text == "{") {
     h->body_begin = k;
     h->body_end = MatchForward(toks, k, "{", "}");
@@ -388,15 +347,6 @@ void IndexFile(const SourceFile& file, ProgramIndex* index) {
     std::string name;  // Empty for plain blocks and anonymous namespaces.
   };
   std::vector<ScopeFrame> scopes;
-  // Names seen with a non-Status return type anywhere poison R9's
-  // "unambiguously Status-returning" set.
-  auto note_return_kind = [&](const Header& h) {
-    if (h.returns_status || h.returns_result) {
-      index->status_returning.insert(h.simple);
-    } else if (h.returns_other) {
-      index->status_ambiguous.insert(h.simple);
-    }
-  };
   size_t i = 0;
   while (i < n) {
     const Token& t = toks[i];
@@ -483,17 +433,13 @@ void IndexFile(const SourceFile& file, ProgramIndex* index) {
           def->line = toks[h.name_tok].line;
           def->body_begin = h.body_begin;
           def->body_end = h.body_end;
-          def->returns_status = h.returns_status;
-          def->returns_result = h.returns_result;
           ScanBody(file, def.get(), index);
-          note_return_kind(h);
           index->by_name[def->name].push_back(def.get());
           index->functions.push_back(std::move(def));
           i = h.end + 1;
           continue;
         }
         case HeaderKind::kDeclaration:
-          note_return_kind(h);
           i = h.end + 1;
           continue;
         case HeaderKind::kNo:

@@ -1,9 +1,8 @@
 // hive_lint whole-program index (pass 1 of 2).
 //
 // A single sweep over every tokenized file builds the program model the
-// whole-program rules (R9-R11) consume:
-//   - function definitions (qualified name, body token range, return kind)
-//     and Status/Result-returning declarations;
+// whole-program rules (R10-R11) consume:
+//   - function definitions (qualified name, body token range);
 //   - call edges: identifier-followed-by-'(' sites inside each body,
 //     resolved by simple name (all same-named definitions are linked, which
 //     over-approximates overloads -- the right bias for a linter);
@@ -54,8 +53,6 @@ struct FunctionDef {
   int line = 0;
   size_t body_begin = 0;  // Token index of the body '{'.
   size_t body_end = 0;    // Token index of the matching '}'.
-  bool returns_status = false;  // base::Status
-  bool returns_result = false;  // base::Result<T> / StatusOr
   std::vector<CallSite> calls;
   std::vector<RangeForSite> range_fors;
 };
@@ -65,11 +62,6 @@ struct ProgramIndex {
   // Simple name -> every definition with that name (cross-TU; overloads and
   // same-named methods of different classes all land in one bucket).
   std::map<std::string, std::vector<FunctionDef*>> by_name;
-  // Simple names known (from a definition or declaration, any TU) to return
-  // base::Status, and names for which *every* sighting returns Status /
-  // Result -- the unambiguous set R9 flags on.
-  std::set<std::string> status_returning;
-  std::set<std::string> status_ambiguous;  // Also seen with another return type.
   // Names (members or locals) declared with an iteration-order-unstable
   // container type. Name-keyed across TUs: an over-approximation when two
   // classes share a member name, which only widens R10's net.

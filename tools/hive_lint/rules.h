@@ -5,6 +5,11 @@
 // the driver applies suppressions, sorts, and renders (text or JSON).
 //
 // Rule lifecycle (see DESIGN.md "Verification layers"):
+//   0. when the compiler can make the check exactly, make it there instead:
+//      an error flag in the root CMakeLists.txt's HIVE_ERROR_FLAGS or a type
+//      (a [[nodiscard]] return, an enum switch, a static_assert), plus a
+//      seeded case in tests/compile_fixtures/ that must fail to compile --
+//      not a rule;
 //   1. add the rule function and register it in AllRules() with an id and a
 //      one-line title (the id is what suppressions and the baseline name);
 //   2. add a bad/good fixture pair under tests/lint_fixtures/ and a
@@ -44,7 +49,7 @@ struct RuleContext {
 };
 
 struct RuleInfo {
-  const char* id;     // "R1" ... "R12".
+  const char* id;     // "R1" ... "R12"; retired ids are not reused.
   const char* title;  // One-line summary for --help / --stats.
   void (*fn)(const RuleContext&);
 };

@@ -1,14 +1,10 @@
-// Per-file rules R0-R7, ported from hive_lint v1 (they predate the
-// whole-program index and deliberately do not use it), the two cross-file
-// enum rules R4/R5, and the per-file rule R12. Receiver heuristics are
-// documented next to each rule; see DESIGN.md "Verification layers" for the
-// discipline each one enforces.
+// Per-file rules R0-R3 and R7, ported from hive_lint v1 (they predate the
+// whole-program index and deliberately do not use it), and the per-file rule
+// R12. Receiver heuristics are documented next to each rule; see DESIGN.md
+// "Verification layers" for the discipline each one enforces.
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
-#include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -233,49 +229,6 @@ void CheckR12(const SourceFile& file, std::vector<Diagnostic>* diags) {
   flag_panics(0, toks.size(), /*guarded=*/false);
 }
 
-// R6: the reliable transport retries timed-out requests, so a handler for a
-// mutating message type that is registered through the plain
-// RegisterInterrupt/RegisterQueued path would re-execute its side effect when
-// a retry races a delayed original. Mutating types must use the AtMostOnce
-// registration (server-side replay cache) or carry a justified suppression
-// explaining why the handler is idempotent by design. Heuristic: a
-// RegisterInterrupt/RegisterQueued call site whose argument tokens (next few
-// tokens after the call) name a mutating MsgType enumerator. The
-// ...AtMostOnce identifiers are distinct tokens and never match.
-void CheckR6(const SourceFile& file, std::vector<Diagnostic>* diags) {
-  if (!StartsWith(file.rel_path, "src/")) {
-    return;  // Tests may register intentionally unsafe handlers.
-  }
-  static const std::set<std::string> kMutatingTypes = {
-      "kForkRemote", "kCreate",      "kUnlink",
-      "kBorrowFrames", "kReturnFrame", "kGrantFirewall",
-  };
-  const std::vector<Token>& toks = file.tokens;
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::kIdent ||
-        (toks[i].text != "RegisterInterrupt" && toks[i].text != "RegisterQueued")) {
-      continue;
-    }
-    if (toks[i + 1].text != "(") {
-      continue;  // Mention in a declaration list or comment-adjacent token.
-    }
-    // The MsgType argument is within the first few tokens of the call
-    // (`MsgType :: kFoo` or a bare enumerator); the handler lambda follows.
-    for (size_t j = i + 2; j < toks.size() && j < i + 8; ++j) {
-      if (toks[j].kind == Token::kIdent && kMutatingTypes.count(toks[j].text) > 0) {
-        diags->push_back(
-            {file.rel_path, toks[i].line, "R6",
-             "non-idempotent RPC handler for MsgType::" + toks[j].text +
-                 " registered without the replay cache; use Register" +
-                 (toks[i].text == "RegisterInterrupt" ? "Interrupt" : "Queued") +
-                 std::string("AtMostOnce so a transport retry cannot re-execute "
-                             "the mutation (at-most-once contract, rpc.h)")});
-        break;
-      }
-    }
-  }
-}
-
 // R7: a loop that re-validates a remote type tag per iteration (CheckTag or
 // ReadTagged) is the token signature of a hand-rolled pointer chase: the
 // cursor comes from remote data the peer controls, so without a hop bound a
@@ -347,170 +300,6 @@ void CheckR7(const SourceFile& file, std::vector<Diagnostic>* diags) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Cross-file enum rules R4-R5.
-// ---------------------------------------------------------------------------
-
-struct Enumerator {
-  std::string name;
-  uint64_t value;
-  int line;
-};
-
-// Parses the body of an enum starting at the '{' token at `open`, resolving
-// implicit values. Only literal values are resolved; expressions stop value
-// tracking for R5 (none exist in this codebase).
-std::vector<Enumerator> ParseEnumBody(const std::vector<Token>& toks, size_t open) {
-  std::vector<Enumerator> out;
-  uint64_t next_value = 0;
-  bool value_known = true;
-  for (size_t i = open + 1; i < toks.size() && toks[i].text != "}";) {
-    if (toks[i].kind != Token::kIdent) {
-      ++i;
-      continue;
-    }
-    Enumerator e{toks[i].text, 0, toks[i].line};
-    size_t j = i + 1;
-    if (j < toks.size() && toks[j].text == "=") {
-      ++j;
-      if (j < toks.size() && toks[j].kind == Token::kNumber) {
-        e.value = std::stoull(toks[j].text, nullptr, 0);
-        next_value = e.value + 1;
-        value_known = true;
-        ++j;
-      } else {
-        value_known = false;  // Expression initializer: skip value tracking.
-      }
-      // Skip to the ',' or '}'.
-      while (j < toks.size() && toks[j].text != "," && toks[j].text != "}") {
-        ++j;
-      }
-    } else {
-      e.value = next_value++;
-    }
-    if (value_known) {
-      out.push_back(e);
-    }
-    i = (j < toks.size() && toks[j].text == ",") ? j + 1 : j;
-  }
-  return out;
-}
-
-// Finds `enum [class] <name> [ : type ] {` and returns the index of the '{'.
-std::optional<size_t> FindEnum(const std::vector<Token>& toks, const std::string& name) {
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind == Token::kIdent && toks[i].text == "enum") {
-      size_t j = i + 1;
-      if (j < toks.size() && toks[j].text == "class") {
-        ++j;
-      }
-      if (j < toks.size() && toks[j].kind == Token::kIdent && toks[j].text == name) {
-        while (j < toks.size() && toks[j].text != "{" && toks[j].text != ";") {
-          ++j;
-        }
-        if (j < toks.size() && toks[j].text == "{") {
-          return j;
-        }
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-// R4: every TraceEvent enumerator appears as `TraceEvent::<name>` inside the
-// body of the TraceEventName function definition.
-void CheckR4(const std::vector<SourceFile>& files, std::vector<Diagnostic>* diags) {
-  const SourceFile* enum_file = nullptr;
-  std::vector<Enumerator> events;
-  for (const SourceFile& file : files) {
-    if (auto open = FindEnum(file.tokens, "TraceEvent")) {
-      enum_file = &file;
-      events = ParseEnumBody(file.tokens, *open);
-      break;
-    }
-  }
-  if (enum_file == nullptr) {
-    return;  // Nothing to check in this tree.
-  }
-  // Locate the TraceEventName definition: identifier followed by '(',
-  // a ')' and then '{' (a declaration ends with ';').
-  for (const SourceFile& file : files) {
-    const std::vector<Token>& toks = file.tokens;
-    for (size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (toks[i].kind != Token::kIdent || toks[i].text != "TraceEventName" ||
-          toks[i + 1].text != "(") {
-        continue;
-      }
-      size_t j = i + 1;
-      int depth = 0;
-      while (j < toks.size()) {
-        if (toks[j].text == "(") {
-          ++depth;
-        } else if (toks[j].text == ")") {
-          if (--depth == 0) {
-            break;
-          }
-        }
-        ++j;
-      }
-      ++j;
-      if (j >= toks.size() || toks[j].text != "{") {
-        continue;  // Declaration, not definition.
-      }
-      // Collect TraceEvent::<name> references in the function body.
-      std::set<std::string> handled;
-      int body_depth = 0;
-      const int fn_line = toks[i].line;
-      for (; j < toks.size(); ++j) {
-        if (toks[j].text == "{") {
-          ++body_depth;
-        } else if (toks[j].text == "}") {
-          if (--body_depth == 0) {
-            break;
-          }
-        } else if (toks[j].kind == Token::kIdent && toks[j].text == "TraceEvent" &&
-                   j + 2 < toks.size() && toks[j + 1].text == "::") {
-          handled.insert(toks[j + 2].text);
-        }
-      }
-      for (const Enumerator& e : events) {
-        if (handled.count(e.name) == 0) {
-          diags->push_back({file.rel_path, fn_line, "R4",
-                            "TraceEvent::" + e.name +
-                                " is not handled in the TraceEventName switch; the "
-                                "post-mortem trace would print '?'"});
-        }
-      }
-      return;
-    }
-  }
-  diags->push_back({enum_file->rel_path, 1, "R4",
-                    "enum TraceEvent is defined but no TraceEventName definition was found "
-                    "in the scanned tree"});
-}
-
-// R5: KernelTypeTag values must be unique; a duplicate tag would let the
-// careful reference protocol validate a pointer against the wrong type.
-void CheckR5(const std::vector<SourceFile>& files, std::vector<Diagnostic>* diags) {
-  for (const SourceFile& file : files) {
-    auto open = FindEnum(file.tokens, "KernelTypeTag");
-    if (!open) {
-      continue;
-    }
-    std::map<uint64_t, std::string> seen;
-    for (const Enumerator& e : ParseEnumBody(file.tokens, *open)) {
-      auto [it, inserted] = seen.emplace(e.value, e.name);
-      if (!inserted) {
-        std::ostringstream msg;
-        msg << "duplicate kernel type tag 0x" << std::hex << std::uppercase << e.value
-            << std::dec << ": " << e.name << " collides with " << it->second
-            << "; the type-tag defense (paper 4.1 step 4) requires unique tags";
-        diags->push_back({file.rel_path, e.line, "R5", msg.str()});
-      }
-    }
-  }
-}
-
 template <void (*PerFile)(const SourceFile&, std::vector<Diagnostic>*)>
 void ForEachFile(const RuleContext& ctx) {
   for (const SourceFile& file : *ctx.files) {
@@ -518,13 +307,9 @@ void ForEachFile(const RuleContext& ctx) {
   }
 }
 
-void RunR4(const RuleContext& ctx) { CheckR4(*ctx.files, ctx.diags); }
-void RunR5(const RuleContext& ctx) { CheckR5(*ctx.files, ctx.diags); }
-
 }  // namespace
 
 // Whole-program rules, defined in rules_whole_program.cc.
-void CheckR9(const RuleContext& ctx);
 void CheckR10(const RuleContext& ctx);
 void CheckR11(const RuleContext& ctx);
 
@@ -535,12 +320,7 @@ const std::vector<RuleInfo>& AllRules() {
        &ForEachFile<CheckR2>},
       {"R3", "BusError caught only by flash::CaptureTrap (unsuppressible)",
        &ForEachFile<CheckR3>},
-      {"R4", "every TraceEvent enumerator named in TraceEventName", &RunR4},
-      {"R5", "KernelTypeTag values pairwise distinct", &RunR5},
-      {"R6", "mutating RPC handlers registered at-most-once", &ForEachFile<CheckR6>},
       {"R7", "remote pointer-chase loops hop-bounded", &ForEachFile<CheckR7>},
-      {"R9", "Status/Result results consumed, returned, or (void)-justified",
-       &CheckR9},
       {"R10", "determinism purity on simulator/campaign-reachable paths",
        &CheckR10},
       {"R11", "tagged remote structures only behind CarefulRef", &CheckR11},

@@ -1,8 +1,7 @@
-// Whole-program rules R9-R11. These are the rules that need pass 1's
-// ProgramIndex: unchecked Status results (R9), determinism purity of
-// everything reachable from the simulator/campaign entry points (R10), and
-// confinement of the tagged remote structures to the careful-reference
-// module (R11).
+// Whole-program rules R10-R11. These are the rules that need pass 1's
+// ProgramIndex: determinism purity of everything reachable from the
+// simulator/campaign entry points (R10), and confinement of the tagged
+// remote structures to the careful-reference module (R11).
 
 #include <set>
 #include <string>
@@ -16,109 +15,6 @@ namespace {
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
-}
-
-// ---------------------------------------------------------------------------
-// R9: unchecked base::Status / Result.
-//
-// base::Status is [[nodiscard]], but that attribute evaporates through
-// type-erasing wrappers and is a warning, not an error, under some
-// configurations -- and the campaign layer's whole job is to notice failed
-// recovery steps. A call to a Status-returning function used as a bare
-// expression statement (value neither bound, returned, tested, nor cast to
-// void) silently swallows a failure.
-//
-// Resolution is by simple name, so only the *unambiguous* set is flagged:
-// names every sighting of which (definition or declaration, any TU) returns
-// Status/StatusOr/Result. A name that also appears with any other return
-// type (overloads like Read/Write) is excluded rather than guessed at.
-// ---------------------------------------------------------------------------
-
-// Walks left from the callee identifier across the receiver chain
-// (`a.b()->c::Foo` => index of `a`). Bails (returns `i`) on shapes it does
-// not understand; the caller then sees a non-statement-start and skips.
-size_t ChainBegin(const std::vector<Token>& toks, size_t i) {
-  size_t j = i;
-  while (j >= 2) {
-    const std::string& p = toks[j - 1].text;
-    if (p != "." && p != "->" && p != "::") {
-      break;
-    }
-    size_t k = j - 2;
-    if (toks[k].kind == Token::kIdent) {
-      j = k;
-      continue;
-    }
-    if (toks[k].text == ")" || toks[k].text == "]") {
-      const std::string closer = toks[k].text;
-      const std::string opener = closer == ")" ? "(" : "[";
-      int depth = 1;
-      while (k > 0 && depth > 0) {
-        --k;
-        if (toks[k].text == closer) {
-          ++depth;
-        } else if (toks[k].text == opener) {
-          --depth;
-        }
-      }
-      if (depth != 0) {
-        break;
-      }
-      if (k > 0 && toks[k - 1].kind == Token::kIdent) {
-        j = k - 1;
-        continue;
-      }
-      j = k;  // `(expr).Foo()`: the chain begins at '('.
-      continue;
-    }
-    break;
-  }
-  return j;
-}
-
-void CheckR9Impl(const RuleContext& ctx) {
-  const ProgramIndex& index = *ctx.index;
-  std::set<std::string> unambiguous;
-  for (const std::string& name : index.status_returning) {
-    if (index.status_ambiguous.count(name) == 0) {
-      unambiguous.insert(name);
-    }
-  }
-  for (const SourceFile& file : *ctx.files) {
-    if (!StartsWith(file.rel_path, "src/")) {
-      continue;  // Tests assert on Status values through gtest macros.
-    }
-    const std::vector<Token>& toks = file.tokens;
-    for (size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (toks[i].kind != Token::kIdent || toks[i + 1].text != "(" ||
-          unambiguous.count(toks[i].text) == 0) {
-        continue;
-      }
-      const size_t close = MatchForward(toks, i + 1, "(", ")");
-      if (close + 1 >= toks.size() || toks[close + 1].text != ";") {
-        continue;  // Value consumed by an enclosing expression / definition.
-      }
-      const size_t begin = ChainBegin(toks, i);
-      if (begin > 0) {
-        const std::string& before = toks[begin - 1].text;
-        if (before != ";" && before != "{" && before != "}") {
-          // `return Foo();`, `s = Foo();`, `(void)Foo();`, `if (..) Foo();`
-          // -- wait: `if (cond) Foo();` IS a discard, but the token before
-          // the chain is ')', indistinguishable from `(void)Foo();` without
-          // real parsing. The cast-to-void idiom wins; braced bodies (the
-          // styleguide default) are still covered.
-          continue;
-        }
-      }
-      ctx.diags->push_back(
-          {file.rel_path, toks[i].line, "R9",
-           "result of '" + toks[i].text +
-               "' (base::Status/Result) is discarded; bind it, RETURN_IF_ERROR "
-               "it, or write '(void)" + toks[i].text +
-               "(...)' with a justifying comment -- a swallowed Status hides a "
-               "failed recovery step"});
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +193,6 @@ void CheckR11Impl(const RuleContext& ctx) {
 }  // namespace
 
 // Registered from rules_file.cc's AllRules().
-void CheckR9(const RuleContext& ctx) { CheckR9Impl(ctx); }
 void CheckR10(const RuleContext& ctx) { CheckR10Impl(ctx); }
 void CheckR11(const RuleContext& ctx) { CheckR11Impl(ctx); }
 
