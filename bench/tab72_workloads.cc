@@ -35,7 +35,9 @@ Time Makespan(bench::System& system, const std::vector<ProcId>& pids, Time start
   return finish - start;
 }
 
-Time RunPmake(bench::System& system, uint64_t seed) {
+// Each Run* returns the workload's makespan and counts a run that did not
+// finish or whose outputs failed validation into `failures`.
+Time RunPmake(bench::System& system, uint64_t seed, int* failures) {
   workloads::PmakeParams params;
   params.name_seed = seed;
   workloads::PmakeWorkload pmake(system.hive.get(), params);
@@ -44,14 +46,16 @@ Time RunPmake(bench::System& system, uint64_t seed) {
   auto pids = pmake.Start();
   if (!system.hive->RunUntilDone(pids, start + 600 * kSecond)) {
     std::fprintf(stderr, "pmake did not finish\n");
+    ++*failures;
   }
   if (pmake.ValidateOutputs() != 0) {
     std::fprintf(stderr, "pmake outputs corrupt!\n");
+    ++*failures;
   }
   return Makespan(system, pids, start);
 }
 
-Time RunOcean(bench::System& system, uint64_t seed) {
+Time RunOcean(bench::System& system, uint64_t seed, int* failures) {
   workloads::OceanParams params;
   params.name_seed = seed;
   workloads::OceanWorkload ocean(system.hive.get(), params);
@@ -60,11 +64,12 @@ Time RunOcean(bench::System& system, uint64_t seed) {
   auto pids = ocean.Start();
   if (!system.hive->RunUntilDone(pids, start + 600 * kSecond)) {
     std::fprintf(stderr, "ocean did not finish\n");
+    ++*failures;
   }
   return Makespan(system, pids, start);
 }
 
-Time RunRaytrace(bench::System& system, uint64_t seed) {
+Time RunRaytrace(bench::System& system, uint64_t seed, int* failures) {
   workloads::RaytraceParams params;
   params.name_seed = seed;
   workloads::RaytraceWorkload ray(system.hive.get(), params);
@@ -72,9 +77,11 @@ Time RunRaytrace(bench::System& system, uint64_t seed) {
   auto pids = ray.Start();
   if (!system.hive->RunUntilDone(pids, start + 600 * kSecond)) {
     std::fprintf(stderr, "raytrace did not finish\n");
+    ++*failures;
   }
   if (ray.ValidateOutputs() != 0) {
     std::fprintf(stderr, "raytrace outputs corrupt!\n");
+    ++*failures;
   }
   return Makespan(system, pids, start);
 }
@@ -96,7 +103,7 @@ int main() {
 
   struct Row {
     const char* name;
-    std::function<Time(bench::System&, uint64_t)> run;
+    std::function<Time(bench::System&, uint64_t, int*)> run;
     uint64_t seed;
     const char* paper_time;
     const char* paper_slow;
@@ -109,15 +116,17 @@ int main() {
 
   base::Table table({"Workload", "SMP-OS time", "1 cell", "2 cells", "4 cells",
                      "Paper (time; 1/2/4)"});
+  int failures = 0;
   for (const Row& row : rows) {
     bench::System smp = bench::Boot(1, 4, /*smp=*/true);
-    const Time base_time = row.run(smp, row.seed);
+    const Time base_time = row.run(smp, row.seed, &failures);
 
     std::string cells_result[3];
     const int cell_counts[] = {1, 2, 4};
     for (int i = 0; i < 3; ++i) {
       bench::System system = bench::Boot(cell_counts[i], 4);
-      const Time t = row.run(system, row.seed + 1000ull * static_cast<uint64_t>(i));
+      const Time t =
+          row.run(system, row.seed + 1000ull * static_cast<uint64_t>(i), &failures);
       cells_result[i] = Slowdown(t, base_time);
     }
     table.AddRow({row.name,
@@ -133,5 +142,9 @@ int main() {
       "SMP mode (the IRIX 5.2 stand-in). Parallel applications spend almost\n"
       "all their time at user level, so the cell partition barely affects\n"
       "them; pmake exercises OS services across cells and pays the most.\n");
+  if (failures > 0) {
+    std::fprintf(stderr, "tab72_workloads: %d workload run(s) failed\n", failures);
+    return 1;
+  }
   return 0;
 }

@@ -66,7 +66,6 @@ bool Agreement::ProbeSuspect(Ctx& ctx, CellId prober, CellId suspect) {
 AgreementResult Agreement::RunRound(Ctx& ctx, CellId accuser, CellId suspect,
                                     HintReason reason) {
   (void)reason;
-  ++rounds_run_;
   AgreementResult result;
   const Time round_start = ctx.elapsed;
 

@@ -49,7 +49,6 @@ class Agreement {
   AgreementMode mode() const { return mode_; }
   void set_mode(AgreementMode mode) { mode_ = mode; }
 
-  uint64_t rounds_run() const { return rounds_run_; }
   uint64_t false_alerts() const { return false_alerts_; }
   uint64_t vote_timeouts() const { return vote_timeouts_; }
   // Most expensive round so far; the no-survivor-hang oracle bounds it.
@@ -70,7 +69,6 @@ class Agreement {
   AgreementMode mode_;
   // (accuser, suspect) -> times the alert was voted down.
   std::unordered_map<uint64_t, int> strikes_;
-  uint64_t rounds_run_ = 0;
   uint64_t false_alerts_ = 0;
   uint64_t vote_timeouts_ = 0;
   Time max_round_cost_ns_ = 0;

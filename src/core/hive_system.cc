@@ -18,7 +18,6 @@ HiveSystem::HiveSystem(flash::Machine* machine, const HiveOptions& options)
       << "cells own equal node ranges";
   agreement_ = std::make_unique<Agreement>(this, options.agreement_mode);
   recovery_ = std::make_unique<RecoveryManager>(this);
-  recovery_->auto_reintegrate = options.auto_reintegrate;
   wax_ = std::make_unique<Wax>(this);
 }
 
@@ -109,6 +108,7 @@ base::Status HiveSystem::RenamePath(const std::string& from, const std::string& 
 
 std::vector<std::string> HiveSystem::ListPaths(const std::string& prefix) const {
   std::vector<std::string> matches;
+  // hive-lint: allow(R10): collection loop only; matches is sorted below before it is returned.
   for (const auto& [path, id] : name_space_) {
     (void)id;
     if (path.compare(0, prefix.size(), prefix) == 0) {

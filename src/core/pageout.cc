@@ -121,7 +121,6 @@ int PageoutDaemon::Scan(Ctx& ctx, int max_pages) {
     }
   }
 
-  pages_reclaimed_ += static_cast<uint64_t>(freed);
   if (freed > 0) {
     LOG(kDebug) << "cell " << cell_->id() << " pageout reclaimed " << freed << " frames";
   }

@@ -43,7 +43,6 @@ class PageoutDaemon {
   static constexpr size_t kLowWaterFrames = 256;
   static constexpr Time kScanPeriod = 250 * kMillisecond;
 
-  uint64_t pages_reclaimed() const { return pages_reclaimed_; }
   uint64_t dirty_writebacks() const { return dirty_writebacks_; }
 
  private:
@@ -51,7 +50,6 @@ class PageoutDaemon {
 
   Cell* cell_;
   uint64_t event_id_ = 0;
-  uint64_t pages_reclaimed_ = 0;
   uint64_t dirty_writebacks_ = 0;
 };
 

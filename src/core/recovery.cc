@@ -314,7 +314,7 @@ RecoveryStats RecoveryManager::Run(Ctx& ctx, const std::vector<CellId>& failed_c
       stats.recovery_master = live[i];
     }
   }
-  if (auto_reintegrate) {
+  if (system_->options().auto_reintegrate) {
     for (CellId f : failed_cells) {
       system_->machine().events().ScheduleAt(
           barrier2 + kDiagnosticsDelayNs, [this, f] {

@@ -111,9 +111,6 @@ class RecoveryManager {
     return reintegration_log_;
   }
 
-  // Enables/disables automatic reboot of failed cells after recovery.
-  bool auto_reintegrate = false;
-
  private:
   // Phase work; each returns the simulated cost on that cell.
   Time PhaseFlushMappings(Ctx& ctx, CellId cell_id);

@@ -103,7 +103,6 @@ void Scheduler::RunSlice(int cpu_index) {
     return;
   }
 
-  ++context_switches_;
   proc->set_state(ProcState::kRunning);
   Ctx ctx;
   ctx.cell = cell_;

@@ -59,7 +59,6 @@ class Scheduler {
   // High-water mark of the ready queue since boot; the overload signal
   // admission control (Cell::AdmitRequest) reports alongside its shed counts.
   size_t max_runnable() const { return max_runnable_; }
-  int64_t context_switches() const { return context_switches_; }
   Time cpu_busy_ns() const { return cpu_busy_ns_; }
 
  private:
@@ -75,7 +74,6 @@ class Scheduler {
   Process* stepping_ = nullptr;  // Whose Behavior::Step is on the stack.
   std::vector<bool> cpu_has_event_;  // Guards against duplicate run events.
   std::vector<uint64_t> cpu_event_id_;  // For cancellation at teardown.
-  int64_t context_switches_ = 0;
   size_t max_runnable_ = 0;
   Time cpu_busy_ns_ = 0;
 };

@@ -19,9 +19,22 @@ namespace {
 
 class FailureRecoveryTest : public ::testing::Test {
  protected:
-  FailureRecoveryTest() : ts_(hivetest::BootHive(4)) {}
+  explicit FailureRecoveryTest(const HiveOptions& options = {})
+      : ts_(hivetest::BootHive(4, 4, options)) {}
 
   hivetest::TestSystem ts_;
+};
+
+// Failed cells reboot and rejoin once their diagnostics pass.
+class AutoReintegrateTest : public FailureRecoveryTest {
+ protected:
+  AutoReintegrateTest() : FailureRecoveryTest(Options()) {}
+
+  static HiveOptions Options() {
+    HiveOptions options;
+    options.auto_reintegrate = true;
+    return options;
+  }
 };
 
 TEST_F(FailureRecoveryTest, ClockMonitoringDetectsNodeFailure) {
@@ -208,8 +221,7 @@ TEST_F(FailureRecoveryTest, RecoveryMasterIsLowestLiveCell) {
   EXPECT_EQ(ts_.hive->recovery().last_stats().recovery_master, 1);
 }
 
-TEST_F(FailureRecoveryTest, ReintegrationRebootsFailedCell) {
-  ts_.hive->recovery().auto_reintegrate = true;
+TEST_F(AutoReintegrateTest, ReintegrationRebootsFailedCell) {
   Cell& home = ts_.cell(2);
   Ctx hctx = home.MakeCtx();
   ASSERT_TRUE(home.fs().Create(hctx, "/persist", workloads::PatternData(4, 4096)).ok());
@@ -234,12 +246,11 @@ TEST_F(FailureRecoveryTest, ReintegrationRebootsFailedCell) {
   EXPECT_EQ(ts_.hive->recovery().recoveries_run(), 2);
 }
 
-TEST_F(FailureRecoveryTest, ExitWaiterDoesNotOutliveItsCellsReboot) {
+TEST_F(AutoReintegrateTest, ExitWaiterDoesNotOutliveItsCellsReboot) {
   // A waiter blocked in wait() on cell 2 for a child on cell 1. Cell 2 fails
   // and reboots, which frees the waiter, before the child exits; the child's
   // exit notification must then find no waiter rather than touch the freed
   // one (an ASan build reports the stale access as heap-use-after-free).
-  ts_.hive->recovery().auto_reintegrate = true;
   auto child = std::make_unique<workloads::ScriptedBehavior>("child");
   child->Add(workloads::OpCompute(1 * kSecond));
   Ctx cctx = ts_.cell(1).MakeCtx();
@@ -744,8 +755,8 @@ TEST_F(SalvageTest, ScribbledWriteExportIsRejectedAndDiscarded) {
 TEST(LiveRejoinTest, RebootedCellConvergesToFullMemberUnderLiveRejoin) {
   HiveOptions options;
   options.live_rejoin = true;
+  options.auto_reintegrate = true;
   hivetest::TestSystem ts = hivetest::BootHive(4, 4, options);
-  ts.hive->recovery().auto_reintegrate = true;
 
   flash::FaultInjector injector(ts.machine.get(), 1);
   injector.ScheduleNodeFailure(2, 25 * kMillisecond);

@@ -1,7 +1,7 @@
-// Fixture: R10 nondeterminism reachable from a scenario runner. Never
-// compiled. This file defines a `RunScenario` -- the same simple name as the
-// real campaign entry point, so the fixture tree's reachability analysis
-// roots here -- and seeds every banned ingredient below it.
+// Fixture: R10 nondeterminism in src/. Never compiled. R10 scans every file
+// under src/, so no entry point needs to reach these ingredients: the
+// hardware entropy sits in a constructor, which a call graph resolved by
+// callee name never entered.
 #include <chrono>
 #include <map>
 #include <random>
@@ -13,24 +13,24 @@ namespace campaign {
 // Must be flagged (R10) at the declaration.
 std::map<int*, int> g_fixture_by_addr;
 
-int FixtureEntropyJitter() {
-  // Hardware entropy in a helper two call hops below the root. Must be
-  // flagged (R10).
-  std::random_device entropy;
-  return static_cast<int>(entropy() % 7);
-}
+struct FixtureJitter {
+  // Hardware entropy in a constructor's initializer list. Must be flagged
+  // (R10).
+  FixtureJitter() : value(static_cast<int>(std::random_device()() % 7)) {}
+  int value;
+};
 
 long FixtureWallClock() {
-  // Wall-clock read on a reachable path. Must be flagged (R10).
+  // Wall-clock read. Must be flagged (R10).
   return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 
 int FixtureJitteredDelay() {
-  // Must be flagged (R10): rand() on a reachable path.
-  return FixtureEntropyJitter() + rand() % 3;
+  // Must be flagged (R10): rand().
+  return FixtureJitter().value + rand() % 3;
 }
 
-int RunScenario(unsigned seed) {
+int FixtureScenario(unsigned seed) {
   std::unordered_map<int, int> counts;
   counts[static_cast<int>(seed)] = FixtureJitteredDelay();
   long sum = FixtureWallClock();

@@ -1,5 +1,5 @@
 // Fixture: R10 good twin. Never compiled. Must produce no diagnostics.
-// A campaign root whose randomness is a seeded PRNG and whose iteration
+// A campaign run whose randomness is a seeded PRNG and whose iteration
 // orders are all deterministic (ordered keys or a sorted snapshot of the
 // unordered container).
 #include <algorithm>

@@ -593,8 +593,8 @@ TEST(ReintegrationConvergesOracle, FiresOnReintegrationThatNeverConverged) {
 TEST(ReintegrationConvergesOracle, SilentOnLiveRejoinThatConverged) {
   hive::HiveOptions options;
   options.live_rejoin = true;
+  options.auto_reintegrate = true;
   OracleHarness h(options);
-  h.ts.hive->recovery().auto_reintegrate = true;
   flash::FaultInjector injector(h.ts.machine.get(), 1);
   injector.ScheduleNodeFailure(2, 25 * kMillisecond);
   h.ts.machine->events().RunUntil(1 * hive::kSecond);

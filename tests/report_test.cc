@@ -139,8 +139,8 @@ TEST(RecoverySalvageReportTest, TableShowsAdoptionsAndReintegrations) {
   HiveOptions options;
   options.salvage_pages = true;
   options.live_rejoin = true;
+  options.auto_reintegrate = true;
   hivetest::TestSystem ts = hivetest::BootHive(4, 4, options);
-  ts.hive->recovery().auto_reintegrate = true;
 
   Cell& home = ts.cell(0);
   Ctx hctx = home.MakeCtx();

@@ -89,7 +89,7 @@ TEST(TraceBufferTest, EveryEventHasADistinctName) {
   // case a build error) and no two events may share a name, or trace dumps
   // and triage become ambiguous.
   std::set<std::string> names;
-  for (uint8_t value = 0; value <= static_cast<uint8_t>(TraceEvent::kReintegrationDone);
+  for (uint8_t value = 0; value <= static_cast<uint8_t>(TraceEvent::kAdmissionShed);
        ++value) {
     const std::string name = TraceEventName(static_cast<TraceEvent>(value));
     EXPECT_NE(name, "?") << "unnamed event " << static_cast<int>(value);
@@ -99,6 +99,7 @@ TEST(TraceBufferTest, EveryEventHasADistinctName) {
   EXPECT_TRUE(names.count("salvage-rejected"));
   EXPECT_TRUE(names.count("reintegration-start"));
   EXPECT_TRUE(names.count("reintegration-done"));
+  EXPECT_TRUE(names.count("admission-shed"));
 }
 
 TEST(TraceIntegrationTest, FailureLeavesAuditTrailOnSurvivors) {

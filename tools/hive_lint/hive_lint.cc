@@ -1,12 +1,12 @@
 // hive_lint v2 driver.
 //
-// Pass 1: tokenize every .h/.cc under <root>/{src,tests,bench} (skipping
-// tests/lint_fixtures, which holds deliberate violations) and build the
-// whole-program index. Pass 2: run the registered rules (R1-R3, R7 and
-// R10-R12; R0 falls out of suppression parsing; R8 is retired, and the
-// compiler makes R4-R6's and R9's checks), apply `hive-lint: allow(Rn): why`
-// markers (same line or the line above; R0, R3 and R12 are unsuppressible),
-// sort, render.
+// Tokenizes every .h/.cc under <root>/{src,tests,bench} (skipping
+// tests/lint_fixtures, which holds deliberate violations), runs the
+// registered token rules (R1-R3, R7, R10 and R12; R0 falls out of
+// suppression parsing; R8 and R11 are retired, and the compiler makes
+// R4-R6's and R9's checks), applies `hive-lint: allow(Rn): why` markers
+// (same line or the line above; R0, R3 and R12 are unsuppressible; a marker
+// that suppresses nothing is itself an R0 diagnostic), sorts, renders.
 //
 //   hive_lint [--root <dir>] [--format=text|json] [--stats] [--verbose]
 //
@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "tools/hive_lint/index.h"
 #include "tools/hive_lint/lexer.h"
 #include "tools/hive_lint/rules.h"
 
@@ -50,10 +49,8 @@ struct RuleStat {
 struct RunStats {
   size_t files = 0;
   size_t tokens = 0;
-  size_t functions = 0;
   size_t suppressions = 0;
-  double read_ms = 0.0;   // Read + tokenize + suppression parse.
-  double index_ms = 0.0;  // Pass 1.
+  double read_ms = 0.0;  // Read + tokenize + suppression parse.
   std::vector<RuleStat> rules;
   double total_ms = 0.0;
 };
@@ -149,10 +146,8 @@ void PrintJson(const std::vector<Diagnostic>& diags, const RunStats& stats,
   out << "  \"stats\": {\n";
   out << "    \"files\": " << stats.files << ",\n";
   out << "    \"tokens\": " << stats.tokens << ",\n";
-  out << "    \"functions\": " << stats.functions << ",\n";
   out << "    \"suppressions\": " << stats.suppressions << ",\n";
   out << "    \"read_ms\": " << stats.read_ms << ",\n";
-  out << "    \"index_ms\": " << stats.index_ms << ",\n";
   out << "    \"rules\": [";
   for (size_t i = 0; i < stats.rules.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n");
@@ -167,10 +162,9 @@ void PrintJson(const std::vector<Diagnostic>& diags, const RunStats& stats,
 
 void PrintStatsText(const RunStats& stats) {
   std::fprintf(stderr,
-               "hive_lint: %zu files, %zu tokens, %zu functions, %zu suppressions\n",
-               stats.files, stats.tokens, stats.functions, stats.suppressions);
+               "hive_lint: %zu files, %zu tokens, %zu suppressions\n",
+               stats.files, stats.tokens, stats.suppressions);
   std::fprintf(stderr, "  read+tokenize %8.2f ms\n", stats.read_ms);
-  std::fprintf(stderr, "  index         %8.2f ms\n", stats.index_ms);
   for (const RuleStat& r : stats.rules) {
     std::fprintf(stderr, "  %-4s          %8.2f ms  %4zu diag(s)  %s\n", r.id.c_str(),
                  r.ms, r.raw_diags, r.title.c_str());
@@ -213,15 +207,7 @@ int Run(const std::string& root_arg, const std::string& format, bool stats_flag,
   stats.suppressions = sups.size();
   stats.read_ms = MsSince(t_read);
 
-  const auto t_index = Clock::now();
-  ProgramIndex index;
-  for (const SourceFile& file : files) {
-    IndexFile(file, &index);
-  }
-  stats.functions = index.functions.size();
-  stats.index_ms = MsSince(t_index);
-
-  RuleContext ctx{&files, &index, &diags};
+  RuleContext ctx{&files, &diags};
   for (const RuleInfo& rule : AllRules()) {
     const auto t_rule = Clock::now();
     const size_t before = diags.size();
@@ -232,23 +218,35 @@ int Run(const std::string& root_arg, const std::string& format, bool stats_flag,
   // Apply suppressions: same file, same rule, marker on the diagnostic's
   // line or the line above. R0 (suppression hygiene), R3 (trap caught
   // outside CaptureTrap) and R12 (hand-written bus-error panics) are
-  // unsuppressible.
+  // unsuppressible. A marker that suppresses nothing is stale: an R0.
   std::vector<Diagnostic> active;
+  std::vector<bool> used(sups.size(), false);
   size_t suppressed = 0;
   for (const Diagnostic& diag : diags) {
     bool keep = true;
     if (diag.rule != "R0" && diag.rule != "R3" && diag.rule != "R12") {
-      for (const auto& [rel_path, sup] : sups) {
+      for (size_t s = 0; s < sups.size(); ++s) {
+        const auto& [rel_path, sup] = sups[s];
         if (rel_path == diag.rel_path && sup.rule == diag.rule &&
             (sup.line == diag.line || sup.line == diag.line - 1)) {
           keep = false;
-          ++suppressed;
-          break;
+          used[s] = true;
         }
       }
     }
     if (keep) {
       active.push_back(diag);
+    } else {
+      ++suppressed;
+    }
+  }
+  for (size_t s = 0; s < sups.size(); ++s) {
+    if (!used[s]) {
+      const auto& [rel_path, sup] = sups[s];
+      active.push_back({rel_path, sup.line, "R0",
+                        "allow(" + sup.rule + ") suppresses no " + sup.rule +
+                            " diagnostic on its line or the next; delete the stale "
+                            "marker (R0, R3 and R12 cannot be suppressed)"});
     }
   }
   std::sort(active.begin(), active.end(), DiagLess);
@@ -276,11 +274,12 @@ int Usage(int code) {
   std::cout <<
       "usage: hive_lint [--root <dir>] [--format=text|json] [--stats] [--verbose]\n"
       "\n"
-      "Whole-program lint for the Hive fault-containment discipline.\n"
+      "Token lint for the Hive fault-containment discipline.\n"
       "Scans <root>/{src,tests,bench} (skipping tests/lint_fixtures).\n"
       "\n"
       "Rules:\n"
-      "  R0   suppression hygiene: allow(Rn) markers must carry a justification\n";
+      "  R0   suppression hygiene: allow(Rn) markers must carry a justification\n"
+      "       and suppress an Rn diagnostic\n";
   for (const RuleInfo& rule : AllRules()) {
     std::cout << "  " << rule.id << (std::string(rule.id).size() < 3 ? "   " : "  ")
               << rule.title << "\n";

@@ -292,4 +292,18 @@ void Tokenize(const std::string& text, SourceFile* out) {
   }
 }
 
+size_t MatchForward(const std::vector<Token>& toks, size_t open,
+                    const std::string& opener, const std::string& closer) {
+  int depth = 0;
+  size_t j = open;
+  for (; j < toks.size(); ++j) {
+    if (toks[j].text == opener) {
+      ++depth;
+    } else if (toks[j].text == closer && --depth == 0) {
+      break;
+    }
+  }
+  return j;
+}
+
 }  // namespace lint

@@ -22,6 +22,7 @@
 #ifndef HIVE_TOOLS_HIVE_LINT_LEXER_H_
 #define HIVE_TOOLS_HIVE_LINT_LEXER_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,11 @@ void Tokenize(const std::string& text, SourceFile* out);
 
 bool IsIdentStart(char c);
 bool IsIdentChar(char c);
+
+// Matches forward from the opener token at `open` to its closer; returns the
+// closer's index, or tokens.size() when unmatched.
+size_t MatchForward(const std::vector<Token>& toks, size_t open,
+                    const std::string& opener, const std::string& closer);
 
 }  // namespace lint
 

@@ -1,8 +1,8 @@
-// hive_lint rule framework (pass 2 of 2).
+// hive_lint rule framework.
 //
-// Every rule is a free function over the RuleContext: the tokenized files
-// plus the whole-program index built in pass 1. Rules append Diagnostics;
-// the driver applies suppressions, sorts, and renders (text or JSON).
+// Every rule is a free function over the RuleContext: the tokenized files.
+// Rules pattern-match tokens and append Diagnostics; hive_lint.cc applies
+// suppressions, sorts, and renders (text or JSON).
 //
 // Rule lifecycle (see DESIGN.md "Verification layers"):
 //   0. when the compiler can make the check exactly, make it there instead:
@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "tools/hive_lint/index.h"
 #include "tools/hive_lint/lexer.h"
 
 namespace lint {
@@ -44,7 +43,6 @@ struct Suppression {
 
 struct RuleContext {
   const std::vector<SourceFile>* files = nullptr;
-  const ProgramIndex* index = nullptr;
   std::vector<Diagnostic>* diags = nullptr;
 };
 
@@ -55,7 +53,8 @@ struct RuleInfo {
 };
 
 // Registered rules in id order. R0 (suppression hygiene) is not listed: it
-// is emitted by ParseSuppressions while the driver collects suppressions.
+// is emitted by ParseSuppressions while hive_lint.cc collects suppressions,
+// and by hive_lint.cc for a marker that suppresses nothing.
 const std::vector<RuleInfo>& AllRules();
 
 // Parses `hive-lint: allow(Rn): justification` comments; emits R0

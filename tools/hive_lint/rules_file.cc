@@ -1,13 +1,14 @@
-// Per-file rules R0-R3 and R7, ported from hive_lint v1 (they predate the
-// whole-program index and deliberately do not use it), and the per-file rule
-// R12. Receiver heuristics are documented next to each rule; see DESIGN.md
-// "Verification layers" for the discipline each one enforces.
+// hive_lint's rules R1-R3, R7, R10 and R12: each one pattern-matches the
+// token stream (R0 falls out of suppression parsing). Receiver heuristics
+// are documented next to each rule; see DESIGN.md "Verification layers" for
+// the discipline each one enforces.
 
 #include <algorithm>
 #include <cctype>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tools/hive_lint/rules.h"
@@ -300,6 +301,180 @@ void CheckR7(const SourceFile& file, std::vector<Diagnostic>* diags) {
   }
 }
 
+// Matches a template argument list starting at the '<' token at `open`.
+// Returns the index of the matching '>' or tokens.size() on failure. Angle
+// brackets are ambiguous with comparisons, so the match is budgeted and
+// bails on statement punctuation -- callers treat failure as "not a
+// template".
+size_t MatchAngles(const std::vector<Token>& toks, size_t open) {
+  int depth = 0;
+  for (size_t j = open; j < toks.size() && j < open + 64; ++j) {
+    const std::string& t = toks[j].text;
+    if (t == "<") {
+      ++depth;
+    } else if (t == ">") {
+      if (--depth == 0) {
+        return j;
+      }
+    } else if (t == ";" || t == "{" || t == "}") {
+      break;
+    }
+  }
+  return toks.size();
+}
+
+// A container declaration starting at token `i`: `std::<kind><args> name`
+// followed by ';', '=' or '{' (a parameter, return type or template
+// argument is not one). Returns the name's token index, or 0 when there is
+// no declaration; `*ptr_key` tells whether the first template argument (the
+// key) is a raw pointer.
+size_t ContainerDeclName(const std::vector<Token>& toks, size_t i, bool* ptr_key) {
+  const size_t n = toks.size();
+  if (toks[i].text != "std" || i + 3 >= n || toks[i + 1].text != "::" ||
+      toks[i + 3].text != "<") {
+    return 0;
+  }
+  const size_t close = MatchAngles(toks, i + 3);
+  if (close + 2 >= n || toks[close + 1].kind != Token::kIdent ||
+      (toks[close + 2].text != ";" && toks[close + 2].text != "=" &&
+       toks[close + 2].text != "{")) {
+    return 0;
+  }
+  *ptr_key = false;
+  int depth = 0;
+  for (size_t t = i + 3; t < close; ++t) {
+    if (toks[t].text == "<") {
+      ++depth;
+    } else if (toks[t].text == ">") {
+      --depth;
+    } else if (toks[t].text == "," && depth == 1) {
+      break;
+    } else if (toks[t].text == "*" && depth == 1) {
+      *ptr_key = true;
+    }
+  }
+  return close + 1;
+}
+
+// The identifier a range-for at token `for_tok` iterates: the last token of
+// the range expression (`faults` for `state->spec->faults`). Returns "" for
+// a classic three-clause for and for a range that ends in a call, whose
+// result is a fresh container the loop owns.
+std::string RangeForName(const std::vector<Token>& toks, size_t for_tok) {
+  const size_t close = MatchForward(toks, for_tok + 1, "(", ")");
+  if (close >= toks.size()) {
+    return "";
+  }
+  int depth = 0;
+  for (size_t k = for_tok + 2; k < close; ++k) {
+    const std::string& p = toks[k].text;
+    if (p == "(" || p == "[" || p == "{") {
+      ++depth;
+    } else if (p == ")" || p == "]" || p == "}") {
+      --depth;
+    } else if (p == ";" && depth == 0) {
+      return "";
+    } else if (p == ":" && depth == 0) {
+      return toks[close - 1].kind == Token::kIdent ? toks[close - 1].text : "";
+    }
+  }
+  return "";
+}
+
+// R10: determinism purity. The campaign layer fingerprints end-to-end runs
+// (FNV-1a over final state), and the golden-fingerprint tests require every
+// simulation path to be bit-reproducible from the seed. R10 scans every file
+// in src/, namespace scope, constructors, lambdas and RAII scopes included
+// (DESIGN.md section 6 says why there is no call graph), and flags:
+//   - rand/srand/*rand48/random/random_shuffle calls and std::random_device
+//     (ambient entropy);
+//   - std::chrono {system,steady,high_resolution}_clock::now() and
+//     time(nullptr) (host clock reads);
+//   - a range-for over a name declared as std::unordered_map/unordered_set
+//     (iteration order varies across libstdc++ versions and hash seeds);
+//   - a std::map/std::set keyed by a raw pointer, at its declaration
+//     (address-order iteration varies run to run under ASLR).
+// The unordered names come from every scanned file first: a member declared
+// in a header is iterated in its .cc. tests/ and bench/ may time and
+// randomize around the simulator.
+void CheckR10(const RuleContext& ctx) {
+  std::set<std::string> unordered;
+  for (const SourceFile& file : *ctx.files) {
+    const std::vector<Token>& toks = file.tokens;
+    for (size_t i = 0; i + 2 < toks.size(); ++i) {
+      if (toks[i + 2].text != "unordered_map" && toks[i + 2].text != "unordered_set") {
+        continue;
+      }
+      bool ptr_key = false;
+      const size_t name = ContainerDeclName(toks, i, &ptr_key);
+      if (name != 0) {
+        unordered.insert(toks[name].text);
+      }
+    }
+  }
+  static const std::set<std::string> kBannedCalls = {
+      "rand", "srand", "rand_r", "random", "drand48", "lrand48", "mrand48",
+      "srand48", "random_shuffle",
+  };
+  static const std::set<std::string> kClocks = {
+      "system_clock", "steady_clock", "high_resolution_clock",
+  };
+  static const std::string kWhy =
+      "; simulation outcomes must be a pure function of the seed "
+      "(golden-fingerprint oracle)";
+  for (const SourceFile& file : *ctx.files) {
+    if (!StartsWith(file.rel_path, "src/")) {
+      continue;
+    }
+    const std::vector<Token>& toks = file.tokens;
+    auto text_at = [&toks](size_t j) -> const std::string& {
+      static const std::string kNone;
+      return j < toks.size() ? toks[j].text : kNone;
+    };
+    std::set<int> flagged;  // One R10 diagnostic per line.
+    auto emit = [&](int line, std::string msg) {
+      if (flagged.insert(line).second) {
+        ctx.diags->push_back({file.rel_path, line, "R10", std::move(msg)});
+      }
+    };
+    for (size_t i = 0; i < toks.size(); ++i) {
+      const Token& t = toks[i];
+      if (t.kind != Token::kIdent) {
+        continue;
+      }
+      if (kBannedCalls.count(t.text) > 0 && text_at(i + 1) == "(") {
+        emit(t.line, "call to '" + t.text + "'" + kWhy);
+      } else if (t.text == "random_device") {
+        emit(t.line, "std::random_device (hardware entropy)" + kWhy);
+      } else if (kClocks.count(t.text) > 0 && text_at(i + 1) == "::" &&
+                 text_at(i + 2) == "now") {
+        emit(t.line, "wall-clock read 'std::chrono::" + t.text + "::now()'" + kWhy);
+      } else if (t.text == "time" && text_at(i + 1) == "(" &&
+                 (text_at(i + 2) == "nullptr" || text_at(i + 2) == "NULL" ||
+                  text_at(i + 2) == "0")) {
+        emit(t.line, "wall-clock read 'time(...)'" + kWhy);
+      } else if (t.text == "for" && text_at(i + 1) == "(") {
+        const std::string range = RangeForName(toks, i);
+        if (unordered.count(range) > 0) {
+          emit(t.line, "range-for over unordered container '" + range + "'" + kWhy +
+                           "; iterate a sorted copy or restructure if the loop "
+                           "affects output, or suppress if provably "
+                           "order-independent");
+        }
+      } else if (text_at(i + 2) == "map" || text_at(i + 2) == "set") {
+        bool ptr_key = false;
+        const size_t name = ContainerDeclName(toks, i, &ptr_key);
+        if (name != 0 && ptr_key) {
+          emit(toks[name].line,
+               "'" + toks[name].text + "' is a std::map/std::set keyed by a raw pointer; "
+               "iteration follows address order, which varies run to run (ASLR, "
+               "allocator) -- key by a stable id instead (determinism purity)");
+        }
+      }
+    }
+  }
+}
+
 template <void (*PerFile)(const SourceFile&, std::vector<Diagnostic>*)>
 void ForEachFile(const RuleContext& ctx) {
   for (const SourceFile& file : *ctx.files) {
@@ -309,10 +484,6 @@ void ForEachFile(const RuleContext& ctx) {
 
 }  // namespace
 
-// Whole-program rules, defined in rules_whole_program.cc.
-void CheckR10(const RuleContext& ctx);
-void CheckR11(const RuleContext& ctx);
-
 const std::vector<RuleInfo>& AllRules() {
   static const std::vector<RuleInfo> kRules = {
       {"R1", "no direct PhysMem access from src/core/", &ForEachFile<CheckR1>},
@@ -321,9 +492,8 @@ const std::vector<RuleInfo>& AllRules() {
       {"R3", "BusError caught only by flash::CaptureTrap (unsuppressible)",
        &ForEachFile<CheckR3>},
       {"R7", "remote pointer-chase loops hop-bounded", &ForEachFile<CheckR7>},
-      {"R10", "determinism purity on simulator/campaign-reachable paths",
+      {"R10", "determinism purity: no host clock, entropy or hash-order loop in src/",
        &CheckR10},
-      {"R11", "tagged remote structures only behind CarefulRef", &CheckR11},
       {"R12", "no captured trap handed to Panic in src/core/ (unsuppressible)",
        &ForEachFile<CheckR12>},
   };
